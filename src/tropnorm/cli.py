@@ -32,8 +32,6 @@ EXIT_PROPERTY = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-THREADS_ENV = "TROPNORM_THREADS"
-
 WITNESS_PRINT_CAP = 10_000
 
 
@@ -249,14 +247,21 @@ def _cmd_check_theorem(args) -> int:
     return EXIT_OK
 
 
+BORDER_ARITY = {"compose": 3, "split": 1, "check": 6, "check-self": 3}
+
+
+def _read_blocks(m: str, v: str, w: str) -> border_mod.BorderedBlocks:
+    return border_mod.BorderedBlocks(_read_matrix(m), _read_vector(v), _read_vector(w))
+
+
 def _cmd_border(args) -> int:
-    if args.action == "compose":
-        blocks = border_mod.BorderedBlocks(
-            _read_matrix(args.args[0]),
-            _read_vector(args.args[1]),
-            _read_vector(args.args[2]),
+    want = BORDER_ARITY[args.action]
+    if len(args.args) != want:
+        raise ValueError(
+            f"border {args.action} takes {want} arguments, got {len(args.args)}"
         )
-        out = border_mod.border_compose(blocks)
+    if args.action == "compose":
+        out = border_mod.border_compose(_read_blocks(*args.args))
         doc = {"command": "border", "action": "compose", "matrix": format_matrix(out)}
         _emit(doc, f"composed matrix of order {out.n}")
         return EXIT_OK
@@ -272,33 +277,18 @@ def _cmd_border(args) -> int:
         _emit(doc, f"split into block of order {blocks.b.n} plus two vectors")
         return EXIT_OK
     if args.action == "check":
-        b1 = border_mod.BorderedBlocks(
-            _read_matrix(args.args[0]),
-            _read_vector(args.args[1]),
-            _read_vector(args.args[2]),
+        res = border_mod.border_orthogonality_condition(
+            _read_blocks(*args.args[:3]), _read_blocks(*args.args[3:])
         )
-        b2 = border_mod.BorderedBlocks(
-            _read_matrix(args.args[3]),
-            _read_vector(args.args[4]),
-            _read_vector(args.args[5]),
-        )
-        res = border_mod.border_orthogonality_condition(b1, b2)
         doc = {"command": "border", "action": "check"}
         doc.update(res)
         _emit(doc, f"bordered pair orthogonal: {res['orthogonal']}")
         return EXIT_OK
-    if args.action == "check-self":
-        blocks = border_mod.BorderedBlocks(
-            _read_matrix(args.args[0]),
-            _read_vector(args.args[1]),
-            _read_vector(args.args[2]),
-        )
-        res = border_mod.self_ortho_border_condition(blocks)
-        doc = {"command": "border", "action": "check-self"}
-        doc.update(res)
-        _emit(doc, f"bordered matrix self-orthogonal: {res['self_orthogonal']}")
-        return EXIT_OK
-    raise ValueError(f"unknown border action {args.action!r}")
+    res = border_mod.self_ortho_border_condition(_read_blocks(*args.args))
+    doc = {"command": "border", "action": "check-self"}
+    doc.update(res)
+    _emit(doc, f"bordered matrix self-orthogonal: {res['self_orthogonal']}")
+    return EXIT_OK
 
 
 def _cmd_reduce(args) -> int:
@@ -352,9 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="tropnorm",
         description="orthogonality toolkit for normal matrices over {0,-1}",
     )
-    default_threads = int(os.environ.get(THREADS_ENV, "1") or "1")
-    top.add_argument("--threads", type=int, default=default_threads)
-    top.add_argument("--seed", type=int, default=0)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mul", help="tropical product of two matrices")
@@ -413,8 +400,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check_theorem)
 
     p = sub.add_parser("border", help="bordered composition and conditions")
-    p.add_argument("action", choices=("compose", "split", "check", "check-self"))
-    p.add_argument("args", nargs="+")
+    p.add_argument("action", choices=tuple(BORDER_ARITY))
+    # REMAINDER takes a vector such as "-0-" with or without a leading "--"
+    p.add_argument("args", nargs=argparse.REMAINDER)
     p.set_defaults(func=_cmd_border)
 
     p = sub.add_parser("reduce", help="delete a zero-free row/column pair")
@@ -425,7 +413,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="relation graph statistics")
     p.add_argument("--kind", choices=graphs_mod.GRAPH_KINDS, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--stats", action="store_true")
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("dist", help="distance between two vertices")

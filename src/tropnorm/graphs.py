@@ -10,10 +10,14 @@ Three graphs share the machinery:
   zero except possibly the (p,q) cell), with the three sufficient
   conditions on corner cells as the edge rule.
 
-VNL and WNL adjacency depends only on which patterns a matrix carries,
-so vertices are grouped into classes with equal pattern signatures and
-all metrics are computed on the (small) class graph; the blow-up back
-to the full graph only needs class sizes.  ORTHO is built explicitly.
+Every graph is stored as a class graph: each class holds vertices with
+the same neighbours, and bit c of class c's adjacency row says the
+members of c are adjacent to each other (for a class of one member, that
+bit is its loop).  VNL and WNL adjacency depends only on which patterns a
+matrix carries, so their classes are the vertices with equal pattern
+signatures; ORTHO is built with one class per vertex.  All metrics are
+computed on the class graph; the blow-up back to the full graph only
+needs class sizes.
 """
 
 from __future__ import annotations
@@ -99,6 +103,20 @@ def _apply_perm(sig: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return out
 
 
+# -- class bitsets ---------------------------------------------------------
+
+
+def _to_bits(flags: np.ndarray) -> int:
+    """Bitset of the set flags: bit c is flags[c]."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _members(x: int, k: int) -> list[int]:
+    """Indices of the set bits of x, a bitset over k classes."""
+    raw = np.frombuffer(x.to_bytes((k + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
+
+
 # -- graph value ----------------------------------------------------------
 
 
@@ -108,13 +126,9 @@ class OrthoGraph:
     n: int
     vertices: list[NormalMatrix]
     _index: dict = field(repr=False)            # offdiag mask -> vertex idx
-    # explicit representation (ORTHO)
-    _adj: list | None = field(default=None, repr=False)
-    _loops: set | None = field(default=None, repr=False)
-    # quotient representation (VNL / WNL)
-    _class_of: np.ndarray | None = field(default=None, repr=False)
-    _class_sizes: list | None = field(default=None, repr=False)
-    _class_adj: list | None = field(default=None, repr=False)  # int bitsets
+    _class_of: np.ndarray = field(repr=False)   # vertex idx -> class
+    _class_sizes: list = field(repr=False)
+    _class_adj: list = field(repr=False)        # int bitsets, self bit included
     _stats: dict | None = field(default=None, repr=False)
 
     def vertex_index(self, a: NormalMatrix) -> int:
@@ -237,10 +251,10 @@ def _build_ortho(n: int) -> OrthoGraph:
         for j in range(n):
             colarr[idx, j] = mat.col_mask(j + 1)
 
+    # one class per vertex; a self-orthogonal vertex keeps its own bit
     adj_bits: list[int] = []
-    loops: set[int] = set()
     ok = np.empty(v, dtype=bool)
-    for idx, mat in enumerate(vertices):
+    for idx in range(v):
         ok[:] = True
         # A (.) B all zero: every row of A meets every column of B
         for i in range(n):
@@ -252,24 +266,31 @@ def _build_ortho(n: int) -> OrthoGraph:
             cj = int(colarr[idx, j])
             for i in range(n):
                 ok &= (rowarr[:, i] & cj) != 0
-        if ok[idx]:
-            loops.add(idx)
-        okc = ok.copy()
-        okc[idx] = False
-        bits = int.from_bytes(
-            np.packbits(okc, bitorder="little").tobytes(), "little"
-        )
-        adj_bits.append(bits)
+        adj_bits.append(_to_bits(ok))
 
-    g = OrthoGraph(
+    return OrthoGraph(
         kind=ORTHO,
         n=n,
         vertices=vertices,
         _index={m: i for i, m in enumerate(masks)},
-        _adj=adj_bits,
-        _loops=loops,
+        _class_of=np.arange(v),
+        _class_sizes=[1] * v,
+        _class_adj=adj_bits,
     )
-    return g
+
+
+# rows of the class adjacency matrix built per numpy pass; bounds the
+# temporaries at ADJ_BLOCK x classes int64 instead of classes x classes
+ADJ_BLOCK = 256
+
+
+def _relation_block(terms, rows, cols) -> np.ndarray:
+    """Boolean adjacency of classes `rows` against classes `cols`: some
+    (left, right) term pair shares a signature bit."""
+    acc = 0
+    for left, right in terms:
+        acc = acc | (left[rows, None] & right[None, cols])
+    return acc != 0
 
 
 def _build_pattern_graph(kind: str, n: int) -> OrthoGraph:
@@ -308,31 +329,28 @@ def _build_pattern_graph(kind: str, n: int) -> OrthoGraph:
     k = len(uniq)
     sizes = np.bincount(class_of, minlength=k).tolist()
 
+    # class a meets class b when a left term of a shares a bit with the
+    # transposed right term of b
     if kind == VNL:
         s = uniq[:, 0]
-        st = _apply_perm(s, perm)
-        adjm = (s[:, None] & st[None, :]) != 0
+        terms = [(s, _apply_perm(s, perm))]
     else:
         w, wzo, wzz = uniq[:, 0], uniq[:, 1], uniq[:, 2]
-        wt = _apply_perm(w, perm)
-        wzot = _apply_perm(wzo, perm)
-        wzzt = _apply_perm(wzz, perm)
-        adjm = (
-            ((wzz[:, None] & wt[None, :]) != 0)
-            | ((wzo[:, None] & wzot[None, :]) != 0)
-            | ((w[:, None] & wzzt[None, :]) != 0)
-        )
-    assert (adjm == adjm.T).all()
+        terms = [
+            (wzz, _apply_perm(w, perm)),
+            (wzo, _apply_perm(wzo, perm)),
+            (w, _apply_perm(wzz, perm)),
+        ]
 
     class_adj = []
-    for c in range(k):
-        bits = int.from_bytes(
-            np.packbits(adjm[c], bitorder="little").tobytes(), "little"
-        )
-        class_adj.append(bits)
+    for r0 in range(0, k, ADJ_BLOCK):
+        rows = slice(r0, r0 + ADJ_BLOCK)
+        block = _relation_block(terms, rows, slice(None))
+        assert (block == _relation_block(terms, slice(None), rows).T).all()
+        class_adj.extend(_to_bits(row) for row in block)
 
     vertices = [from_offdiag_mask(n, int(m)) for m in vmask]
-    g = OrthoGraph(
+    return OrthoGraph(
         kind=kind,
         n=n,
         vertices=vertices,
@@ -341,44 +359,39 @@ def _build_pattern_graph(kind: str, n: int) -> OrthoGraph:
         _class_sizes=sizes,
         _class_adj=class_adj,
     )
-    return g
 
 
 # -- metrics ----------------------------------------------------------------
 
 
-def _bfs_bitset(adj: list[int], start: int, nbits: int):
-    """Distance list from start over bitset adjacency (loops absent)."""
-    dist = [INFINITY] * nbits
-    dist[start] = 0
-    seen = 1 << start
-    frontier = 1 << start
-    d = 0
-    while frontier:
+def _bfs(adj: list[int], start: int, target: int | None = None):
+    """Breadth-first search over bitset rows from `start`: the number of
+    layers until `target` is reached, or with no target the eccentricity
+    of `start`; INFINITY when the goal is unreachable."""
+    k = len(adj)
+    goal = (1 << k) - 1 if target is None else 1 << target
+    seen = frontier = 1 << start
+    layers = 0
+    while seen & goal != goal:
         nxt = 0
-        t = frontier
-        while t:
-            low = t & -t
-            nxt |= adj[low.bit_length() - 1]
-            t ^= low
-        nxt &= ~seen
-        d += 1
-        t = nxt
-        while t:
-            low = t & -t
-            dist[low.bit_length() - 1] = d
-            t ^= low
-        seen |= nxt
-        frontier = nxt
-    return dist
+        for c in _members(frontier, k):
+            nxt |= adj[c]
+        frontier = nxt & ~seen
+        if not frontier:
+            return INFINITY
+        seen |= frontier
+        layers += 1
+    return layers
 
 
-def _class_dist_matrix(g: OrthoGraph):
-    k = len(g._class_sizes)
-    # strip the diagonal (self-adjacency is not a step between classes)
-    return [
-        _bfs_bitset([g._class_adj[c] for c in range(k)], a, k) for a in range(k)
-    ]
+def _intra_dist(adj: list[int], c: int):
+    """Distance between two members of class c: 1 when they are adjacent,
+    2 through any other class, otherwise unreachable."""
+    if adj[c] & (1 << c):
+        return 1
+    if adj[c] & ~(1 << c):
+        return 2
+    return INFINITY
 
 
 def dist(g: OrthoGraph, u: NormalMatrix, v: NormalMatrix):
@@ -386,95 +399,73 @@ def dist(g: OrthoGraph, u: NormalMatrix, v: NormalMatrix):
     iv = g.vertex_index(v)
     if iu == iv:
         return 0
-    if g._adj is not None:
-        return _bfs_bitset(g._adj, iu, g.num_vertices)[iv]
     cu = int(g._class_of[iu])
     cv = int(g._class_of[iv])
-    k = len(g._class_sizes)
-    if cu != cv:
-        return _bfs_bitset(g._class_adj, cu, k)[cv]
-    if g._class_adj[cu] & (1 << cu):
-        return 1
-    if g._class_adj[cu] & ~(1 << cu):
-        return 2
-    return INFINITY
+    if cu == cv:
+        return _intra_dist(g._class_adj, cu)
+    return _bfs(g._class_adj, cu, cv)
 
 
-def _quotient_stats(g: OrthoGraph) -> dict:
+def stats(g: OrthoGraph) -> dict:
+    if g._stats is not None:
+        return g._stats
     sizes = g._class_sizes
     adj = g._class_adj
     k = len(sizes)
     self_adj = [bool(adj[c] & (1 << c)) for c in range(k)]
     others = [adj[c] & ~(1 << c) for c in range(k)]
 
+    # size_bits[p] holds the classes whose size has bit p set, so the
+    # total size of a set of classes is a sum of shifted popcounts
+    sz = np.array(sizes)
+    width = max(sizes, default=0).bit_length()
+    size_bits = [_to_bits((sz >> p) & 1) for p in range(width)]
     edges = 0
+    ends = 0  # edges between two classes, counted from both ends
     loops = 0
     for a in range(k):
         if self_adj[a]:
             loops += sizes[a]
             edges += sizes[a] * (sizes[a] - 1) // 2
-        t = others[a]
-        while t:
-            low = t & -t
-            b = low.bit_length() - 1
-            if b > a:
-                edges += sizes[a] * sizes[b]
-            t ^= low
+        ends += sizes[a] * sum(
+            (others[a] & m).bit_count() << p for p, m in enumerate(size_bits)
+        )
+    edges += ends // 2
 
-    dmat = _class_dist_matrix(g)
     diam = 0
     for a in range(k):
-        for b in range(a + 1, k):
-            diam = max(diam, dmat[a][b])
         if sizes[a] >= 2:
-            if self_adj[a]:
-                intra = 1
-            elif others[a]:
-                intra = 2
-            else:
-                intra = INFINITY
-            diam = max(diam, intra)
+            diam = max(diam, _intra_dist(adj, a))
+        diam = max(diam, _bfs(adj, a))
+        if diam == INFINITY:
+            break
     connected = diam < INFINITY
 
+    # a triangle inside a class, or through two members and another class
     girth = INFINITY
     for a in range(k):
-        if self_adj[a] and (
-            sizes[a] >= 3 or (sizes[a] >= 2 and others[a])
-        ):
+        if self_adj[a] and (sizes[a] >= 3 or (sizes[a] >= 2 and others[a])):
             girth = 3
             break
+    # a triangle through three classes
     if girth > 3:
         for a in range(k):
-            t = others[a]
-            while t:
-                low = t & -t
-                b = low.bit_length() - 1
-                if b > a and others[a] & others[b] & ~(1 << a) & ~(1 << b):
-                    girth = 3
-                    break
-                t ^= low
-            if girth == 3:
+            if any(b > a and others[a] & others[b] for b in _members(others[a], k)):
+                girth = 3
                 break
+    # a 4-cycle through two members of a class and two neighbouring vertices
     if girth > 4:
         for a in range(k):
-            if sizes[a] < 2:
-                continue
-            t = others[a]
-            nb = 0
-            while t:
-                low = t & -t
-                b = low.bit_length() - 1
-                nb += 1
-                if sizes[b] >= 2 or nb >= 2:
-                    girth = 4
-                    break
-                t ^= low
-            if girth == 4:
+            deg = others[a].bit_count()
+            if sizes[a] >= 2 and (
+                deg >= 2 or (deg == 1 and sizes[others[a].bit_length() - 1] >= 2)
+            ):
+                girth = 4
                 break
     if girth > 4:
         girth = min(girth, _simple_girth(others, k, cap=girth))
 
-    return {
+    g._stats = {
         "kind": g.kind,
         "n": g.n,
         "vertices": g.num_vertices,
@@ -484,6 +475,7 @@ def _quotient_stats(g: OrthoGraph) -> dict:
         "diameter": diam,
         "connected": connected,
     }
+    return g._stats
 
 
 def _simple_girth(adj: list[int], nbits: int, cap=INFINITY):
@@ -498,11 +490,7 @@ def _simple_girth(adj: list[int], nbits: int, cap=INFINITY):
             for x in frontier:
                 if 2 * dist[x] >= best - 1:
                     break
-                t = adj[x]
-                while t:
-                    low = t & -t
-                    y = low.bit_length() - 1
-                    t ^= low
+                for y in _members(adj[x], nbits):
                     if y not in dist:
                         dist[y] = dist[x] + 1
                         parent[y] = x
@@ -513,56 +501,6 @@ def _simple_girth(adj: list[int], nbits: int, cap=INFINITY):
         if best == 3:
             break
     return best
-
-
-def _explicit_stats(g: OrthoGraph) -> dict:
-    adj = g._adj
-    v = g.num_vertices
-    edges = sum(b.bit_count() for b in adj) // 2
-    loops = len(g._loops)
-
-    diam = 0
-    connected = True
-    for s in range(v):
-        d = _bfs_bitset(adj, s, v)
-        m = max(d)
-        if m == INFINITY:
-            connected = False
-            diam = INFINITY
-            break
-        diam = max(diam, m)
-
-    girth = INFINITY
-    for u in range(v):
-        t = adj[u]
-        while t:
-            low = t & -t
-            w = low.bit_length() - 1
-            t ^= low
-            if w > u and adj[u] & adj[w] & ~(1 << u) & ~(1 << w):
-                girth = 3
-                break
-        if girth == 3:
-            break
-    if girth > 3:
-        girth = _simple_girth(adj, v, cap=girth)
-
-    return {
-        "kind": g.kind,
-        "n": g.n,
-        "vertices": v,
-        "edges": edges,
-        "loops": loops,
-        "girth": girth,
-        "diameter": diam,
-        "connected": connected,
-    }
-
-
-def stats(g: OrthoGraph) -> dict:
-    if g._stats is None:
-        g._stats = _explicit_stats(g) if g._adj is not None else _quotient_stats(g)
-    return g._stats
 
 
 def diameter(g: OrthoGraph):
@@ -578,8 +516,5 @@ def is_connected(g: OrthoGraph) -> bool:
 
 
 def has_loop(g: OrthoGraph, u: NormalMatrix) -> bool:
-    iu = g.vertex_index(u)
-    if g._loops is not None:
-        return iu in g._loops
-    c = int(g._class_of[iu])
+    c = int(g._class_of[g.vertex_index(u)])
     return bool(g._class_adj[c] & (1 << c))

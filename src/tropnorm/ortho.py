@@ -95,31 +95,36 @@ class IndicatorReport:
         }
 
 
-def is_orthogonal(a: NormalMatrix, b: NormalMatrix) -> bool:
-    """True iff A*B and B*A are both the all-zero matrix."""
-    n = _same_order(a, b)
-    full = (1 << n) - 1
-    # product row i is full iff the rows of b indexed by zeros of row i cover
-    # every column; check both orders with early exit
-    for ra in a.rows:
+def _orth_rows(arows: tuple[int, ...], brows: tuple[int, ...], full: int) -> bool:
+    """Row-union check of orthogonality on bitmask rows.
+
+    Product row i is full iff the rows of the right factor indexed by the
+    zeros of left row i cover every column; both orders, early exit."""
+    for ra in arows:
         acc = 0
         t = ra
         while t:
             low = t & -t
-            acc |= b.rows[low.bit_length() - 1]
+            acc |= brows[low.bit_length() - 1]
             t ^= low
         if acc != full:
             return False
-    for rb in b.rows:
+    for rb in brows:
         acc = 0
         t = rb
         while t:
             low = t & -t
-            acc |= a.rows[low.bit_length() - 1]
+            acc |= arows[low.bit_length() - 1]
             t ^= low
         if acc != full:
             return False
     return True
+
+
+def is_orthogonal(a: NormalMatrix, b: NormalMatrix) -> bool:
+    """True iff A*B and B*A are both the all-zero matrix."""
+    n = _same_order(a, b)
+    return _orth_rows(a.rows, b.rows, (1 << n) - 1)
 
 
 def indicator(a: NormalMatrix, b: NormalMatrix) -> IndicatorReport:

@@ -28,7 +28,7 @@ from .core import (
     sigma,
 )
 from .families import MmVariant, mm_classify, mm_pair
-from .ortho import indicator, is_orthogonal
+from .ortho import _orth_rows, indicator, is_orthogonal
 from . import fixtures
 
 WITNESS_CAP = 10_000
@@ -101,28 +101,6 @@ def _row_expand_tables(n: int) -> list[list[int]]:
 
 def _pair_from_masks(n: int, amask: int, bmask: int) -> tuple[NormalMatrix, NormalMatrix]:
     return from_offdiag_mask(n, amask), from_offdiag_mask(n, bmask)
-
-
-def _orth_rows(arows: tuple[int, ...], brows: tuple[int, ...], full: int) -> bool:
-    for ra in arows:
-        acc = 0
-        t = ra
-        while t:
-            low = t & -t
-            acc |= brows[low.bit_length() - 1]
-            t ^= low
-        if acc != full:
-            return False
-    for rb in brows:
-        acc = 0
-        t = rb
-        while t:
-            low = t & -t
-            acc |= arows[low.bit_length() - 1]
-            t ^= low
-        if acc != full:
-            return False
-    return True
 
 
 # -- exhaustive oracle -------------------------------------------------
@@ -301,8 +279,6 @@ def _bounded_pairs(
     is bounded below by exact per-column and per-row hitting-set sizes and
     then enumerated column by column.
     """
-    if n < 2:
-        raise ValueError("bounded search needs n >= 2")
     ctx = _BnbContext(n, max_sigma, node_limit, time_limit)
     ctx.t0 = time.monotonic()
 
@@ -459,8 +435,10 @@ def enumerate_orthogonal_pairs(
 ):
     """Yield every orthogonal pair with at most max_sigma off-diagonal zeros
     exactly once, ordered by (sigma, left mask, right mask)."""
-    if n > 6:
-        raise ValueError("pair enumeration refused above n=6")
+    if not 2 <= n <= 6:
+        raise ValueError("pair enumeration supports 2 <= n <= 6")
+    if max_sigma < 0:
+        raise ValueError(f"max_sigma {max_sigma} is negative")
     if max_sigma > 4 * n - 6:
         raise ValueError(f"max_sigma {max_sigma} exceeds the 4n-6 guard")
     triples, _ = _bounded_pairs(n, max_sigma, node_limit, time_limit)
@@ -481,6 +459,8 @@ def theta_bounded(
     budget + 1 = 4n - 6 (the generic minimal-family pair)."""
     if not 2 <= n <= 6:
         raise ValueError("bounded search supports 2 <= n <= 6")
+    if budget < 0:
+        raise ValueError(f"budget {budget} is negative")
     if budget > 4 * n - 7:
         raise ValueError(f"budget {budget} exceeds the 4n-7 guard")
     triples, stats = _bounded_pairs(n, budget, node_limit, time_limit)

@@ -122,7 +122,7 @@ def test_reduce(capsys):
 
 
 def test_graph_stats_and_dist(capsys):
-    code, doc, _ = run(capsys, "graph", "--kind", "ortho", "--n", "3", "--stats")
+    code, doc, _ = run(capsys, "graph", "--kind", "ortho", "--n", "3")
     assert code == 0
     assert doc["vertices"] == 62
     assert doc["edges"] == 385
@@ -139,6 +139,45 @@ def test_usage_errors(capsys):
     assert run(capsys, "theta", "--n", "9")[0] == 2
     assert run(capsys, "generic", "--n", "3", "--set", "Q:1,2")[0] == 2
     assert run(capsys, "reduce", "00-/-0-/--0", "--i", "1")[0] == 2
+
+
+def test_search_argument_errors(capsys):
+    code, doc, err = run(capsys, "theta", "--n", "5", "--mode", "bounded", "--budget", "-5")
+    assert (code, doc) == (2, None)
+    assert "negative" in err
+    code, doc, err = run(capsys, "enumerate", "--n", "3", "--max-sigma", "-1")
+    assert (code, doc) == (2, None)
+    assert "negative" in err
+    code, doc, err = run(capsys, "enumerate", "--n", "1", "--max-sigma", "0")
+    assert (code, doc) == (2, None)
+    assert "2 <= n <= 6" in err and "4n-6" not in err
+
+
+def test_removed_flags_rejected(capsys):
+    assert run(capsys, "--threads", "2", "theta-delta", "--n", "3")[0] == 2
+    assert run(capsys, "--seed", "7", "theta-delta", "--n", "3")[0] == 2
+    assert run(capsys, "graph", "--kind", "ortho", "--n", "2", "--stats")[0] == 2
+
+
+def test_border_vectors_with_leading_minus(capsys):
+    # "-0" looks like an option; it parses with or without "--"
+    for sep in ((), ("--",)):
+        code, doc, _ = run(capsys, "border", "compose", *sep, "0-/-0", "-0", "0-")
+        assert code == 0
+        assert doc["matrix"] == "0--\n-00\n0-0"
+        code, doc, _ = run(capsys, "border", "split", *sep, "0--/-00/0-0")
+        assert code == 0
+        assert (doc["v"], doc["w"]) == ("-0", "0-")
+        code, doc, _ = run(capsys, "border", "check-self", *sep, "00/00", "-0", "00")
+        assert code == 0
+
+
+def test_border_argument_count(capsys):
+    for action, count in (("compose", 3), ("split", 1), ("check", 6), ("check-self", 3)):
+        for wrong in (count - 1, count + 1):
+            code, doc, err = run(capsys, "border", action, *["00/00"] * wrong)
+            assert (code, doc) == (2, None)
+            assert f"takes {count} arguments, got {wrong}" in err
 
 
 def test_resource_cap_exit(capsys):
@@ -160,12 +199,6 @@ def test_resource_cap_exit(capsys):
 def test_check_theorem_failure_exit(capsys):
     # n=5 is outside the checkable range: usage error, not a property failure
     assert run(capsys, "check-theorem", "--n", "5")[0] == 2
-
-
-def test_threads_and_seed_accepted(capsys):
-    code, doc, _ = run(capsys, "--threads", "2", "--seed", "7", "theta-delta", "--n", "3")
-    assert code == 0
-    assert doc["value"] == 3
 
 
 def test_deterministic_output(capsys):

@@ -79,81 +79,75 @@ def test_pattern_graphs_subsets_of_ortho():
             assert is_orthogonal(a, b)
 
 
-def test_quotient_matches_explicit_brute_force_n3():
-    # recompute each pattern graph's invariants straight from the
-    # pairwise adjacency predicate and compare with the class-graph stats
-    for kind in (VNL, WNL):
-        g = build(kind, 3)
-        verts = g.vertices
-        idx = {a: i for i, a in enumerate(verts)}
-        k = len(verts)
-        adjm = [0] * k
-        loops = 0
-        edges = 0
-        for i, a in enumerate(verts):
-            for j in range(i, k):
-                if adjacent(kind, a, verts[j]):
-                    if i == j:
-                        loops += 1
-                    else:
-                        edges += 1
-                        adjm[i] |= 1 << j
-                        adjm[j] |= 1 << i
+def _brute_force(kind, verts):
+    """Stats, all-pairs distances and loops of a graph straight from the
+    pairwise adjacency predicate."""
+    k = len(verts)
+    nbrs = [set() for _ in range(k)]
+    loops = [adjacent(kind, a, a) for a in verts]
+    for i, j in itertools.combinations(range(k), 2):
+        if adjacent(kind, verts[i], verts[j]):
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+    dists = []
+    girth = math.inf
+    for root in range(k):
+        d = {root: 0}
+        parent = {root: None}
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in nbrs[u]:
+                    if v not in d:
+                        d[v] = d[u] + 1
+                        parent[v] = u
+                        nxt.append(v)
+                    elif v != parent[u]:
+                        # a non-tree edge closes a cycle through the root's tree
+                        girth = min(girth, d[u] + d[v] + 1)
+            frontier = nxt
+        dists.append([d.get(j, math.inf) for j in range(k)])
+    diam = max(max(row) for row in dists)
+    return {
+        "vertices": k,
+        "edges": sum(len(s) for s in nbrs) // 2,
+        "loops": sum(loops),
+        "girth": girth,
+        "diameter": diam,
+        "connected": diam < math.inf,
+    }, dists, loops
+
+
+def test_class_graph_matches_brute_force():
+    # every stats field, every distance and every loop of the class graph
+    # against the pairwise adjacency predicate; WNL n=2 is disconnected
+    # and the n=2 graphs have no cycle
+    for kind, n in itertools.product((ORTHO, VNL, WNL), (2, 3)):
+        g = build(kind, n)
+        want, dists, loops = _brute_force(kind, g.vertices)
         s = stats(g)
-        assert s["vertices"] == k
-        assert s["edges"] == edges
-        assert s["loops"] == loops
-        # BFS diameter and connectivity
-        diam = 0
-        for i in range(k):
-            seen = {i}
-            frontier = [i]
-            d = 0
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    t = adjm[u]
-                    while t:
-                        low = t & -t
-                        v = low.bit_length() - 1
-                        t ^= low
-                        if v not in seen:
-                            seen.add(v)
-                            nxt.append(v)
-                if nxt:
-                    d += 1
-                frontier = nxt
-            assert len(seen) == k  # connected
-            diam = max(diam, d)
-        assert s["diameter"] == diam
-        # spot-check distances against the quotient rules
-        rng = random.Random(41)
-        for _ in range(500):
-            a, b = rng.choice(verts), rng.choice(verts)
-            i, j = idx[a], idx[b]
-            if i == j:
-                expect = 0
-            else:
-                seen = {i}
-                frontier = [i]
-                expect = math.inf
-                d = 0
-                while frontier and expect is math.inf:
-                    nxt = []
-                    d += 1
-                    for u in frontier:
-                        t = adjm[u]
-                        while t:
-                            low = t & -t
-                            v = low.bit_length() - 1
-                            t ^= low
-                            if v == j:
-                                expect = d
-                            if v not in seen:
-                                seen.add(v)
-                                nxt.append(v)
-                    frontier = nxt
-            assert dist(g, a, b) == expect
+        assert (s["kind"], s["n"]) == (kind, n)
+        for key, val in want.items():
+            assert s[key] == val, (kind, n, key, s[key], val)
+        for i, a in enumerate(g.vertices):
+            assert has_loop(g, a) == loops[i]
+            for j, b in enumerate(g.vertices):
+                assert dist(g, a, b) == dists[i][j], (kind, n, i, j)
+        if n == 2:
+            assert s["girth"] == math.inf
+            assert s["connected"] == (kind != WNL)
+    # classes of several mutually adjacent members first occur at VNL n=4,
+    # too large for the full brute force: pair each member with the first
+    # of its class (the graph is connected, so non-adjacent members are at 2)
+    g = build(VNL, 4)
+    first = {}
+    for i, c in enumerate(g._class_of.tolist()):
+        if c in first:
+            a, b = g.vertices[first[c]], g.vertices[i]
+            assert dist(g, a, b) == (1 if adjacent(VNL, a, b) else 2)
+        else:
+            first[c] = i
 
 
 def test_wnl3_closing_distance():

@@ -173,3 +173,17 @@ def test_check_theorem_large_orders():
 def test_check_theorem_guard():
     with pytest.raises(ValueError):
         check_theorem_theta(5)
+
+
+def test_search_argument_checks():
+    with pytest.raises(ValueError, match="negative"):
+        theta_bounded(5, -5)
+    with pytest.raises(ValueError, match="negative"):
+        list(enumerate_orthogonal_pairs(3, -1))
+    # the order is checked before the 4n-6 guard
+    with pytest.raises(ValueError, match="2 <= n <= 6"):
+        list(enumerate_orthogonal_pairs(1, 0))
+    with pytest.raises(ValueError, match="2 <= n <= 6"):
+        theta_bounded(1, 0)
+    assert theta_bounded(3, 0).completeness == COMPLETENESS_BOUNDED
+    assert list(enumerate_orthogonal_pairs(3, 0)) == []
