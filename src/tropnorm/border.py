@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import MINUS_ONE, ZERO, DimensionMismatch, NormalMatrix
+from .core import MINUS_ONE, ZERO, DimensionMismatch, NormalMatrix, _cols, _row_union
 from .ortho import is_orthogonal
 
 
@@ -53,24 +53,14 @@ def left_product_mask(b: NormalMatrix, v: BorderVector) -> int:
     """Zero mask of B (.) v: position i is zero iff row i of B meets v."""
     if b.n != v.n:
         raise DimensionMismatch(f"block order {b.n} != vector length {v.n}")
-    vm = v.mask()
-    out = 0
-    for i in range(b.n):
-        if b.rows[i] & vm:
-            out |= 1 << i
-    return out
+    return _row_union(v.mask(), _cols(b.rows))
 
 
 def right_product_mask(w: BorderVector, b: NormalMatrix) -> int:
     """Zero mask of w^T (.) B: position j is zero iff column j of B meets w."""
     if b.n != w.n:
         raise DimensionMismatch(f"block order {b.n} != vector length {w.n}")
-    wm = w.mask()
-    out = 0
-    for j in range(b.n):
-        if b.col_mask(j + 1) & wm:
-            out |= 1 << j
-    return out
+    return _row_union(w.mask(), b.rows)
 
 
 def vector_oplus_mask(*masks: int) -> int:

@@ -195,9 +195,10 @@ def _cmd_theta(args) -> int:
             node_limit=args.node_limit,
             time_limit=args.time_limit,
         )
+    lower = cert.completeness == search_mod.COMPLETENESS_LOWER_BOUND
     _emit(
         _cert_doc("theta", cert),
-        f"minimum {cert.value} ({cert.completeness}), "
+        f"{'at least' if lower else 'minimum'} {cert.value} ({cert.completeness}), "
         f"{cert.total_witnesses} witnesses",
     )
     return EXIT_OK

@@ -5,13 +5,24 @@ is always zero, every other entry is 0 or -1.  Internally each matrix keeps
 one bitmask per row (bit j-1 set means entry (i, j) is zero), which makes
 tropical products and row/column extraction cheap up to n ~ 12 and beyond.
 
+This module owns every bit-level decision about that format, and the other
+modules call it instead of re-deriving them:
+
+* the off-diagonal mask codec: `offdiag_rows` decodes an n(n-1)-bit mask
+  (one bit per off-diagonal cell, in `offdiag_positions` order) to row
+  masks through per-order lookup tables, and `offdiag_mask` encodes;
+* the row-union kernel `_row_union`: the union of the rows picked by the
+  set bits of a mask, which is one row of a tropical product;
+* set-bit iteration `_bits` and the bit transpose `_cols`.
+
 All indices in the public API are 1-based.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import lru_cache
+from typing import Iterable, Iterator, Sequence
 
 ZERO = 0
 MINUS_ONE = -1
@@ -99,14 +110,9 @@ class NormalMatrix:
     @property
     def zeros(self) -> frozenset[tuple[int, int]]:
         """1-based positions of the zero entries (diagonal included)."""
-        out = []
-        for i, r in enumerate(self.rows):
-            t = r
-            while t:
-                low = t & -t
-                out.append((i + 1, low.bit_length()))
-                t ^= low
-        return frozenset(out)
+        return frozenset(
+            (i + 1, j + 1) for i, r in enumerate(self.rows) for j in _bits(r)
+        )
 
     def entry(self, i: int, j: int) -> int:
         self._check_index(i)
@@ -119,12 +125,7 @@ class NormalMatrix:
 
     def col_mask(self, j: int) -> int:
         self._check_index(j)
-        bit = 1 << (j - 1)
-        m = 0
-        for i, r in enumerate(self.rows):
-            if r & bit:
-                m |= 1 << i
-        return m
+        return _cols(self.rows)[j - 1]
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.n:
@@ -140,6 +141,43 @@ def _same_order(a: NormalMatrix, b: NormalMatrix) -> int:
     if a.n != b.n:
         raise DimensionMismatch(f"orders differ: {a.n} vs {b.n}")
     return a.n
+
+
+# -- bit kernels -----------------------------------------------------
+
+
+def _bits(x: int) -> Iterator[int]:
+    """Indices of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _row_union(pick: int, rows: Sequence[int]) -> int:
+    """Union of rows[t] over the set bits t of pick.
+
+    With pick a row of A and rows the rows of B, this is the row of the
+    tropical product A*B: column j is zero iff some t has a_it = b_tj = 0."""
+    acc = 0
+    while pick:
+        low = pick & -pick
+        acc |= rows[low.bit_length() - 1]
+        pick ^= low
+    return acc
+
+
+def _cols(rows: Sequence[int]) -> list[int]:
+    """Column masks of a square bit matrix given by its row masks: bit i of
+    column j is bit j of row i."""
+    cols = [0] * len(rows)
+    for i, r in enumerate(rows):
+        bit = 1 << i
+        while r:
+            low = r & -r
+            cols[low.bit_length() - 1] |= bit
+            r ^= low
+    return cols
 
 
 # -- distinguished matrices -----------------------------------------
@@ -203,16 +241,7 @@ def mat_odot(a: NormalMatrix, b: NormalMatrix) -> NormalMatrix:
     """
     n = _same_order(a, b)
     brows = b.rows
-    rows = []
-    for ra in a.rows:
-        acc = 0
-        t = ra
-        while t:
-            low = t & -t
-            acc |= brows[low.bit_length() - 1]
-            t ^= low
-        rows.append(acc)
-    return NormalMatrix(n, tuple(rows))
+    return NormalMatrix(n, tuple([_row_union(ra, brows) for ra in a.rows]))
 
 
 def naive_odot(a: NormalMatrix, b: NormalMatrix) -> NormalMatrix:
@@ -236,16 +265,7 @@ def naive_odot(a: NormalMatrix, b: NormalMatrix) -> NormalMatrix:
 
 
 def transpose(a: NormalMatrix) -> NormalMatrix:
-    n = a.n
-    rows = []
-    for i in range(n):
-        bit = 1 << i
-        r = 0
-        for j in range(n):
-            if a.rows[j] & bit:
-                r |= 1 << j
-        rows.append(r)
-    return NormalMatrix(n, tuple(rows))
+    return NormalMatrix(a.n, tuple(_cols(a.rows)))
 
 
 def permute_conjugate(a: NormalMatrix, i: int, j: int) -> NormalMatrix:
@@ -333,27 +353,50 @@ def offdiag_positions(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
 
 
+@lru_cache(maxsize=None)
+def _offdiag_tables(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Per row i: the shift of its (n-1)-bit field in an off-diagonal mask,
+    and the full row mask of every field value (the field fills columns
+    0..n-1 except i, and bit i is the diagonal).  The tables of order n
+    hold n * 2^(n-1) entries."""
+    stride = n - 1
+    tables = []
+    for i in range(n):
+        low = (1 << i) - 1
+        row = tuple(
+            (f & low) | ((f & ~low) << 1) | (1 << i) for f in range(1 << stride)
+        )
+        tables.append((i * stride, row))
+    return tuple(tables)
+
+
+def offdiag_rows(n: int, mask: int) -> tuple[int, ...]:
+    """Row masks of the normal matrix whose off-diagonal zeros are the set
+    bits of mask, in the order given by offdiag_positions."""
+    stride = n - 1
+    if n < 1 or mask < 0 or mask >> (n * stride):
+        raise ValueError(f"mask {mask} does not fit the off-diagonal slots of order {n}")
+    field = (1 << stride) - 1
+    return tuple([row[(mask >> shift) & field] for shift, row in _offdiag_tables(n)])
+
+
+def offdiag_mask(n: int, rows: Sequence[int]) -> int:
+    """Inverse of offdiag_rows: the off-diagonal mask of the row masks."""
+    stride = n - 1
+    m = 0
+    for i, r in enumerate(rows):
+        m |= ((r & ((1 << i) - 1)) | (r >> (i + 1) << i)) << (i * stride)
+    return m
+
+
 def from_offdiag_mask(n: int, mask: int) -> NormalMatrix:
     """Matrix whose off-diagonal zeros are the set bits of mask, in the
     order given by offdiag_positions."""
-    pos = offdiag_positions(n)
-    rows = [1 << i for i in range(n)]
-    t = mask
-    while t:
-        low = t & -t
-        i, j = pos[low.bit_length() - 1]
-        rows[i - 1] |= 1 << (j - 1)
-        t ^= low
-    return NormalMatrix(n, tuple(rows))
+    return NormalMatrix(n, offdiag_rows(n, mask))
 
 
 def to_offdiag_mask(a: NormalMatrix) -> int:
-    pos = offdiag_positions(a.n)
-    m = 0
-    for idx, (i, j) in enumerate(pos):
-        if a.rows[i - 1] & (1 << (j - 1)):
-            m |= 1 << idx
-    return m
+    return offdiag_mask(a.n, a.rows)
 
 
 def all_normal_matrices(n: int) -> Iterator[NormalMatrix]:

@@ -18,16 +18,22 @@ matrix carries, so their classes are the vertices with equal pattern
 signatures; ORTHO is built with one class per vertex.  All metrics are
 computed on the class graph; the blow-up back to the full graph only
 needs class sizes.
+
+Vertices are keyed by their off-diagonal mask (`core.to_offdiag_mask`),
+and the V/W/Z patterns are the masks of the zeros a `families.Atom`
+forces, so neither the slot order nor the patterns are written here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .core import NormalMatrix, from_offdiag_mask, to_offdiag_mask
+from .core import NormalMatrix, _cols, from_offdiag_mask, to_offdiag_mask
+from .families import ATOM_KINDS, Atom
 from .ortho import is_orthogonal
 
 ORTHO = "ortho"
@@ -41,42 +47,21 @@ PATTERN_BUILD_GUARD = 5
 INFINITY = math.inf
 
 
-# -- off-diagonal slot helpers -------------------------------------------
+# -- zero patterns ----------------------------------------------------------
 
 
-def _slot(n: int, i: int, j: int) -> int:
-    """Bit index of off-diagonal cell (i, j) in row-major mask order."""
-    return (i - 1) * (n - 1) + (j - 1 if j < i else j - 2)
-
-
-def _pat_row(n: int, p: int) -> int:
-    m = 0
-    for j in range(1, n + 1):
-        if j != p:
-            m |= 1 << _slot(n, p, j)
-    return m
-
-
-def _pat_col(n: int, q: int) -> int:
-    m = 0
-    for i in range(1, n + 1):
-        if i != q:
-            m |= 1 << _slot(n, i, q)
-    return m
-
-
-def _pat_v(n: int, p: int, q: int) -> int:
-    return _pat_row(n, p) | _pat_col(n, q)
-
-
-def _pat_w(n: int, p: int, q: int) -> int:
-    if p == q:
-        return _pat_v(n, p, p)
-    return _pat_v(n, p, q) & ~(1 << _slot(n, p, q))
-
-
-def _cell(n: int, p: int, q: int) -> int:
-    return 1 << _slot(n, p, q)
+@lru_cache(maxsize=None)
+def _patterns(n: int) -> dict[tuple[str, int, int], int]:
+    """Off-diagonal mask of the zeros each atom (kind, p, q) of order n
+    forces, keyed by (kind, p, q)."""
+    return {
+        (kind, p, q): to_offdiag_mask(
+            NormalMatrix.from_zeros(n, Atom(kind, p, q).forced_zeros(n))
+        )
+        for kind in ATOM_KINDS
+        for p in range(1, n + 1)
+        for q in range(1, n + 1)
+    }
 
 
 def _sig_transpose_perm(n: int) -> np.ndarray:
@@ -148,21 +133,21 @@ class OrthoGraph:
 
 
 def _vnl_patterns(n: int) -> list[int]:
-    return [_pat_v(n, p, q) for p in range(1, n + 1) for q in range(1, n + 1)]
+    pat = _patterns(n)
+    return [pat["V", p, q] for p in range(1, n + 1) for q in range(1, n + 1)]
 
 
 def _wnl_patterns(n: int) -> tuple[list[int], list[int], list[int]]:
+    """W(p;q), W(p;q)&Z(q;p) and W(p;q)&Z(p;q)&Z(q;p) for every (p, q); a
+    diagonal Z atom forces no off-diagonal zero."""
+    pat = _patterns(n)
     w, wzo, wzz = [], [], []
     for p in range(1, n + 1):
         for q in range(1, n + 1):
-            base = _pat_w(n, p, q)
+            base = pat["W", p, q]
             w.append(base)
-            if p == q:
-                wzo.append(base)
-                wzz.append(base)
-            else:
-                wzo.append(base | _cell(n, q, p))
-                wzz.append(base | _cell(n, p, q) | _cell(n, q, p))
+            wzo.append(base | pat["Z", q, p])
+            wzz.append(base | pat["Z", p, q] | pat["Z", q, p])
     return w, wzo, wzz
 
 
@@ -179,26 +164,27 @@ def adjacent(kind: str, a: NormalMatrix, b: NormalMatrix) -> bool:
         return is_orthogonal(a, b)
     am = to_offdiag_mask(a)
     bm = to_offdiag_mask(b)
+    pat = _patterns(n)
     if kind == VNL:
         for p in range(1, n + 1):
             for q in range(1, n + 1):
-                if (am & _pat_v(n, p, q)) == _pat_v(n, p, q) and (
-                    bm & _pat_v(n, q, p)
-                ) == _pat_v(n, q, p):
+                if (am & pat["V", p, q]) == pat["V", p, q] and (
+                    bm & pat["V", q, p]
+                ) == pat["V", q, p]:
                     return True
         return False
     for k in range(1, n + 1):
         for m in range(1, n + 1):
-            a_w = (am & _pat_w(n, k, m)) == _pat_w(n, k, m)
-            b_w = (bm & _pat_w(n, m, k)) == _pat_w(n, m, k)
+            a_w = (am & pat["W", k, m]) == pat["W", k, m]
+            b_w = (bm & pat["W", m, k]) == pat["W", m, k]
             if not (a_w and b_w):
                 continue
             if k == m:
                 return True
-            a_zs = bool(am & _cell(n, k, m))
-            a_zo = bool(am & _cell(n, m, k))
-            b_zs = bool(bm & _cell(n, m, k))
-            b_zo = bool(bm & _cell(n, k, m))
+            a_zs = bool(am & pat["Z", k, m])
+            a_zo = bool(am & pat["Z", m, k])
+            b_zs = bool(bm & pat["Z", m, k])
+            b_zo = bool(bm & pat["Z", k, m])
             if (a_zs and a_zo) or (a_zo and b_zo) or (b_zs and b_zo):
                 return True
     return False
@@ -212,10 +198,11 @@ def _is_vertex(kind: str, a: NormalMatrix) -> bool:
         return m not in (0, full)
     if m == full:
         return False
-    pats = _pat_v if kind == VNL else _pat_w
+    pat = _patterns(n)
+    atom = "V" if kind == VNL else "W"
     for p in range(1, n + 1):
         for q in range(1, n + 1):
-            if p != q and (m & pats(n, p, q)) == pats(n, p, q):
+            if p != q and (m & pat[atom, p, q]) == pat[atom, p, q]:
                 return True
     return False
 
@@ -226,6 +213,8 @@ def _is_vertex(kind: str, a: NormalMatrix) -> bool:
 def build(kind: str, n: int) -> OrthoGraph:
     if kind not in GRAPH_KINDS:
         raise ValueError(f"unknown graph kind {kind!r}")
+    if n < 2:
+        raise ValueError(f"{kind} build needs an order n >= 2, got n={n}")
     if kind == ORTHO:
         if n > ORTHO_BUILD_GUARD:
             raise ValueError(f"ORTHO build refused above n={ORTHO_BUILD_GUARD}")
@@ -246,10 +235,8 @@ def _build_ortho(n: int) -> OrthoGraph:
     rowarr = np.zeros((v, n), dtype=np.int64)
     colarr = np.zeros((v, n), dtype=np.int64)
     for idx, mat in enumerate(vertices):
-        for i in range(n):
-            rowarr[idx, i] = mat.rows[i]
-        for j in range(n):
-            colarr[idx, j] = mat.col_mask(j + 1)
+        rowarr[idx] = mat.rows
+        colarr[idx] = _cols(mat.rows)
 
     # one class per vertex; a self-orthogonal vertex keeps its own bit
     adj_bits: list[int] = []

@@ -15,6 +15,9 @@ from dataclasses import dataclass, field
 from .core import (
     DimensionMismatch,
     NormalMatrix,
+    _bits,
+    _cols,
+    _row_union,
     _same_order,
     all_normal_matrices,
     all_zero,
@@ -101,22 +104,10 @@ def _orth_rows(arows: tuple[int, ...], brows: tuple[int, ...], full: int) -> boo
     Product row i is full iff the rows of the right factor indexed by the
     zeros of left row i cover every column; both orders, early exit."""
     for ra in arows:
-        acc = 0
-        t = ra
-        while t:
-            low = t & -t
-            acc |= brows[low.bit_length() - 1]
-            t ^= low
-        if acc != full:
+        if _row_union(ra, brows) != full:
             return False
     for rb in brows:
-        acc = 0
-        t = rb
-        while t:
-            low = t & -t
-            acc |= arows[low.bit_length() - 1]
-            t ^= low
-        if acc != full:
+        if _row_union(rb, arows) != full:
             return False
     return True
 
@@ -139,53 +130,47 @@ def indicator(a: NormalMatrix, b: NormalMatrix) -> IndicatorReport:
     right = mat_odot(b, a)
     ind = NormalMatrix(n, tuple(l & r for l, r in zip(left.rows, right.rows)))
 
+    # a witness k of (s, t) has a_sk = b_kt = 0 (k in a_s & Bcol_t) and a
+    # witness m has b_sm = a_mt = 0 (m in b_s & Acol_t); a cost zero has a
+    # common such index, a gift zero a pair k != m
+    acols = _cols(a.rows)
+    bcols = _cols(b.rows)
     classes: dict[tuple[int, int], ZeroClass] = {}
     prop = cost = gift = 0
-    for s in range(1, n + 1):
-        ra = a.rows[s - 1]
-        rb = b.rows[s - 1]
-        for t in range(1, n + 1):
+    for s in range(n):
+        ra = a.rows[s]
+        rb = b.rows[s]
+        ri = ind.rows[s]
+        for t in range(n):
             if s == t:
                 continue
-            tbit = 1 << (t - 1)
-            if not ind.rows[s - 1] & tbit:
-                classes[(s, t)] = ZeroClass(TAG_NONZERO)
+            tbit = 1 << t
+            if not ri & tbit:
+                classes[(s + 1, t + 1)] = ZeroClass(TAG_NONZERO)
                 continue
             if (ra | rb) & tbit:
-                classes[(s, t)] = ZeroClass(TAG_PROPAGATION)
+                classes[(s + 1, t + 1)] = ZeroClass(TAG_PROPAGATION)
                 prop += 1
                 continue
-            cost_ws = frozenset(
-                k
-                for k in range(1, n + 1)
-                if k not in (s, t)
-                and a.entry(s, k) == 0
-                and b.entry(k, t) == 0
-                and b.entry(s, k) == 0
-                and a.entry(k, t) == 0
-            )
-            if cost_ws:
-                classes[(s, t)] = ZeroClass(TAG_COST, cost_witnesses=cost_ws)
+            outside = ~((1 << s) | tbit)
+            ks = ra & bcols[t] & outside
+            ms = rb & acols[t] & outside
+            if ks & ms:
+                cost_ws = frozenset(k + 1 for k in _bits(ks & ms))
+                classes[(s + 1, t + 1)] = ZeroClass(TAG_COST, cost_witnesses=cost_ws)
                 cost += 1
                 continue
             gift_ws = frozenset(
-                (k, m)
-                for k in range(1, n + 1)
-                for m in range(1, n + 1)
-                if len({s, t, k, m}) == 4
-                and a.entry(s, k) == 0
-                and b.entry(k, t) == 0
-                and b.entry(s, m) == 0
-                and a.entry(m, t) == 0
+                (k + 1, m + 1) for k in _bits(ks) for m in _bits(ms) if k != m
             )
             if gift_ws:
-                classes[(s, t)] = ZeroClass(TAG_GIFT, gift_witnesses=gift_ws)
+                classes[(s + 1, t + 1)] = ZeroClass(TAG_GIFT, gift_witnesses=gift_ws)
                 gift += 1
                 continue
             # exhaustiveness of the classification is a stated property of
             # indicator zeros; reaching here would disprove it
             raise AssertionError(
-                f"unclassifiable indicator zero at ({s},{t}) for the pair"
+                f"unclassifiable indicator zero at ({s + 1},{t + 1}) for the pair"
             )
 
     if a == b:

@@ -10,8 +10,14 @@ Two engines pin the minimum number of off-diagonal zeros:
   of B every zero-column of A — orthogonality is exactly this pair of
   transversal conditions).
 
-Both report certificates with explicit completeness claims; resource
-caps abort with a distinguishable error instead of a silent truncation.
+Both report certificates with explicit completeness claims: `exhaustive`
+(every pair below the value was tested), `bounded_proof` (no pair fits
+the budget and a witness attains budget + 1) or `lower_bound` (no pair
+fits the budget, and no witness is attached).  Resource caps abort with a
+distinguishable error instead of a silent truncation.
+
+Both walk off-diagonal masks and take the mask codec, the row-union
+kernel and the bit transpose from `core`.
 """
 
 from __future__ import annotations
@@ -22,9 +28,14 @@ from itertools import combinations
 
 from .core import (
     NormalMatrix,
+    _bits,
+    _cols,
+    _row_union,
     format_matrix,
     from_offdiag_mask,
     identity,
+    offdiag_mask,
+    offdiag_rows,
     sigma,
 )
 from .families import MmVariant, mm_classify, mm_pair
@@ -35,6 +46,7 @@ WITNESS_CAP = 10_000
 
 COMPLETENESS_EXHAUSTIVE = "exhaustive"
 COMPLETENESS_BOUNDED = "bounded_proof"
+COMPLETENESS_LOWER_BOUND = "lower_bound"
 
 
 class SearchInconclusive(RuntimeError):
@@ -78,27 +90,6 @@ class ThetaCertificate:
         }
 
 
-# -- shared bit tables -------------------------------------------------
-
-
-def _row_expand_tables(n: int) -> list[list[int]]:
-    """expand[i][offmask] -> full row mask with the diagonal bit inserted."""
-    tables = []
-    for i in range(n):
-        cols = [j for j in range(n) if j != i]
-        tab = []
-        for off in range(1 << (n - 1)):
-            m = 1 << i
-            t = off
-            while t:
-                low = t & -t
-                m |= 1 << cols[low.bit_length() - 1]
-                t ^= low
-            tab.append(m)
-        tables.append(tab)
-    return tables
-
-
 def _pair_from_masks(n: int, amask: int, bmask: int) -> tuple[NormalMatrix, NormalMatrix]:
     return from_offdiag_mask(n, amask), from_offdiag_mask(n, bmask)
 
@@ -131,24 +122,7 @@ def theta_exhaustive(n: int) -> ThetaCertificate:
 
     slots = n * n - n
     full = (1 << n) - 1
-    expand = _row_expand_tables(n)
-    stride = n - 1
-
-    def rows_of(mask: int) -> tuple[int, ...]:
-        return tuple(
-            expand[i][(mask >> (i * stride)) & ((1 << stride) - 1)]
-            for i in range(n)
-        )
-
-    rows_cache: dict[int, tuple[int, ...]] = {}
-
-    def cached_rows(mask: int) -> tuple[int, ...]:
-        r = rows_cache.get(mask)
-        if r is None:
-            r = rows_of(mask)
-            rows_cache[mask] = r
-        return r
-
+    rows = [offdiag_rows(n, mask) for mask in range(1 << slots)]
     by_count: dict[int, list[int]] = {}
     for mask in range(1 << slots):
         by_count.setdefault(mask.bit_count(), []).append(mask)
@@ -159,10 +133,10 @@ def theta_exhaustive(n: int) -> ThetaCertificate:
         for ka in range(max(0, total - slots), min(slots, total) + 1):
             kb = total - ka
             for amask in by_count.get(ka, ()):
-                arows = cached_rows(amask)
+                arows = rows[amask]
                 for bmask in by_count.get(kb, ()):
                     nodes += 1
-                    if _orth_rows(arows, cached_rows(bmask), full):
+                    if _orth_rows(arows, rows[bmask], full):
                         found.append((amask, bmask))
         if found:
             found.sort()
@@ -192,8 +166,6 @@ def theta_delta_exhaustive(n: int) -> ThetaCertificate:
     t0 = time.monotonic()
     slots = n * n - n
     full = (1 << n) - 1
-    expand = _row_expand_tables(n)
-    stride = n - 1
     slot_ids = list(range(slots))
 
     nodes = 0
@@ -204,10 +176,7 @@ def theta_delta_exhaustive(n: int) -> ThetaCertificate:
             mask = 0
             for s in chosen:
                 mask |= 1 << s
-            rows = tuple(
-                expand[i][(mask >> (i * stride)) & ((1 << stride) - 1)]
-                for i in range(n)
-            )
+            rows = offdiag_rows(n, mask)
             if _orth_rows(rows, rows, full):
                 found.append(mask)
         if found:
@@ -230,8 +199,6 @@ def theta_delta_exhaustive(n: int) -> ThetaCertificate:
 
 @dataclass
 class _BnbContext:
-    n: int
-    max_sigma: int
     node_limit: int
     time_limit: float
     t0: float = 0.0
@@ -252,10 +219,10 @@ class _BnbContext:
         return {"nodes": self.nodes, "elapsed_s": time.monotonic() - self.t0}
 
 
-def _min_hitting_size(fam: tuple[int, ...], subsets_sorted: list[tuple[int, int]]) -> int:
+def _min_hitting_size(fam: tuple[int, ...], subsets_sorted: list[tuple[int, int, tuple]]) -> int:
     """Exact minimum hitting-set size for a family of nonempty masks; the
     candidate subsets come pre-sorted by popcount."""
-    for h, sz in subsets_sorted:
+    for h, sz, _ in subsets_sorted:
         ok = True
         for f in fam:
             if not h & f:
@@ -279,27 +246,22 @@ def _bounded_pairs(
     is bounded below by exact per-column and per-row hitting-set sizes and
     then enumerated column by column.
     """
-    ctx = _BnbContext(n, max_sigma, node_limit, time_limit)
+    ctx = _BnbContext(node_limit, time_limit)
     ctx.t0 = time.monotonic()
 
-    stride = n - 1
-    slots = n * stride
-    expand = _row_expand_tables(n)
-    off_stride_mask = (1 << stride) - 1
+    slots = n * (n - 1)
+    full = (1 << n) - 1
 
     # per column j: candidate off-diagonal column masks over rows != j,
-    # sorted by popcount; mask bit is the true row index
+    # sorted by popcount, as (mask, popcount, row indices); mask bit is
+    # the true row index
     universes = []
     for j in range(n):
-        uni = [(0, 0)]
-        subs = []
-        umask = ((1 << n) - 1) & ~(1 << j)
-        sub = umask
-        while sub:
-            subs.append((sub, sub.bit_count()))
-            sub = (sub - 1) & umask
-        subs.sort(key=lambda x: (x[1], x[0]))
-        universes.append(uni + subs)
+        subs = sorted(
+            (h for h in range(1 << n) if not h >> j & 1),
+            key=lambda h: (h.bit_count(), h),
+        )
+        universes.append([(h, h.bit_count(), tuple(_bits(h))) for h in subs])
 
     results: list[tuple[int, int, int]] = []
 
@@ -309,17 +271,8 @@ def _bounded_pairs(
         if a_off > max_sigma:
             continue
         b_budget = max_sigma - a_off
-        arows = [
-            expand[i][(amask >> (i * stride)) & off_stride_mask] for i in range(n)
-        ]
-        acols = [0] * n
-        for i in range(n):
-            r = arows[i]
-            t = r
-            while t:
-                low = t & -t
-                acols[low.bit_length() - 1] |= 1 << i
-                t ^= low
+        arows = offdiag_rows(n, amask)
+        acols = _cols(arows)
 
         # families: column j of B must hit arows[i] - {j} whenever a_ij != 0
         col_fams = []
@@ -356,7 +309,7 @@ def _bounded_pairs(
             continue
 
         # candidate columns per position, cheapest first
-        valid_cols: list[list[int]] = []
+        valid_cols: list[list[tuple[int, int, tuple[int, ...]]]] = []
         suffix = [0] * (n + 1)
         for j in range(n - 1, -1, -1):
             suffix[j] = suffix[j + 1] + col_min[j]
@@ -364,7 +317,8 @@ def _bounded_pairs(
             cap = b_budget - (suffix[0] - col_min[j])
             fam = col_fams[j]
             vc = []
-            for h, sz in universes[j]:
+            for col in universes[j]:
+                h, sz, _ = col
                 if sz > cap:
                     break
                 ok = True
@@ -373,7 +327,7 @@ def _bounded_pairs(
                         ok = False
                         break
                 if ok:
-                    vc.append(h)
+                    vc.append(col)
             valid_cols.append(vc)
 
         # DFS over columns of B
@@ -382,44 +336,23 @@ def _bounded_pairs(
         def descend(j: int, used: int):
             ctx.tick()
             if j == n:
-                # AB = Z holds by column construction; check BA = Z:
-                # every row of B must meet every zero-column of A
-                for i in range(n):
-                    br = brow_partial[i]
-                    for q in range(n):
-                        if not br & acols[q]:
-                            return
-                bmask = 0
-                for i in range(n):
-                    br = brow_partial[i]
-                    off = 0
-                    pos = 0
-                    for jj in range(n):
-                        if jj == i:
-                            continue
-                        if br & (1 << jj):
-                            off |= 1 << pos
-                        pos += 1
-                    bmask |= off << (i * stride)
-                results.append((a_off + used, amask, bmask))
+                # AB = Z holds by column construction; check BA = Z
+                for br in brow_partial:
+                    if _row_union(br, arows) != full:
+                        return
+                results.append((a_off + used, amask, offdiag_mask(n, brow_partial)))
                 return
             rest = suffix[j + 1]
-            for h in valid_cols[j]:
-                sz = h.bit_count()
+            jbit = 1 << j
+            for _, sz, idx in valid_cols[j]:
                 if used + sz + rest > b_budget:
                     break
                 # set column j bits into the partial rows
-                t = h
-                while t:
-                    low = t & -t
-                    brow_partial[low.bit_length() - 1] |= 1 << j
-                    t ^= low
+                for i in idx:
+                    brow_partial[i] |= jbit
                 descend(j + 1, used + sz)
-                t = h
-                while t:
-                    low = t & -t
-                    brow_partial[low.bit_length() - 1] &= ~(1 << j)
-                    t ^= low
+                for i in idx:
+                    brow_partial[i] ^= jbit
 
         descend(0, 0)
 
@@ -455,8 +388,10 @@ def theta_bounded(
     """Either the exact minimum (when a pair within budget exists) or a
     proof that no orthogonal pair has at most `budget` off-diagonal zeros.
 
-    In the proof case the attached witness realizes budget + 1 zeros when
-    budget + 1 = 4n - 6 (the generic minimal-family pair)."""
+    In the proof case the value is budget + 1.  When budget + 1 = 4n - 6
+    the generic minimal-family pair realizes it and the certificate is a
+    bounded proof of the minimum; otherwise no witness is attached and the
+    certificate only claims a lower bound."""
     if not 2 <= n <= 6:
         raise ValueError("bounded search supports 2 <= n <= 6")
     if budget < 0:
@@ -477,18 +412,19 @@ def theta_bounded(
             total_witnesses=len(found),
             search_stats=stats,
         )
-    witnesses = []
-    notes = ""
     if budget + 1 == 4 * n - 6:
         witnesses = [mm_pair(MmVariant(1, 2, 0), n)]
+        completeness = COMPLETENESS_BOUNDED
         notes = "witness is the generic minimal-family pair at 4n-6"
     else:
+        witnesses = []
+        completeness = COMPLETENESS_LOWER_BOUND
         notes = "no witness at budget+1 constructed; value is a lower bound"
     return ThetaCertificate(
         n=n,
         kind="pair",
         value=budget + 1,
-        completeness=COMPLETENESS_BOUNDED,
+        completeness=completeness,
         budget=budget,
         witnesses=witnesses,
         total_witnesses=len(witnesses),

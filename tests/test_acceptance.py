@@ -283,6 +283,31 @@ def _suite_cover_implies_orthogonal(rng):
         assert is_orthogonal(a, b)
 
 
+def _witnesses(a, b, s, t):
+    """Brute-force cost and gift witness sets of cell (s, t) from entry()."""
+    n = a.n
+    cost = {
+        k
+        for k in range(1, n + 1)
+        if k not in (s, t)
+        and a.entry(s, k) == 0
+        and b.entry(k, t) == 0
+        and b.entry(s, k) == 0
+        and a.entry(k, t) == 0
+    }
+    gift = {
+        (k, m)
+        for k in range(1, n + 1)
+        for m in range(1, n + 1)
+        if len({s, t, k, m}) == 4
+        and a.entry(s, k) == 0
+        and b.entry(k, t) == 0
+        and b.entry(s, m) == 0
+        and a.entry(m, t) == 0
+    }
+    return cost, gift
+
+
 def _check_classification(a, b):
     rep = indicator(a, b)
     n = a.n
@@ -296,6 +321,7 @@ def _check_classification(a, b):
         elif cls.tag == TAG_COST:
             assert a.entry(s, t) != 0 and b.entry(s, t) != 0
             assert cls.cost_witnesses
+            assert cls.cost_witnesses == _witnesses(a, b, s, t)[0]
             for k in cls.cost_witnesses:
                 assert k not in (s, t)
                 assert a.entry(s, k) == b.entry(k, t) == 0
@@ -303,6 +329,9 @@ def _check_classification(a, b):
         elif cls.tag == TAG_GIFT:
             assert a.entry(s, t) != 0 and b.entry(s, t) != 0
             assert cls.gift_witnesses
+            cost, gift = _witnesses(a, b, s, t)
+            assert not cost
+            assert cls.gift_witnesses == gift
             for k, m in cls.gift_witnesses:
                 assert len({s, t, k, m}) == 4
                 assert a.entry(s, k) == b.entry(k, t) == 0

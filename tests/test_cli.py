@@ -71,6 +71,10 @@ def test_theta_bounded(capsys):
     assert code == 0
     assert doc["value"] == 6
     assert doc["completeness"] == "bounded_proof"
+    code, doc, err = run(capsys, "theta", "--n", "3", "--mode", "bounded", "--budget", "0")
+    assert code == 0
+    assert (doc["value"], doc["completeness"]) == (1, "lower_bound")
+    assert "at least 1 (lower_bound)" in err
 
 
 def test_theta_delta(capsys):
@@ -151,6 +155,10 @@ def test_search_argument_errors(capsys):
     code, doc, err = run(capsys, "enumerate", "--n", "1", "--max-sigma", "0")
     assert (code, doc) == (2, None)
     assert "2 <= n <= 6" in err and "4n-6" not in err
+    for kind, n in (("vnl", "0"), ("wnl", "1"), ("ortho", "-1")):
+        code, doc, err = run(capsys, "graph", "--kind", kind, "--n", n)
+        assert (code, doc) == (2, None)
+        assert f"n={n}" in err
 
 
 def test_removed_flags_rejected(capsys):

@@ -169,6 +169,10 @@ def test_offdiag_mask_round_trip():
         assert len(offdiag_positions(n)) == slots
         for mask in range(min(1 << slots, 256)):
             assert to_offdiag_mask(from_offdiag_mask(n, mask)) == mask
+    # the codec's slot order is the row-major order of offdiag_positions
+    for n in range(1, 7):
+        for s, pos in enumerate(offdiag_positions(n)):
+            assert from_offdiag_mask(n, 1 << s) == NormalMatrix.from_zeros(n, [pos])
 
 
 def test_all_normal_matrices():

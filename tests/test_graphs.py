@@ -6,7 +6,7 @@ import pytest
 
 from conftest import rand_normal
 from tropnorm import fixtures
-from tropnorm.core import all_zero, identity, make_elementary, transpose
+from tropnorm.core import NormalMatrix, all_zero, identity, make_elementary, transpose
 from tropnorm.graphs import (
     ORTHO,
     VNL,
@@ -168,8 +168,14 @@ def test_dist_trivia():
         dist(g, identity(3), u12)
 
 
+def _conjugate(a, perm):
+    """PaP^-1 for the permutation i -> perm[i - 1] of 1..n."""
+    return NormalMatrix.from_zeros(a.n, [(perm[i - 1], perm[j - 1]) for i, j in a.zeros])
+
+
 def test_transpose_symmetry():
-    # transposing both endpoints preserves adjacency in all three graphs
+    # transposing both endpoints, and conjugating both by any permutation,
+    # preserves adjacency in all three graphs
     rng = random.Random(42)
     for kind in (ORTHO, VNL, WNL):
         g = build(kind, 3)
@@ -177,6 +183,10 @@ def test_transpose_symmetry():
         for _ in range(500):
             a, b = rng.choice(verts), rng.choice(verts)
             assert adjacent(kind, a, b) == adjacent(kind, transpose(b), transpose(a))
+        for perm in itertools.permutations(range(1, 4)):
+            conj = [_conjugate(a, perm) for a in verts]
+            for (a, pa), (b, pb) in itertools.product(zip(verts, conj), repeat=2):
+                assert adjacent(kind, a, b) == adjacent(kind, pa, pb), (kind, perm)
 
 
 def test_vnl4_wnl4_diameter_two():
@@ -195,6 +205,9 @@ def test_build_guards():
         build(VNL, 6)
     with pytest.raises(ValueError):
         build("nonsense", 3)
+    for kind, n in ((VNL, 0), (WNL, 1), (ORTHO, -1), (ORTHO, 1)):
+        with pytest.raises(ValueError, match=f"n={n}"):
+            build(kind, n)
 
 
 @pytest.mark.slow

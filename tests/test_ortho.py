@@ -12,6 +12,7 @@ from tropnorm.core import (
     make_elementary,
     mat_odot,
     mat_oplus,
+    naive_odot,
     nu,
 )
 from tropnorm.ortho import (
@@ -44,6 +45,11 @@ def test_orthogonal_iff_indicator_zero():
         a, b = rand_normal(rng, n), rand_normal(rng, n)
         rep = indicator(a, b)
         assert is_orthogonal(a, b) == (rep.indicator == all_zero(n))
+        # is_orthogonal and indicator share the row-union kernel; the
+        # triple-loop product is independent of it
+        assert is_orthogonal(a, b) == (
+            naive_odot(a, b) == all_zero(n) == naive_odot(b, a)
+        )
         assert rep.left == mat_odot(a, b)
         assert rep.right == mat_odot(b, a)
 

@@ -7,6 +7,7 @@ from tropnorm.ortho import is_orthogonal
 from tropnorm.search import (
     COMPLETENESS_BOUNDED,
     COMPLETENESS_EXHAUSTIVE,
+    COMPLETENESS_LOWER_BOUND,
     SearchInconclusive,
     check_theorem_theta,
     enumerate_orthogonal_pairs,
@@ -185,5 +186,9 @@ def test_search_argument_checks():
         list(enumerate_orthogonal_pairs(1, 0))
     with pytest.raises(ValueError, match="2 <= n <= 6"):
         theta_bounded(1, 0)
-    assert theta_bounded(3, 0).completeness == COMPLETENESS_BOUNDED
+    # no pair fits and no witness at budget + 1: only a lower bound
+    cert = theta_bounded(3, 0)
+    assert (cert.completeness, cert.value, cert.witnesses) == (
+        COMPLETENESS_LOWER_BOUND, 1, []
+    )
     assert list(enumerate_orthogonal_pairs(3, 0)) == []
