@@ -13,7 +13,10 @@ modules call it instead of re-deriving them:
   masks through per-order lookup tables, and `offdiag_mask` encodes;
 * the row-union kernel `_row_union`: the union of the rows picked by the
   set bits of a mask, which is one row of a tropical product;
-* set-bit iteration `_bits` and the bit transpose `_cols`.
+* set-bit iteration `_bits` and the bit transpose `_cols`;
+* conjugation by permutation matrices: `conjugates` lists the n! images
+  of a matrix's rows through per-order tables, and
+  `is_conjugation_canonical` picks one matrix per orbit.
 
 All indices in the public API are 1-based.
 """
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
 ZERO = 0
@@ -387,6 +391,46 @@ def offdiag_mask(n: int, rows: Sequence[int]) -> int:
     for i, r in enumerate(rows):
         m |= ((r & ((1 << i) - 1)) | (r >> (i + 1) << i)) << (i * stride)
     return m
+
+
+@lru_cache(maxsize=None)
+def _conj_tables(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per permutation p of 0..n-1, the identity first: the source row of
+    each row of P A P^-1 (row t is the image of row p^-1(t)) and the image
+    of every row mask under relabelling bit j as bit p(j).  The tables of
+    order n hold n! * (n + 2^n) entries."""
+    tables = []
+    for p in permutations(range(n)):
+        src = tuple(sorted(range(n), key=p.__getitem__))
+        img = tuple(sum(1 << p[j] for j in _bits(r)) for r in range(1 << n))
+        tables.append((src, img))
+    return tuple(tables)
+
+
+def conjugates(rows: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Row masks of P A P^-1 for every permutation matrix P, the identity
+    first, in the same order for every matrix of one order."""
+    for src, img in _conj_tables(len(rows)):
+        yield tuple([img[rows[s]] for s in src])
+
+
+def is_conjugation_canonical(rows: Sequence[int]) -> bool:
+    """Whether the row tuple is lexicographically least among its n!
+    conjugates; each order keeps one such matrix per conjugation orbit.
+    Stops at the first smaller conjugate."""
+    # the least first row of a conjugate is 2^c - 1 for the least row
+    # popcount c: a row of c zeros whose diagonal bit is relabelled 0 and
+    # whose other bits 1..c-1
+    if rows[0] != (1 << min(map(int.bit_count, rows))) - 1:
+        return False
+    for src, img in _conj_tables(len(rows))[1:]:
+        for t, s in enumerate(src):
+            d = img[rows[s]] - rows[t]
+            if d:
+                if d < 0:
+                    return False
+                break
+    return True
 
 
 def from_offdiag_mask(n: int, mask: int) -> NormalMatrix:

@@ -29,12 +29,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import NormalMatrix, _cols, from_offdiag_mask, to_offdiag_mask
 from .families import ATOM_KINDS, Atom
 from .ortho import is_orthogonal
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ORTHO = "ortho"
 VNL = "vnl"
@@ -66,6 +68,7 @@ def _patterns(n: int) -> dict[tuple[str, int, int], int]:
 
 def _sig_transpose_perm(n: int) -> np.ndarray:
     """Permutation sending signature slot (p, q) to (q, p)."""
+    import numpy as np
     perm = np.zeros(n * n, dtype=np.int64)
     for p in range(n):
         for q in range(n):
@@ -75,6 +78,7 @@ def _sig_transpose_perm(n: int) -> np.ndarray:
 
 def _signatures(masks: np.ndarray, n: int, patterns: list[int]) -> np.ndarray:
     """Pack pattern containment of each mask into one integer per mask."""
+    import numpy as np
     sig = np.zeros(len(masks), dtype=np.int64)
     for s, pat in enumerate(patterns):
         sig |= ((masks & pat) == pat).astype(np.int64) << s
@@ -82,6 +86,7 @@ def _signatures(masks: np.ndarray, n: int, patterns: list[int]) -> np.ndarray:
 
 
 def _apply_perm(sig: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    import numpy as np
     out = np.zeros_like(sig)
     for s in range(len(perm)):
         out |= ((sig >> s) & 1) << perm[s]
@@ -93,11 +98,13 @@ def _apply_perm(sig: np.ndarray, perm: np.ndarray) -> np.ndarray:
 
 def _to_bits(flags: np.ndarray) -> int:
     """Bitset of the set flags: bit c is flags[c]."""
+    import numpy as np
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 def _members(x: int, k: int) -> list[int]:
     """Indices of the set bits of x, a bitset over k classes."""
+    import numpy as np
     raw = np.frombuffer(x.to_bytes((k + 7) // 8, "little"), dtype=np.uint8)
     return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
 
@@ -225,6 +232,7 @@ def build(kind: str, n: int) -> OrthoGraph:
 
 
 def _build_ortho(n: int) -> OrthoGraph:
+    import numpy as np
     slots = n * n - n
     full = (1 << slots) - 1
     masks = [m for m in range(1 << slots) if m not in (0, full)]
@@ -281,6 +289,7 @@ def _relation_block(terms, rows, cols) -> np.ndarray:
 
 
 def _build_pattern_graph(kind: str, n: int) -> OrthoGraph:
+    import numpy as np
     slots = n * n - n
     full = (1 << slots) - 1
     allm = np.arange(1 << slots, dtype=np.int64)
@@ -394,6 +403,7 @@ def dist(g: OrthoGraph, u: NormalMatrix, v: NormalMatrix):
 
 
 def stats(g: OrthoGraph) -> dict:
+    import numpy as np
     if g._stats is not None:
         return g._stats
     sizes = g._class_sizes

@@ -8,7 +8,10 @@ Two engines pin the minimum number of off-diagonal zeros:
   right factor through exact hitting-set lower bounds per row/column
   (each column of B must intersect every zero-row of A, and each row
   of B every zero-column of A — orthogonality is exactly this pair of
-  transversal conditions).
+  transversal conditions).  Conjugation by a permutation matrix and
+  the swap A <-> B preserve orthogonality and zero counts, so it scans
+  only left factors with sigma(A) <= sigma(B), one per conjugation
+  orbit, and maps the pairs it finds back through both symmetries.
 
 Both report certificates with explicit completeness claims: `exhaustive`
 (every pair below the value was tested), `bounded_proof` (no pair fits
@@ -17,7 +20,7 @@ fits the budget, and no witness is attached).  Resource caps abort with a
 distinguishable error instead of a silent truncation.
 
 Both walk off-diagonal masks and take the mask codec, the row-union
-kernel and the bit transpose from `core`.
+kernel, the bit transpose and the conjugation tables from `core`.
 """
 
 from __future__ import annotations
@@ -31,14 +34,16 @@ from .core import (
     _bits,
     _cols,
     _row_union,
+    conjugates,
     format_matrix,
     from_offdiag_mask,
     identity,
+    is_conjugation_canonical,
     offdiag_mask,
     offdiag_rows,
     sigma,
 )
-from .families import MmVariant, mm_classify, mm_pair
+from .families import MmVariant, mm_pair
 from .ortho import _orth_rows, indicator, is_orthogonal
 from . import fixtures
 
@@ -240,16 +245,26 @@ def _bounded_pairs(
     time_limit: float = 3600.0,
 ) -> tuple[list[tuple[int, int, int]], dict]:
     """All orthogonal pairs with at most max_sigma off-diagonal zeros, as
-    (sigma, amask, bmask) triples, plus search stats.
+    sorted (sigma, amask, bmask) triples, plus search stats.
 
-    The left factor is scanned exhaustively; for each one, the right factor
-    is bounded below by exact per-column and per-row hitting-set sizes and
-    then enumerated column by column.
+    Conjugation by a permutation matrix and the swap A <-> B preserve both
+    orthogonality and sigma, so every pair is the image of one whose left
+    factor is conjugation-canonical (`core.is_conjugation_canonical`) and
+    has sigma(A) <= sigma(B).  Only those left factors are searched: they
+    are drawn by zero count up to max_sigma // 2, and the pairs found are
+    mapped back through every conjugation and the swap.  For each left
+    factor the right factor is bounded below by exact per-column and
+    per-row hitting-set sizes and then enumerated column by column.
+
+    The stats count ticks (`nodes`: left factors drawn plus DFS nodes),
+    left factors drawn and canonical, canonical ones cut by the column
+    and by the row bound, DFS leaves with sigma(B) >= sigma(A), and the
+    leaves rejected because BA is not all zero.
     """
     ctx = _BnbContext(node_limit, time_limit)
     ctx.t0 = time.monotonic()
 
-    slots = n * (n - 1)
+    slot_bits = [1 << s for s in range(n * (n - 1))]
     full = (1 << n) - 1
 
     # per column j: candidate off-diagonal column masks over rows != j,
@@ -263,21 +278,28 @@ def _bounded_pairs(
         )
         universes.append([(h, h.bit_count(), tuple(_bits(h))) for h in subs])
 
-    results: list[tuple[int, int, int]] = []
+    reduced: list[tuple[int, int, int]] = []
+    drawn = canonical = col_cut = row_cut = leaves = ba_rejects = 0
 
-    for amask in range(1 << slots):
-        ctx.tick()
-        a_off = amask.bit_count()
-        if a_off > max_sigma:
-            continue
+    def phase_stats() -> dict:
+        return {
+            **ctx.stats(),
+            "left_factors": drawn,
+            "canonical": canonical,
+            "col_cut": col_cut,
+            "row_cut": row_cut,
+            "leaves": leaves,
+            "ba_rejects": ba_rejects,
+        }
+
+    def search_left(amask: int, arows: tuple[int, ...], a_off: int) -> None:
+        nonlocal col_cut, row_cut
         b_budget = max_sigma - a_off
-        arows = offdiag_rows(n, amask)
         acols = _cols(arows)
 
         # families: column j of B must hit arows[i] - {j} whenever a_ij != 0
         col_fams = []
         col_min = []
-        feasible = True
         need = 0
         for j in range(n):
             jbit = 1 << j
@@ -289,10 +311,8 @@ def _bounded_pairs(
             col_min.append(mh)
             need += mh
             if need > b_budget:
-                feasible = False
-                break
-        if not feasible:
-            continue
+                col_cut += 1
+                return
 
         row_need = 0
         for i in range(n):
@@ -303,10 +323,8 @@ def _bounded_pairs(
             if fam:
                 row_need += _min_hitting_size(fam, universes[i])
                 if row_need > b_budget:
-                    feasible = False
-                    break
-        if not feasible:
-            continue
+                    row_cut += 1
+                    return
 
         # candidate columns per position, cheapest first
         valid_cols: list[list[tuple[int, int, tuple[int, ...]]]] = []
@@ -334,13 +352,18 @@ def _bounded_pairs(
         brow_partial = [1 << i for i in range(n)]  # diagonal always zero
 
         def descend(j: int, used: int):
+            nonlocal leaves, ba_rejects
             ctx.tick()
             if j == n:
+                if used < a_off:
+                    return  # found from (B, A), whose left factor has fewer zeros
+                leaves += 1
                 # AB = Z holds by column construction; check BA = Z
                 for br in brow_partial:
                     if _row_union(br, arows) != full:
+                        ba_rejects += 1
                         return
-                results.append((a_off + used, amask, offdiag_mask(n, brow_partial)))
+                reduced.append((a_off + used, amask, offdiag_mask(n, brow_partial)))
                 return
             rest = suffix[j + 1]
             jbit = 1 << j
@@ -356,8 +379,29 @@ def _bounded_pairs(
 
         descend(0, 0)
 
-    results.sort()
-    return results, ctx.stats()
+    try:
+        for a_off in range(max_sigma // 2 + 1):
+            for combo in combinations(slot_bits, a_off):
+                ctx.tick()
+                drawn += 1
+                amask = sum(combo)
+                arows = offdiag_rows(n, amask)
+                if is_conjugation_canonical(arows):
+                    canonical += 1
+                    search_left(amask, arows, a_off)
+    except SearchInconclusive as exc:
+        exc.stats = phase_stats()
+        raise
+
+    found = set()
+    for sig, amask, bmask in reduced:
+        for arows, brows in zip(
+            conjugates(offdiag_rows(n, amask)), conjugates(offdiag_rows(n, bmask))
+        ):
+            am, bm = offdiag_mask(n, arows), offdiag_mask(n, brows)
+            found.add((sig, am, bm))
+            found.add((sig, bm, am))
+    return sorted(found), phase_stats()
 
 
 def enumerate_orthogonal_pairs(
@@ -459,8 +503,11 @@ def check_theorem_theta(n: int) -> dict:
     """Machine-check of the minimal-pair characterization.
 
     n = 2: the exhaustive minimal pairs coincide with the generic family.
-    n = 3, 4: the equivalence fails; the stored outsider pair is among the
-    exhaustive minimal pairs and classifies outside the family.
+    n = 3, 4, 5: the equivalence fails; the stored outsider pair is among
+    the minimal pairs and lies outside the family.  The minimal pairs are
+    those of least sigma in `enumerate_orthogonal_pairs(n, 4n - 6)`, which
+    lists every pair up to the family's 4n - 6 zeros, so the least sigma
+    there is theta(n).
     n = 7..10: forward direction only; every generic family pair is
     orthogonal with the predicted zero counts.
     """
@@ -476,22 +523,25 @@ def check_theorem_theta(n: int) -> dict:
             "minimal_pairs": len(minimal),
             "family_pairs": len(generic),
         }
-    if n in (3, 4):
-        cert = theta_exhaustive(n)
-        outsiders = [
-            (a, b) for a, b in cert.witnesses if mm_classify(a, b) is None
-        ]
-        stored = fixtures.minimal_pair_outside_family(n)
-        stored_found = any(
-            (a.rows, b.rows) == (stored[0].rows, stored[1].rows)
-            for a, b in outsiders
-        )
+    if n in (3, 4, 5):
+        pairs = list(enumerate_orthogonal_pairs(n, 4 * n - 6))
+        theta = sigma(*pairs[0])
+        minimal = [p for p in pairs if sigma(*p) == theta]
+        # the pairs mm_classify recognizes, so membership is its None test
+        family_pairs = {
+            mm_pair(MmVariant(k, m, variant), n)
+            for k in range(1, n + 1)
+            for m in range(1, n + 1)
+            for variant in range(4)
+        }
+        outsiders = {p for p in minimal if p not in family_pairs}
+        stored_found = fixtures.minimal_pair_outside_family(n) in outsiders
         return {
             "n": n,
             "mode": "counterexample",
             "holds": bool(outsiders) and stored_found,
-            "theta": cert.value,
-            "minimal_pairs": cert.total_witnesses,
+            "theta": theta,
+            "minimal_pairs": len(minimal),
             "outside_family": len(outsiders),
             "stored_outsider_found": stored_found,
         }
@@ -517,4 +567,4 @@ def check_theorem_theta(n: int) -> dict:
             "sigma": expected_sigma,
             "gift": expected_gift,
         }
-    raise ValueError(f"unsupported n={n}: use 2, 3, 4 or 7..10")
+    raise ValueError(f"unsupported n={n}: use 2..5 or 7..10")

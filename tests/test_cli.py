@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +98,9 @@ def test_check_theorem(capsys):
     code, doc, _ = run(capsys, "check-theorem", "--n", "3")
     assert code == 0
     assert doc["holds"] is True
+    code, doc, _ = run(capsys, "check-theorem", "--n", "5")
+    assert code == 0
+    assert (doc["mode"], doc["holds"], doc["theta"]) == ("counterexample", True, 14)
 
 
 def test_border_round_trip(capsys):
@@ -202,11 +209,31 @@ def test_resource_cap_exit(capsys):
         "1000",
     )
     assert code == 3
+    code, doc, err = run(
+        capsys, "theta", "--n", "6", "--mode", "bounded", "--budget", "17", "--time-limit", "1"
+    )
+    assert (code, doc) == (3, None)
+    assert "time limit" in err
 
 
 def test_check_theorem_failure_exit(capsys):
-    # n=5 is outside the checkable range: usage error, not a property failure
-    assert run(capsys, "check-theorem", "--n", "5")[0] == 2
+    # n=6 is outside the checkable range: usage error, not a property failure
+    assert run(capsys, "check-theorem", "--n", "6")[0] == 2
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is imported by the graph builders, not by `import tropnorm.cli`
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, tropnorm.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.stdout.strip() == "False", out.stderr
+    out = subprocess.run(
+        [sys.executable, "-m", "tropnorm.cli", "graph", "--kind", "ortho", "--n", "3"],
+        env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["vertices"] == 62
 
 
 def test_deterministic_output(capsys):

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -9,9 +10,11 @@ from tropnorm.core import (
     NormalMatrix,
     all_normal_matrices,
     all_zero,
+    conjugates,
     format_matrix,
     from_offdiag_mask,
     identity,
+    is_conjugation_canonical,
     make_elementary,
     mat_odot,
     mat_oplus,
@@ -127,6 +130,42 @@ def test_permute_conjugate():
         i, j = rng.randint(1, n), rng.randint(1, n)
         assert permute_conjugate(permute_conjugate(m, i, j), i, j) == m
         assert nu(permute_conjugate(m, i, j)) == nu(m)
+
+
+def test_conjugates():
+    # every P A P^-1 from the definition, in permutations() order
+    rng = random.Random(9)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(20):
+            m = rand_normal(rng, n)
+            expected = [
+                NormalMatrix.from_zeros(n, [(p[i - 1] + 1, p[j - 1] + 1) for i, j in m.zeros])
+                for p in permutations(range(n))
+            ]
+            assert [NormalMatrix(n, rows) for rows in conjugates(m.rows)] == expected
+    # and the orbit is the closure under transpositions
+    m = rand_normal(rng, 4)
+    orbit = {m}
+    while True:
+        grown = orbit | {
+            permute_conjugate(x, i, j) for x in orbit for i in range(1, 5) for j in range(1, 5)
+        }
+        if grown == orbit:
+            break
+        orbit = grown
+    assert {NormalMatrix(4, rows) for rows in conjugates(m.rows)} == orbit
+
+
+def test_conjugation_canonical_one_per_orbit():
+    for n in (1, 2, 3, 4):
+        seen = set()
+        for m in all_normal_matrices(n):
+            if m.rows in seen:
+                continue
+            orbit = set(conjugates(m.rows))
+            seen |= orbit
+            canonical = [rows for rows in orbit if is_conjugation_canonical(rows)]
+            assert canonical == [min(orbit)]
 
 
 def test_counts():

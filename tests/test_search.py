@@ -1,7 +1,19 @@
+import time
+from collections import Counter
+
 import pytest
 
 from tropnorm import fixtures
-from tropnorm.core import nu, sigma, to_offdiag_mask
+from tropnorm.core import (
+    all_normal_matrices,
+    all_zero,
+    naive_odot,
+    nu,
+    permute_conjugate,
+    sigma,
+    to_offdiag_mask,
+    transpose,
+)
 from tropnorm.families import MmVariant, mm_pair
 from tropnorm.ortho import is_orthogonal
 from tropnorm.search import (
@@ -113,6 +125,63 @@ def test_bounded_resource_cap():
     with pytest.raises(SearchInconclusive) as exc:
         theta_bounded(6, budget=10, node_limit=100)
     assert exc.value.stats["nodes"] <= 200
+    assert exc.value.stats["left_factors"] <= exc.value.stats["nodes"]
+
+
+def test_bounded_time_limit_at_order_6():
+    # the clock is read while left factors are drawn, canonical or not
+    t0 = time.monotonic()
+    with pytest.raises(SearchInconclusive, match="time limit"):
+        theta_bounded(6, budget=17, time_limit=1)
+    assert time.monotonic() - t0 < 10
+
+
+PHASES = ("left_factors", "canonical", "col_cut", "row_cut", "leaves", "ba_rejects")
+
+
+def test_bounded_phase_counters():
+    stats = theta_bounded(4, budget=9).search_stats
+    assert set(stats) == {"nodes", "elapsed_s", *PHASES}
+    # masks with at most 9 // 2 zeros over the 12 off-diagonal slots
+    assert stats["left_factors"] == 1 + 12 + 66 + 220 + 495
+    assert stats["left_factors"] < stats["nodes"]
+    assert stats["col_cut"] + stats["row_cut"] <= stats["canonical"] < stats["left_factors"]
+    assert stats["ba_rejects"] <= stats["leaves"]
+
+
+def _brute_force_pairs(n):
+    """(sigma, left mask, right mask) of every orthogonal pair, from the
+    triple-loop product in both orders."""
+    mats = list(all_normal_matrices(n))
+    zero = all_zero(n)
+    out = []
+    for a in mats:
+        for b in mats:
+            if naive_odot(a, b) == zero and naive_odot(b, a) == zero:
+                out.append((sigma(a, b), to_offdiag_mask(a), to_offdiag_mask(b)))
+    return sorted(out)
+
+
+def test_enumerate_matches_brute_force_n3():
+    brute = _brute_force_pairs(3)
+    for budget in range(7):
+        pairs = [
+            (sigma(a, b), to_offdiag_mask(a), to_offdiag_mask(b))
+            for a, b in enumerate_orthogonal_pairs(3, budget)
+        ]
+        assert pairs == [t for t in brute if t[0] <= budget]
+
+
+def test_enumerate_n4_counts_and_closure():
+    pairs = list(enumerate_orthogonal_pairs(4, 10))
+    assert Counter(sigma(a, b) for a, b in pairs) == {8: 18, 9: 288, 10: 2640}
+    found = set(pairs)
+    assert len(found) == len(pairs)
+    for a, b in pairs:
+        assert (b, a) in found
+        assert (transpose(b), transpose(a)) in found
+        for i in range(1, 4):
+            assert (permute_conjugate(a, i, i + 1), permute_conjugate(b, i, i + 1)) in found
 
 
 def test_bounded_guards():
@@ -159,9 +228,14 @@ def test_certificate_document():
 
 
 def test_check_theorem_small_orders():
-    for n in (2, 3, 4):
+    assert check_theorem_theta(2)["holds"]
+    # (theta, minimal pairs, minimal pairs outside the family) per order
+    expected = {3: (6, 66, 46), 4: (8, 18, 18), 5: (14, 6680, 6600)}
+    for n, counts in expected.items():
         res = check_theorem_theta(n)
-        assert res["holds"], res
+        assert res["mode"] == "counterexample"
+        assert res["holds"] and res["stored_outsider_found"], res
+        assert (res["theta"], res["minimal_pairs"], res["outside_family"]) == counts
 
 
 @pytest.mark.slow
@@ -172,8 +246,8 @@ def test_check_theorem_large_orders():
 
 
 def test_check_theorem_guard():
-    with pytest.raises(ValueError):
-        check_theorem_theta(5)
+    with pytest.raises(ValueError, match="2..5 or 7..10"):
+        check_theorem_theta(6)
 
 
 def test_search_argument_checks():
