@@ -439,6 +439,8 @@ def main(argv=None) -> int:
         return EXIT_PROPERTY
     except search_mod.SearchInconclusive as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
+        # where the search stopped: its counters, as one strict-JSON line
+        print(json.dumps(exc.stats, allow_nan=False), file=sys.stderr)
         return EXIT_RESOURCE
     except (MatrixFormatError, ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

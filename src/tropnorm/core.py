@@ -16,7 +16,10 @@ modules call it instead of re-deriving them:
 * set-bit iteration `_bits` and the bit transpose `_cols`;
 * conjugation by permutation matrices: `conjugates` lists the n! images
   of a matrix's rows through per-order tables, and
-  `is_conjugation_canonical` picks one matrix per orbit.
+  `is_conjugation_canonical` picks one matrix per orbit;
+* the slot-generator table `slot_generators`: the transposition (1 2),
+  the n-cycle and the transpose, which generate S_n x C2, each as a
+  permutation of the off-diagonal slots.
 
 All indices in the public API are 1-based.
 """
@@ -431,6 +434,23 @@ def is_conjugation_canonical(rows: Sequence[int]) -> bool:
                     return False
                 break
     return True
+
+
+@lru_cache(maxsize=None)
+def slot_generators(n: int) -> tuple[tuple[int, ...], ...]:
+    """Generators of conjugation by permutation matrices times the
+    transpose, as permutations of the off-diagonal slots: the
+    transposition (1 2), the n-cycle i -> i+1 (mod n) and the transpose.
+    Entry s of a generator is the slot that the bit of slot s moves to;
+    conjugation by p moves the zero at (i, j) to (p(i), p(j))."""
+    pos = offdiag_positions(n)
+    slot = {ij: s for s, ij in enumerate(pos)}
+    swap = {1: 2, 2: 1}
+    return (
+        tuple(slot[swap.get(i, i), swap.get(j, j)] for i, j in pos),
+        tuple(slot[i % n + 1, j % n + 1] for i, j in pos),
+        tuple(slot[j, i] for i, j in pos),
+    )
 
 
 def from_offdiag_mask(n: int, mask: int) -> NormalMatrix:

@@ -214,6 +214,13 @@ def test_resource_cap_exit(capsys):
     )
     assert (code, doc) == (3, None)
     assert "time limit" in err
+    # the counters of where the search stopped, as one strict-JSON line
+    counters = json.loads(err.splitlines()[-1], parse_constant=_reject_constant)
+    assert {"left_factors", "canonical"} <= counters.keys()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
 
 
 def test_check_theorem_failure_exit(capsys):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -5,8 +6,16 @@ import random
 import pytest
 
 from conftest import rand_normal
-from tropnorm import fixtures
-from tropnorm.core import NormalMatrix, all_zero, identity, make_elementary, transpose
+from tropnorm import fixtures, graphs
+from tropnorm.core import (
+    NormalMatrix,
+    all_normal_matrices,
+    all_zero,
+    identity,
+    make_elementary,
+    naive_odot,
+    transpose,
+)
 from tropnorm.graphs import (
     ORTHO,
     VNL,
@@ -18,6 +27,9 @@ from tropnorm.graphs import (
     stats,
 )
 from tropnorm.ortho import is_orthogonal
+
+# graphs shared by several tests; no test changes a graph
+_built = functools.lru_cache(maxsize=None)(build)
 
 ORTHO3_STATS = {"vertices": 62, "edges": 385, "loops": 17, "girth": 3, "diameter": 3}
 VNL3_STATS = {"vertices": 24, "edges": 120, "loops": 6, "girth": 3, "diameter": 2}
@@ -223,9 +235,8 @@ def test_quotient_matches_explicit_brute_force_n4_sampled():
                 assert is_orthogonal(a, b)
 
 
-@pytest.mark.slow
 def test_ortho4_stats():
-    s = stats(build(ORTHO, 4))
+    s = stats(_built(ORTHO, 4))
     assert s["vertices"] == 4094
     assert s["edges"] == 1111070
     assert s["loops"] == 711
@@ -234,11 +245,109 @@ def test_ortho4_stats():
     assert s["connected"]
 
 
-@pytest.mark.slow
 def test_vnl5_wnl5_diameter_two():
-    sv = stats(build(VNL, 5))
+    sv = stats(_built(VNL, 5))
     assert sv["vertices"] == 113590
     assert sv["diameter"] == 2
-    sw = stats(build(WNL, 5))
+    sw = stats(_built(WNL, 5))
     assert sw["vertices"] == 231759
     assert sw["diameter"] == 2
+
+
+# -- orbit-reduced stats ------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _all_sources_eccentricities(kind, n):
+    """Eccentricity of every class, from a BFS out of every class: the
+    unreduced loop that `stats` runs once per orbit."""
+    g = _built(kind, n)
+    adj = g._class_adj
+    return [
+        max(graphs._bfs(adj, c), graphs._intra_dist(adj, c) if size >= 2 else 0)
+        for c, size in enumerate(g._class_sizes)
+    ]
+
+
+SMALL_GRAPHS = [(kind, n) for kind in (ORTHO, VNL, WNL) for n in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("kind,n", SMALL_GRAPHS)
+def test_stats_matches_all_sources_eccentricity(kind, n):
+    s = stats(_built(kind, n))
+    diam = max(_all_sources_eccentricities(kind, n))
+    assert (s["diameter"], s["connected"]) == (diam, diam < math.inf)
+
+
+@pytest.mark.parametrize("kind,n,orbits", [
+    (ORTHO, 4, 142), (VNL, 5, 18), (WNL, 4, 29), (WNL, 5, 107),
+])
+def test_orbit_counts(kind, n, orbits):
+    assert len(set(graphs._class_orbits(_built(kind, n)))) == orbits
+
+
+@pytest.mark.parametrize("kind,n", SMALL_GRAPHS)
+def test_orbit_classes_alike(kind, n):
+    # conjugation and the transpose are automorphisms: the classes of one
+    # orbit have one size and one eccentricity
+    g = _built(kind, n)
+    ecc = _all_sources_eccentricities(kind, n)
+    for c, root in enumerate(graphs._class_orbits(g)):
+        assert root <= c
+        assert g._class_sizes[c] == g._class_sizes[root], (kind, n, c)
+        assert ecc[c] == ecc[root], (kind, n, c)
+
+
+# -- vertices decoded on demand ------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", (ORTHO, VNL, WNL))
+def test_vertex_sequence(kind):
+    n = 3
+    g = _built(kind, n)
+    want = [a for a in all_normal_matrices(n) if graphs._is_vertex(kind, a)]
+    verts = g.vertices
+    assert len(verts) == g.num_vertices == len(want)
+    assert list(verts) == want
+    assert [verts[i] for i in range(len(want))] == want
+    assert verts[-1] == want[-1] and verts[-len(want)] == want[0]
+    assert verts[3:11:2] == want[3:11:2] and verts[::-1] == want[::-1]
+    with pytest.raises(IndexError):
+        verts[len(want)]
+    for i, a in enumerate(verts):
+        assert g.vertex_index(a) == i
+
+
+@pytest.mark.parametrize("kind", (VNL, WNL))
+def test_vertex_index_round_trip_n5(kind):
+    g = _built(kind, 5)
+    rng = random.Random(44)
+    for i in rng.sample(range(g.num_vertices), 500) + [0, g.num_vertices - 1]:
+        assert g.vertex_index(g.vertices[i]) == i
+
+
+def test_non_vertex_rejected():
+    for n in (3, 4):
+        g = _built(ORTHO, n)
+        for a in (identity(n), all_zero(n)):
+            with pytest.raises(ValueError, match="not a vertex"):
+                g.vertex_index(a)
+    for kind, n in ((VNL, 3), (VNL, 5), (WNL, 3), (WNL, 5)):
+        g = _built(kind, n)
+        # the identity and U(1,2) carry no pattern; the all-zero matrix is excluded
+        for a in (identity(n), make_elementary("U", n, 1, 2), all_zero(n)):
+            with pytest.raises(ValueError, match="not a vertex"):
+                g.vertex_index(a)
+    with pytest.raises(ValueError, match="order"):
+        _built(VNL, 3).vertex_index(identity(4))
+
+
+def test_ortho4_adjacency_matches_naive_odot():
+    g = _built(ORTHO, 4)
+    z = all_zero(4)
+    rng = random.Random(45)
+    for _ in range(5000):
+        i, j = rng.randrange(g.num_vertices), rng.randrange(g.num_vertices)
+        a, b = g.vertices[i], g.vertices[j]
+        want = naive_odot(a, b) == z and naive_odot(b, a) == z
+        assert bool(g._class_adj[i] >> j & 1) == want, (i, j)
