@@ -14,12 +14,12 @@ modules call it instead of re-deriving them:
 * the row-union kernel `_row_union`: the union of the rows picked by the
   set bits of a mask, which is one row of a tropical product;
 * set-bit iteration `_bits` and the bit transpose `_cols`;
-* conjugation by permutation matrices: `conjugates` lists the n! images
-  of a matrix's rows through per-order tables, and
-  `is_conjugation_canonical` picks one matrix per orbit;
-* the slot-generator table `slot_generators`: the transposition (1 2),
-  the n-cycle and the transpose, which generate S_n x C2, each as a
-  permutation of the off-diagonal slots.
+* the symmetry group S_n x C2 of conjugation by permutation matrices
+  and the transpose: `is_canonical` picks the lex-greatest matrix of
+  each orbit through per-order conjugation tables, and the slot-generator
+  table `slot_generators` holds the transposition (1 2), the n-cycle and
+  the transpose, which generate the group, each as a permutation of the
+  off-diagonal slots that `_slot_image` applies to a mask.
 
 All indices in the public API are 1-based.
 """
@@ -410,29 +410,28 @@ def _conj_tables(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     return tuple(tables)
 
 
-def conjugates(rows: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Row masks of P A P^-1 for every permutation matrix P, the identity
-    first, in the same order for every matrix of one order."""
-    for src, img in _conj_tables(len(rows)):
-        yield tuple([img[rows[s]] for s in src])
-
-
-def is_conjugation_canonical(rows: Sequence[int]) -> bool:
-    """Whether the row tuple is lexicographically least among its n!
-    conjugates; each order keeps one such matrix per conjugation orbit.
-    Stops at the first smaller conjugate."""
-    # the least first row of a conjugate is 2^c - 1 for the least row
-    # popcount c: a row of c zeros whose diagonal bit is relabelled 0 and
-    # whose other bits 1..c-1
-    if rows[0] != (1 << min(map(int.bit_count, rows))) - 1:
+def is_canonical(rows: Sequence[int]) -> bool:
+    """Whether the row tuple is lexicographically greatest among its images
+    under conjugation by permutation matrices and the transpose, the group
+    S_n x C2; each order keeps one such matrix per orbit.  Stops at the
+    first greater image."""
+    n = len(rows)
+    cols = _cols(rows)
+    # the greatest first row of an image is 1 | ((2^(c-1) - 1) << (n-c+1))
+    # for the most zeros c of a row or column: a row of c zeros whose
+    # diagonal bit is relabelled 0 and whose other bits are the top c - 1
+    c = max(map(int.bit_count, (*rows, *cols)))
+    if rows[0] != 1 | ((1 << c - 1) - 1) << n - c + 1:
         return False
-    for src, img in _conj_tables(len(rows))[1:]:
-        for t, s in enumerate(src):
-            d = img[rows[s]] - rows[t]
-            if d:
-                if d < 0:
-                    return False
-                break
+    tables = _conj_tables(n)
+    for base, perms in ((rows, tables[1:]), (cols, tables)):
+        for src, img in perms:
+            for t, s in enumerate(src):
+                d = img[base[s]] - rows[t]
+                if d:
+                    if d > 0:
+                        return False
+                    break
     return True
 
 
@@ -451,6 +450,17 @@ def slot_generators(n: int) -> tuple[tuple[int, ...], ...]:
         tuple(slot[i % n + 1, j % n + 1] for i, j in pos),
         tuple(slot[j, i] for i, j in pos),
     )
+
+
+def _slot_image(mask: int, perm: tuple[int, ...]) -> int:
+    """Image of an off-diagonal mask under a slot permutation such as a
+    generator of `slot_generators`: bit s moves to bit perm[s]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def from_offdiag_mask(n: int, mask: int) -> NormalMatrix:

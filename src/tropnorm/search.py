@@ -4,14 +4,13 @@ Two engines pin the minimum number of off-diagonal zeros:
 
 * an exhaustive oracle (small orders) that walks zero patterns by
   increasing total count and tests orthogonality directly;
-* a branch-and-bound engine that scans left factors and bounds the
-  right factor through exact hitting-set lower bounds per row/column
-  (each column of B must intersect every zero-row of A, and each row
-  of B every zero-column of A — orthogonality is exactly this pair of
-  transversal conditions).  Conjugation by a permutation matrix and
-  the swap A <-> B preserve orthogonality and zero counts, so it scans
-  only left factors with sigma(A) <= sigma(B), one per conjugation
-  orbit, and maps the pairs it finds back through both symmetries.
+* a branch-and-bound engine that grows left factors and enumerates the
+  right factor column by column under exact hitting-set bounds (column
+  j of B must meet row i of A wherever a_ij = -1; orthogonality is this
+  condition for both products).  Conjugation by permutation matrices,
+  the transpose and the swap A <-> B preserve orthogonality and zero
+  counts, so it grows only left factors with sigma(A) <= sigma(B), one
+  per orbit of S_n x C2, and closes the pairs it finds under the group.
 
 Both report certificates with explicit completeness claims: `exhaustive`
 (every pair below the value was tested), `bounded_proof` (no pair fits
@@ -20,7 +19,7 @@ fits the budget, and no witness is attached).  Resource caps abort with a
 distinguishable error instead of a silent truncation.
 
 Both walk off-diagonal masks and take the mask codec, the row-union
-kernel, the bit transpose and the conjugation tables from `core`.
+kernel, the canonical form and the slot generators from `core`.
 """
 
 from __future__ import annotations
@@ -32,16 +31,16 @@ from itertools import combinations
 from .core import (
     NormalMatrix,
     _bits,
-    _cols,
     _row_union,
-    conjugates,
+    _slot_image,
     format_matrix,
     from_offdiag_mask,
     identity,
-    is_conjugation_canonical,
+    is_canonical,
     offdiag_mask,
     offdiag_rows,
     sigma,
+    slot_generators,
 )
 from .families import MmVariant, mm_pair
 from .ortho import _orth_rows, indicator, is_orthogonal
@@ -209,33 +208,19 @@ class _BnbContext:
     t0: float = 0.0
     nodes: int = 0
 
-    def tick(self, count: int = 1) -> None:
-        self.nodes += count
+    def tick(self) -> None:
+        self.nodes += 1
         if self.nodes > self.node_limit:
             raise SearchInconclusive(
                 f"node limit {self.node_limit} exceeded", self.stats()
             )
-        if self.nodes % 65536 < count and time.monotonic() - self.t0 > self.time_limit:
+        if time.monotonic() - self.t0 > self.time_limit:
             raise SearchInconclusive(
                 f"time limit {self.time_limit}s exceeded", self.stats()
             )
 
     def stats(self) -> dict:
         return {"nodes": self.nodes, "elapsed_s": time.monotonic() - self.t0}
-
-
-def _min_hitting_size(fam: tuple[int, ...], subsets_sorted: list[tuple[int, int, tuple]]) -> int:
-    """Exact minimum hitting-set size for a family of nonempty masks; the
-    candidate subsets come pre-sorted by popcount."""
-    for h, sz, _ in subsets_sorted:
-        ok = True
-        for f in fam:
-            if not h & f:
-                ok = False
-                break
-        if ok:
-            return sz
-    return 1 << 30  # some family member is empty: unsatisfiable
 
 
 def _bounded_pairs(
@@ -247,24 +232,26 @@ def _bounded_pairs(
     """All orthogonal pairs with at most max_sigma off-diagonal zeros, as
     sorted (sigma, amask, bmask) triples, plus search stats.
 
-    Conjugation by a permutation matrix and the swap A <-> B preserve both
-    orthogonality and sigma, so every pair is the image of one whose left
-    factor is conjugation-canonical (`core.is_conjugation_canonical`) and
-    has sigma(A) <= sigma(B).  Only those left factors are searched: they
-    are drawn by zero count up to max_sigma // 2, and the pairs found are
-    mapped back through every conjugation and the swap.  For each left
-    factor the right factor is bounded below by exact per-column and
-    per-row hitting-set sizes and then enumerated column by column.
+    Conjugation by permutation matrices and the transpose, applied to both
+    factors, and the swap A <-> B preserve orthogonality and sigma, so
+    every pair is the image of one whose left factor has sigma(A) <=
+    sigma(B) and is canonical under S_n x C2 (`core.is_canonical`).  Only
+    those left factors are searched, grown by orderly generation (Read,
+    1978): a canonical one is extended only by cells less significant
+    than its least one (row ascending, then column descending) and an
+    extension is kept only if canonical, which reaches every canonical
+    set.  The pairs found are closed under `core.slot_generators` and the
+    swap.  Per left factor, exact per-column hitting-set sizes bound the
+    right factor, which is then enumerated column by column.
 
-    The stats count ticks (`nodes`: left factors drawn plus DFS nodes),
-    left factors drawn and canonical, canonical ones cut by the column
-    and by the row bound, DFS leaves with sigma(B) >= sigma(A), and the
-    leaves rejected because BA is not all zero.
+    The stats count ticks (`nodes`: extensions tested plus DFS nodes), the
+    extensions tested (`left_factors`), the canonical left factors searched,
+    those cut by the column bound, DFS leaves with sigma(B) >= sigma(A),
+    and the leaves rejected because BA is not all zero.
     """
     ctx = _BnbContext(node_limit, time_limit)
     ctx.t0 = time.monotonic()
 
-    slot_bits = [1 << s for s in range(n * (n - 1))]
     full = (1 << n) - 1
 
     # per column j: candidate off-diagonal column masks over rows != j,
@@ -279,74 +266,39 @@ def _bounded_pairs(
         universes.append([(h, h.bit_count(), tuple(_bits(h))) for h in subs])
 
     reduced: list[tuple[int, int, int]] = []
-    drawn = canonical = col_cut = row_cut = leaves = ba_rejects = 0
+    tested = canonical = col_cut = leaves = ba_rejects = 0
 
     def phase_stats() -> dict:
         return {
             **ctx.stats(),
-            "left_factors": drawn,
+            "left_factors": tested,
             "canonical": canonical,
             "col_cut": col_cut,
-            "row_cut": row_cut,
             "leaves": leaves,
             "ba_rejects": ba_rejects,
         }
 
-    def search_left(amask: int, arows: tuple[int, ...], a_off: int) -> None:
-        nonlocal col_cut, row_cut
+    def search_left(arows: tuple[int, ...], a_off: int) -> None:
+        nonlocal col_cut
         b_budget = max_sigma - a_off
-        acols = _cols(arows)
 
-        # families: column j of B must hit arows[i] - {j} whenever a_ij != 0
-        col_fams = []
-        col_min = []
-        need = 0
-        for j in range(n):
-            jbit = 1 << j
-            fam = tuple(
-                arows[i] & ~jbit for i in range(n) if not arows[i] & jbit
-            )
-            col_fams.append(fam)
-            mh = _min_hitting_size(fam, universes[j]) if fam else 0
-            col_min.append(mh)
-            need += mh
-            if need > b_budget:
-                col_cut += 1
-                return
-
-        row_need = 0
-        for i in range(n):
-            ibit = 1 << i
-            fam = tuple(
-                acols[j] & ~ibit for j in range(n) if not acols[j] & ibit
-            )
-            if fam:
-                row_need += _min_hitting_size(fam, universes[i])
-                if row_need > b_budget:
-                    row_cut += 1
-                    return
-
-        # candidate columns per position, cheapest first
-        valid_cols: list[list[tuple[int, int, tuple[int, ...]]]] = []
-        suffix = [0] * (n + 1)
-        for j in range(n - 1, -1, -1):
-            suffix[j] = suffix[j + 1] + col_min[j]
-        for j in range(n):
-            cap = b_budget - (suffix[0] - col_min[j])
-            fam = col_fams[j]
-            vc = []
-            for col in universes[j]:
-                h, sz, _ = col
-                if sz > cap:
-                    break
-                ok = True
-                for f in fam:
-                    if not h & f:
-                        ok = False
-                        break
-                if ok:
-                    vc.append(col)
-            valid_cols.append(vc)
+        # column j of B must meet every row of A that has -1 in column j;
+        # the least such column per position bounds B from below
+        fams = [[r for r in arows if not r >> j & 1] for j in range(n)]
+        col_min = [
+            next(sz for h, sz, _ in universes[j] if all(map(h.__and__, fams[j])))
+            for j in range(n)
+        ]
+        if sum(col_min) > b_budget:
+            col_cut += 1
+            return
+        # candidate columns per position, cheapest first; listed only past
+        # the bound, which cuts most left factors
+        valid_cols = [
+            [col for col in universes[j] if all(map(col[0].__and__, fams[j]))]
+            for j in range(n)
+        ]
+        suffix = [sum(col_min[j:]) for j in range(n + 1)]
 
         # DFS over columns of B
         brow_partial = [1 << i for i in range(n)]  # diagonal always zero
@@ -363,7 +315,8 @@ def _bounded_pairs(
                     if _row_union(br, arows) != full:
                         ba_rejects += 1
                         return
-                reduced.append((a_off + used, amask, offdiag_mask(n, brow_partial)))
+                bmask = offdiag_mask(n, brow_partial)
+                reduced.append((a_off + used, offdiag_mask(n, arows), bmask))
                 return
             rest = suffix[j + 1]
             jbit = 1 << j
@@ -379,28 +332,40 @@ def _bounded_pairs(
 
         descend(0, 0)
 
+    # off-diagonal cells by significance, as (row, column bit); deleting
+    # the least significant cell of a canonical set leaves a canonical set
+    cells = [(i, 1 << j) for i in range(n) for j in reversed(range(n)) if j != i]
+
+    def grow(arows: list[int], a_off: int, start: int) -> None:
+        nonlocal tested, canonical
+        canonical += 1
+        search_left(tuple(arows), a_off)
+        if a_off == max_sigma // 2:
+            return
+        for k in range(start, len(cells)):
+            i, jbit = cells[k]
+            ctx.tick()
+            tested += 1
+            arows[i] |= jbit
+            if is_canonical(arows):
+                grow(arows, a_off + 1, k + 1)
+            arows[i] ^= jbit
+
     try:
-        for a_off in range(max_sigma // 2 + 1):
-            for combo in combinations(slot_bits, a_off):
-                ctx.tick()
-                drawn += 1
-                amask = sum(combo)
-                arows = offdiag_rows(n, amask)
-                if is_conjugation_canonical(arows):
-                    canonical += 1
-                    search_left(amask, arows, a_off)
+        grow([1 << i for i in range(n)], 0, 0)
     except SearchInconclusive as exc:
         exc.stats = phase_stats()
         raise
 
+    # close the pairs found under the group, with `reduced` as the work list
+    gens = slot_generators(n)
     found = set()
-    for sig, amask, bmask in reduced:
-        for arows, brows in zip(
-            conjugates(offdiag_rows(n, amask)), conjugates(offdiag_rows(n, bmask))
-        ):
-            am, bm = offdiag_mask(n, arows), offdiag_mask(n, brows)
-            found.add((sig, am, bm))
-            found.add((sig, bm, am))
+    while reduced:
+        sig, am, bm = t = reduced.pop()
+        if t not in found:
+            found.add(t)
+            reduced.append((sig, bm, am))
+            reduced += [(sig, _slot_image(am, g), _slot_image(bm, g)) for g in gens]
     return sorted(found), phase_stats()
 
 
@@ -503,7 +468,7 @@ def check_theorem_theta(n: int) -> dict:
     """Machine-check of the minimal-pair characterization.
 
     n = 2: the exhaustive minimal pairs coincide with the generic family.
-    n = 3, 4, 5: the equivalence fails; the stored outsider pair is among
+    n = 3..6: the equivalence fails; the stored outsider pair is among
     the minimal pairs and lies outside the family.  The minimal pairs are
     those of least sigma in `enumerate_orthogonal_pairs(n, 4n - 6)`, which
     lists every pair up to the family's 4n - 6 zeros, so the least sigma
@@ -523,7 +488,7 @@ def check_theorem_theta(n: int) -> dict:
             "minimal_pairs": len(minimal),
             "family_pairs": len(generic),
         }
-    if n in (3, 4, 5):
+    if 3 <= n <= 6:
         pairs = list(enumerate_orthogonal_pairs(n, 4 * n - 6))
         theta = sigma(*pairs[0])
         minimal = [p for p in pairs if sigma(*p) == theta]
@@ -567,4 +532,4 @@ def check_theorem_theta(n: int) -> dict:
             "sigma": expected_sigma,
             "gift": expected_gift,
         }
-    raise ValueError(f"unsupported n={n}: use 2..5 or 7..10")
+    raise ValueError(f"unsupported n={n}: use 2..10")

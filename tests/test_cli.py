@@ -210,7 +210,7 @@ def test_resource_cap_exit(capsys):
     )
     assert code == 3
     code, doc, err = run(
-        capsys, "theta", "--n", "6", "--mode", "bounded", "--budget", "17", "--time-limit", "1"
+        capsys, "theta", "--n", "6", "--mode", "bounded", "--budget", "17", "--time-limit", "0.2"
     )
     assert (code, doc) == (3, None)
     assert "time limit" in err
@@ -224,8 +224,9 @@ def _reject_constant(name):
 
 
 def test_check_theorem_failure_exit(capsys):
-    # n=6 is outside the checkable range: usage error, not a property failure
-    assert run(capsys, "check-theorem", "--n", "6")[0] == 2
+    # outside the checkable range: usage error, not a property failure
+    for n in ("1", "11"):
+        assert run(capsys, "check-theorem", "--n", n)[0] == 2
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -8,13 +8,13 @@ from tropnorm.core import (
     DimensionMismatch,
     MatrixFormatError,
     NormalMatrix,
+    _slot_image,
     all_normal_matrices,
     all_zero,
-    conjugates,
     format_matrix,
     from_offdiag_mask,
     identity,
-    is_conjugation_canonical,
+    is_canonical,
     make_elementary,
     mat_odot,
     mat_oplus,
@@ -26,6 +26,7 @@ from tropnorm.core import (
     permute_conjugate,
     sigma,
     sigma_row,
+    slot_generators,
     to_offdiag_mask,
     transpose,
 )
@@ -132,40 +133,37 @@ def test_permute_conjugate():
         assert nu(permute_conjugate(m, i, j)) == nu(m)
 
 
-def test_conjugates():
-    # every P A P^-1 from the definition, in permutations() order
-    rng = random.Random(9)
-    for n in (1, 2, 3, 4, 5):
-        for _ in range(20):
-            m = rand_normal(rng, n)
-            expected = [
-                NormalMatrix.from_zeros(n, [(p[i - 1] + 1, p[j - 1] + 1) for i, j in m.zeros])
-                for p in permutations(range(n))
-            ]
-            assert [NormalMatrix(n, rows) for rows in conjugates(m.rows)] == expected
-    # and the orbit is the closure under transpositions
-    m = rand_normal(rng, 4)
-    orbit = {m}
-    while True:
-        grown = orbit | {
-            permute_conjugate(x, i, j) for x in orbit for i in range(1, 5) for j in range(1, 5)
-        }
-        if grown == orbit:
-            break
-        orbit = grown
-    assert {NormalMatrix(4, rows) for rows in conjugates(m.rows)} == orbit
+def _orbit(m):
+    """Every P A P^-1 and P A^T P^-1, from the definition."""
+    out = set()
+    for zeros in (m.zeros, {(j, i) for i, j in m.zeros}):
+        for p in permutations(range(m.n)):
+            out.add(NormalMatrix.from_zeros(m.n, [(p[i - 1] + 1, p[j - 1] + 1) for i, j in zeros]))
+    return out
 
 
-def test_conjugation_canonical_one_per_orbit():
-    for n in (1, 2, 3, 4):
+def test_canonical_one_per_orbit():
+    # orbits under conjugation by permutation matrices and the transpose
+    for n, orbits in {1: 1, 2: 3, 3: 13, 4: 144}.items():
         seen = set()
         for m in all_normal_matrices(n):
-            if m.rows in seen:
+            if m in seen:
                 continue
-            orbit = set(conjugates(m.rows))
+            orbit = _orbit(m)
             seen |= orbit
-            canonical = [rows for rows in orbit if is_conjugation_canonical(rows)]
-            assert canonical == [min(orbit)]
+            orbits -= 1
+            # exactly the lex-greatest row tuple of the orbit is canonical
+            canonical = [x for x in orbit if is_canonical(x.rows)]
+            assert canonical == [max(orbit, key=lambda x: x.rows)]
+            # and the slot generators reach the whole orbit
+            reached = [to_offdiag_mask(m)]
+            for mask in reached:
+                for g in slot_generators(n):
+                    image = _slot_image(mask, g)
+                    if image not in reached:
+                        reached.append(image)
+            assert sorted(reached) == sorted(map(to_offdiag_mask, orbit))
+        assert orbits == 0
 
 
 def test_counts():

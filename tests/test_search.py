@@ -7,6 +7,7 @@ from tropnorm import fixtures
 from tropnorm.core import (
     all_normal_matrices,
     all_zero,
+    is_canonical,
     naive_odot,
     nu,
     permute_conjugate,
@@ -129,24 +130,30 @@ def test_bounded_resource_cap():
 
 
 def test_bounded_time_limit_at_order_6():
-    # the clock is read while left factors are drawn, canonical or not
+    # the clock is read on every tick; the whole search takes over a second
     t0 = time.monotonic()
     with pytest.raises(SearchInconclusive, match="time limit"):
-        theta_bounded(6, budget=17, time_limit=1)
+        theta_bounded(6, budget=17, time_limit=0.2)
     assert time.monotonic() - t0 < 10
 
 
-PHASES = ("left_factors", "canonical", "col_cut", "row_cut", "leaves", "ba_rejects")
+PHASES = ("left_factors", "canonical", "col_cut", "leaves", "ba_rejects")
 
 
 def test_bounded_phase_counters():
     stats = theta_bounded(4, budget=9).search_stats
     assert set(stats) == {"nodes", "elapsed_s", *PHASES}
-    # masks with at most 9 // 2 zeros over the 12 off-diagonal slots
-    assert stats["left_factors"] == 1 + 12 + 66 + 220 + 495
+    # extensions tested by the orderly generation, and the canonical left
+    # factors searched: one per orbit of S_4 x C2 with at most 9 // 2 zeros
+    assert (stats["left_factors"], stats["canonical"]) == (89, 33)
+    assert stats["canonical"] == sum(
+        1 for m in all_normal_matrices(4) if nu(m) - 4 <= 9 // 2 and is_canonical(m.rows)
+    )
     assert stats["left_factors"] < stats["nodes"]
-    assert stats["col_cut"] + stats["row_cut"] <= stats["canonical"] < stats["left_factors"]
+    assert stats["col_cut"] <= stats["canonical"]
     assert stats["ba_rejects"] <= stats["leaves"]
+    stats = theta_bounded(5, budget=13).search_stats
+    assert (stats["left_factors"], stats["canonical"]) == (834, 354)
 
 
 def _brute_force_pairs(n):
@@ -230,7 +237,9 @@ def test_certificate_document():
 def test_check_theorem_small_orders():
     assert check_theorem_theta(2)["holds"]
     # (theta, minimal pairs, minimal pairs outside the family) per order
-    expected = {3: (6, 66, 46), 4: (8, 18, 18), 5: (14, 6680, 6600)}
+    expected = {
+        3: (6, 66, 46), 4: (8, 18, 18), 5: (14, 6680, 6600), 6: (18, 3000, 2880)
+    }
     for n, counts in expected.items():
         res = check_theorem_theta(n)
         assert res["mode"] == "counterexample"
@@ -246,8 +255,9 @@ def test_check_theorem_large_orders():
 
 
 def test_check_theorem_guard():
-    with pytest.raises(ValueError, match="2..5 or 7..10"):
-        check_theorem_theta(6)
+    for n in (1, 11):
+        with pytest.raises(ValueError, match=r"use 2\.\.10"):
+            check_theorem_theta(n)
 
 
 def test_search_argument_checks():
