@@ -31,6 +31,9 @@ class BorderVector:
 
     @classmethod
     def from_entries(cls, entries):
+        for i, e in enumerate(entries, 1):
+            if e not in (ZERO, MINUS_ONE):
+                raise ValueError(f"entry {i} must be 0 or -1, got {e!r}")
         return cls(len(entries), {i + 1 for i, e in enumerate(entries) if e == ZERO})
 
     def entry(self, i: int) -> int:

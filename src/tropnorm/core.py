@@ -101,15 +101,17 @@ class NormalMatrix:
     @classmethod
     def from_entries(cls, entries: list[list[int]]) -> "NormalMatrix":
         n = len(entries)
-        zeros = [
-            (i + 1, j + 1)
-            for i in range(n)
-            for j in range(n)
-            if entries[i][j] == ZERO
-        ]
-        for i in range(n):
-            if entries[i][i] != ZERO:
-                raise ValueError(f"diagonal entry ({i + 1},{i + 1}) must be zero")
+        zeros = []
+        for i, row in enumerate(entries, 1):
+            if len(row) != n:
+                raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
+            for j, e in enumerate(row, 1):
+                if e not in _SCALARS:
+                    raise ValueError(f"entry ({i},{j}) must be 0 or -1, got {e!r}")
+                if e == ZERO:
+                    zeros.append((i, j))
+                elif i == j:
+                    raise ValueError(f"diagonal entry ({i},{i}) must be zero")
         return cls.from_zeros(n, zeros)
 
     # -- inspection --------------------------------------------------

@@ -15,10 +15,15 @@ the same neighbours, and bit c of class c's adjacency row says the
 members of c are adjacent to each other (for a class of one member, that
 bit is its loop).  VNL and WNL adjacency depends only on which patterns a
 matrix carries, so their classes are the vertices with equal pattern
-signatures; ORTHO is built with one class per vertex, each adjacency row
-the AND of 2n bitsets looked up by the vertex's rows and columns.  All
-metrics are computed on the class graph; the blow-up back to the full
-graph only needs class sizes.
+signatures.  Their edge rule is a list of (left, right) signature terms,
+and class a meets class b when left[a] shares a bit with the transposed
+right[b].  Each adjacency row is the OR, over the set bits of the left
+terms, of per-bit bitsets of the classes whose transposed right term has
+that bit; the same fold over the swapped terms gives the columns, and the
+build asserts that the columns equal the rows.  ORTHO is built with one
+class per vertex, each adjacency row the AND of 2n bitsets looked up by
+the vertex's rows and columns.  All metrics are computed on the class
+graph; the blow-up back to the full graph only needs class sizes.
 
 Conjugation by permutation matrices and the transpose are automorphisms
 of all three graphs, and eccentricity is invariant under automorphisms.
@@ -39,12 +44,14 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import TYPE_CHECKING
 
 from .core import (
     NormalMatrix,
     _offdiag_tables,
+    _row_union,
     from_offdiag_mask,
     slot_generators,
     to_offdiag_mask,
@@ -300,18 +307,14 @@ def _build_ortho(n: int) -> OrthoGraph:
     )
 
 
-# rows of the class adjacency matrix built per numpy pass; bounds the
-# temporaries at ADJ_BLOCK x classes int64 instead of classes x classes
-ADJ_BLOCK = 256
-
-
-def _relation_block(terms, rows, cols) -> np.ndarray:
-    """Boolean adjacency of classes `rows` against classes `cols`: some
-    (left, right) term pair shares a signature bit."""
-    acc = 0
-    for left, right in terms:
-        acc = acc | (left[rows, None] & right[None, cols])
-    return acc != 0
+def _fold(terms, perm) -> list[int]:
+    """Class-adjacency rows of the relation given by (left, right) terms,
+    perm transposing signature bits: per term, has[s] holds the classes
+    whose transposed right term has bit s, and row a ORs has[s] over the
+    bits s of left[a]."""
+    has = [[_to_bits((right >> t) & 1) for t in perm] for _, right in terms]
+    lefts = [left.tolist() for left, _ in terms]
+    return [reduce(or_, map(_row_union, sigs, has)) for sigs in zip(*lefts)]
 
 
 def _build_pattern_graph(kind: str, n: int) -> OrthoGraph:
@@ -333,30 +336,17 @@ def _build_pattern_graph(kind: str, n: int) -> OrthoGraph:
     key = np.stack(vsigs, axis=1)
     uniq, class_of = np.unique(key, axis=0, return_inverse=True)
     class_of = class_of.reshape(-1)
-    k = len(uniq)
-    sizes = np.bincount(class_of, minlength=k).tolist()
+    sizes = np.bincount(class_of, minlength=len(uniq)).tolist()
 
-    # class a meets class b when a left term of a shares a bit with the
-    # transposed right term of b; transposing moves signature bit (p, q)
-    # to (q, p)
+    # transposing moves signature bit (p, q) to (q, p)
     perm = [q * n + p for p in range(n) for q in range(n)]
     if kind == VNL:
-        s = uniq[:, 0]
-        terms = [(s, _apply_perm(s, perm))]
+        terms = [(uniq[:, 0], uniq[:, 0])]
     else:
         w, wzo, wzz = uniq[:, 0], uniq[:, 1], uniq[:, 2]
-        terms = [
-            (wzz, _apply_perm(w, perm)),
-            (wzo, _apply_perm(wzo, perm)),
-            (w, _apply_perm(wzz, perm)),
-        ]
-
-    class_adj = []
-    for r0 in range(0, k, ADJ_BLOCK):
-        rows = slice(r0, r0 + ADJ_BLOCK)
-        block = _relation_block(terms, rows, slice(None))
-        assert (block == _relation_block(terms, slice(None), rows).T).all()
-        class_adj.extend(_to_bits(row) for row in block)
+        terms = [(wzz, w), (wzo, wzo), (w, wzz)]
+    class_adj = _fold(terms, perm)
+    assert class_adj == _fold([(r, l) for l, r in terms], perm), "asymmetric relation"
 
     return OrthoGraph(
         kind=kind,

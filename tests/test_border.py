@@ -33,6 +33,16 @@ def test_border_vector_basics():
         v.entry(4)
 
 
+@pytest.mark.parametrize("entries,where", [
+    ([0, 5, "x"], "entry 2"),
+    ([0, -1, "x"], "entry 3"),
+    ([1], "entry 1"),
+])
+def test_border_vector_rejects_bad_entries(entries, where):
+    with pytest.raises(ValueError, match=where):
+        BorderVector.from_entries(entries)
+
+
 def test_compose_split_round_trip():
     rng = random.Random(30)
     for _ in range(300):

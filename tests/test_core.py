@@ -47,6 +47,18 @@ def test_diagonal_always_zero():
         NormalMatrix.from_entries([[-1, 0], [0, 0]])
 
 
+@pytest.mark.parametrize("entries,where", [
+    ([[0, 7], [-3, 0]], r"entry \(1,2\)"),
+    ([[0, -1], ["x", 0]], r"entry \(2,1\)"),
+    ([[0, -1, 0], [-1, 0]], "row 1 has 3 entries"),
+    ([[0, -1], [-1]], "row 2 has 1 entries"),
+    ([[0, -1, 0], [-1, 0, 0], [0, 0]], "row 3 has 2 entries"),
+])
+def test_from_entries_rejects_bad_entries(entries, where):
+    with pytest.raises(ValueError, match=where):
+        NormalMatrix.from_entries(entries)
+
+
 def test_entry_index_errors():
     m = identity(3)
     with pytest.raises(IndexError):

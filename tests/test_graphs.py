@@ -16,6 +16,7 @@ from tropnorm.core import (
     naive_odot,
     transpose,
 )
+from tropnorm.families import Atom
 from tropnorm.graphs import (
     ORTHO,
     VNL,
@@ -222,15 +223,42 @@ def test_build_guards():
             build(kind, n)
 
 
-@pytest.mark.slow
-def test_quotient_matches_explicit_brute_force_n4_sampled():
+def _edge_pair(rng, kind, n):
+    """Random vertices A, B that the edge rule joins: A carries V(k;m) and
+    B V(m;k), or for WNL A carries W(k;m), B W(m;k) and one of the three
+    corner conditions holds.  Other cells are zero with probability 1/4."""
+    k, m = rng.sample(range(1, n + 1), 2)
+    atom = "V" if kind == VNL else "W"
+    za = set(Atom(atom, k, m).forced_zeros(n))
+    zb = set(Atom(atom, m, k).forced_zeros(n))
+    if kind == WNL:  # corner zeros of A and of B, one pair per rule
+        corners = {(k, m), (m, k)}
+        ca, cb = rng.choice([(corners, set()), ({(m, k)}, {(k, m)}), (set(), corners)])
+        za |= ca
+        zb |= cb
+    cells = list(itertools.product(range(1, n + 1), repeat=2))
+    za |= {c for c in cells if rng.random() < 0.25}
+    zb |= {c for c in cells if rng.random() < 0.25}
+    return NormalMatrix.from_zeros(n, za), NormalMatrix.from_zeros(n, zb)
+
+
+def test_class_adjacency_matches_adjacent_n4_n5():
+    """The class-adjacency bit of two vertices is the edge predicate, on
+    seeded random pairs and on pairs built to be edges."""
     rng = random.Random(43)
-    for kind in (VNL, WNL):
-        g = build(kind, 4)
+    for kind, n in itertools.product((VNL, WNL), (4, 5)):
+        g = _built(kind, n)
         verts = g.vertices
-        for _ in range(3000):
-            a, b = rng.choice(verts), rng.choice(verts)
+        pairs = [(rng.choice(verts), rng.choice(verts)) for _ in range(500)]
+        edges = [_edge_pair(rng, kind, n) for _ in range(300)]
+        edges = [(a, b) for a, b in edges if n * n not in (len(a.zeros), len(b.zeros))]
+        assert len(edges) > 250
+        assert all(adjacent(kind, a, b) for a, b in edges)
+        for a, b in pairs + edges:
+            ca = int(g._class_of[g.vertex_index(a)])
+            cb = int(g._class_of[g.vertex_index(b)])
             got = adjacent(kind, a, b)
+            assert bool(g._class_adj[ca] >> cb & 1) == got, (kind, n, a, b)
             if got:
                 assert is_orthogonal(a, b)
 
