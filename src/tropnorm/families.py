@@ -8,6 +8,13 @@ An atom forces a set of zero positions:
 
 A FamilySpec is a conjunction of atoms; its generic matrix has exactly the
 forced zeros (plus the diagonal) and -1 everywhere else.
+
+`mm_pair` builds the generic pair of a minimal-family label (k, m, variant)
+and `mm_classify` finds the first label whose pair equals its input.  Every
+variant zeroes row m of A and row k of B except at most one cell, so it
+tries only the rows with at least n - 1 zeros: at most four builds per
+candidate (k, m), usually none on a random pair, and up to 4n^2 when
+nearly every row is zero.
 """
 
 from __future__ import annotations
@@ -154,10 +161,13 @@ def mm_pair(v: MmVariant, n: int) -> tuple[NormalMatrix, NormalMatrix]:
 def mm_classify(a: NormalMatrix, b: NormalMatrix) -> MmVariant | None:
     """Direct membership in the minimal-pair family: the pair must equal one
     of the generated generic pairs.  Ties break to the lexicographically
-    smallest (k, m), then the smallest variant."""
+    smallest (k, m), then the smallest variant.  Only rows of B with at least
+    n - 1 zeros can be k, and only such rows of A can be m."""
     n = _same_order(a, b)
-    for k in range(1, n + 1):
-        for m in range(1, n + 1):
+    ks = [i for i, r in enumerate(b.rows, 1) if r.bit_count() >= n - 1]
+    ms = [i for i, r in enumerate(a.rows, 1) if r.bit_count() >= n - 1]
+    for k in ks:
+        for m in ms:
             for variant in range(4):
                 v = MmVariant(k, m, variant)
                 if mm_pair(v, n) == (a, b):
@@ -169,22 +179,21 @@ def mm_characterize(report: IndicatorReport) -> tuple[int, int] | None:
     """Recover (k, m) from an indicator report alone: all off-diagonal cells
     outside {k, m} are gift zeros witnessed by (k, m), the (k, m) and (m, k)
     cells are propagation zeros, and the pair has no duplicates."""
-    if report.a == report.b:
+    if report.a == report.b or report.duplicate_count != 0:
         return None
     n = report.n
-    if report.duplicate_count != 0:
-        return None
     for k in range(1, n + 1):
         for m in range(1, n + 1):
-            if k == m:
-                continue
-            if _characterize_at(report, k, m):
+            if k != m and _characterize_at(report, k, m):
                 return (k, m)
     return None
 
 
 def _characterize_at(report: IndicatorReport, k: int, m: int) -> bool:
     n = report.n
+    for pos in ((k, m), (m, k)):
+        if report.classes[pos].tag != TAG_PROPAGATION:
+            return False
     for s in range(1, n + 1):
         for t in range(1, n + 1):
             if s == t or s in (k, m) or t in (k, m):
@@ -192,7 +201,4 @@ def _characterize_at(report: IndicatorReport, k: int, m: int) -> bool:
             cls = report.classes[(s, t)]
             if cls.tag != TAG_GIFT or (k, m) not in cls.gift_witnesses:
                 return False
-    for pos in ((k, m), (m, k)):
-        if report.classes[pos].tag != TAG_PROPAGATION:
-            return False
     return True

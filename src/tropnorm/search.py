@@ -42,7 +42,7 @@ from .core import (
     sigma,
     slot_generators,
 )
-from .families import MmVariant, mm_pair
+from .families import MmVariant, mm_classify, mm_pair
 from .ortho import _orth_rows, indicator, is_orthogonal
 from . import fixtures
 
@@ -492,14 +492,7 @@ def check_theorem_theta(n: int) -> dict:
         pairs = list(enumerate_orthogonal_pairs(n, 4 * n - 6))
         theta = sigma(*pairs[0])
         minimal = [p for p in pairs if sigma(*p) == theta]
-        # the pairs mm_classify recognizes, so membership is its None test
-        family_pairs = {
-            mm_pair(MmVariant(k, m, variant), n)
-            for k in range(1, n + 1)
-            for m in range(1, n + 1)
-            for variant in range(4)
-        }
-        outsiders = {p for p in minimal if p not in family_pairs}
+        outsiders = {p for p in minimal if mm_classify(*p) is None}
         stored_found = fixtures.minimal_pair_outside_family(n) in outsiders
         return {
             "n": n,

@@ -1,10 +1,20 @@
+import functools
 import random
 
 import pytest
 
 from conftest import rand_normal
 from tropnorm import fixtures
-from tropnorm.core import NormalMatrix, identity, make_elementary, nu, sigma
+from tropnorm.core import (
+    NormalMatrix,
+    all_normal_matrices,
+    from_offdiag_mask,
+    identity,
+    make_elementary,
+    nu,
+    sigma,
+    to_offdiag_mask,
+)
 from tropnorm.families import (
     Atom,
     FamilySpec,
@@ -16,7 +26,7 @@ from tropnorm.families import (
     spec_contains,
     spec_generic,
 )
-from tropnorm.ortho import indicator, is_orthogonal
+from tropnorm.ortho import TAG_GIFT, TAG_PROPAGATION, indicator, is_orthogonal
 
 
 def _c(p, q):
@@ -114,6 +124,65 @@ def test_mm_classify_round_trip():
                     assert mm_pair(got, n) == (a, b)
 
 
+@functools.lru_cache(maxsize=None)
+def _generic_pair(v: MmVariant, n: int):
+    return mm_pair(v, n)
+
+
+def _classify_brute_force(a, b):
+    """The unfiltered loop: every (k, m) and variant in lexicographic order."""
+    n = a.n
+    for k in range(1, n + 1):
+        for m in range(1, n + 1):
+            for variant in range(4):
+                v = MmVariant(k, m, variant)
+                if _generic_pair(v, n) == (a, b):
+                    return v
+    return None
+
+
+def _flip(rng, a):
+    """A with one off-diagonal cell flipped between 0 and -1."""
+    n = a.n
+    slot = rng.randrange(n * n - n)
+    return from_offdiag_mask(n, to_offdiag_mask(a) ^ (1 << slot))
+
+
+def _rand_density(rng, n, density):
+    mask = 0
+    for slot in range(n * n - n):
+        if rng.random() < density:
+            mask |= 1 << slot
+    return from_offdiag_mask(n, mask)
+
+
+def test_mm_classify_matches_brute_force():
+    rng = random.Random(9)
+    cases = []
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            for m in range(1, n + 1):
+                for variant in range(4):
+                    a, b = mm_pair(MmVariant(k, m, variant), n)
+                    cases += [(a, b), (b, a), (a, a), (b, b)]
+                    if n > 1:
+                        cases += [(_flip(rng, a), b), (a, _flip(rng, b))]
+    matrices = list(all_normal_matrices(3))
+    cases += [(a, b) for a in matrices for b in matrices]
+    # 0.97 makes most rows pass the filter; dense pairs cost the most
+    for density, count in ((0.3, 1250), (0.6, 1250), (0.9, 250), (0.97, 250)):
+        for _ in range(count):
+            n = rng.randint(2, 12)
+            cases.append((_rand_density(rng, n, density), _rand_density(rng, n, density)))
+    found = 0
+    for a, b in cases:
+        want = _classify_brute_force(a, b)
+        assert mm_classify(a, b) == want, (a, b)
+        found += want is not None
+    # the cases reach both answers: family pairs and outsiders
+    assert 0 < found < len(cases)
+
+
 def test_mm_classify_rejects_outsiders():
     for n in (3, 4, 5, 6):
         a, b = fixtures.minimal_pair_outside_family(n)
@@ -149,6 +218,51 @@ def test_mm_characterize():
     # equal matrices are excluded by definition
     c = fixtures.circulant_3()
     assert mm_characterize(indicator(c, c)) is None
+
+
+def _characterize_brute_force(report):
+    """mm_characterize from its definition, every cell condition evaluated."""
+    if report.a == report.b or report.duplicate_count != 0:
+        return None
+    n = report.n
+    for k in range(1, n + 1):
+        for m in range(1, n + 1):
+            if k == m:
+                continue
+            gifts = all(
+                report.classes[(s, t)].tag == TAG_GIFT
+                and (k, m) in report.classes[(s, t)].gift_witnesses
+                for s in range(1, n + 1)
+                for t in range(1, n + 1)
+                if s != t and not {s, t} & {k, m}
+            )
+            props = all(
+                report.classes[pos].tag == TAG_PROPAGATION for pos in ((k, m), (m, k))
+            )
+            if gifts and props:
+                return (k, m)
+    return None
+
+
+def test_mm_characterize_matches_brute_force():
+    rng = random.Random(10)
+    pairs = [fixtures.minimal_pair_outside_family(n) for n in (3, 4, 5, 6)]
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            for m in range(1, n + 1):
+                for variant in range(4):
+                    a, b = mm_pair(MmVariant(k, m, variant), n)
+                    pairs.append((a, b))
+                    # a flip can spoil a propagation cell but keep the gifts
+                    if n > 1:
+                        pairs += [(_flip(rng, a), b), (a, _flip(rng, b))]
+    found = 0
+    for a, b in pairs:
+        report = indicator(a, b)
+        want = _characterize_brute_force(report)
+        assert mm_characterize(report) == want, (a, b)
+        found += want is not None
+    assert 0 < found < len(pairs)
 
 
 def test_sufficient_conditions_with_extra_zeros():
