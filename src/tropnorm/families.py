@@ -12,16 +12,16 @@ forced zeros (plus the diagonal) and -1 everywhere else.
 `mm_pair` builds the generic pair of a minimal-family label (k, m, variant)
 and `mm_classify` finds the first label whose pair equals its input.  Every
 variant zeroes row m of A and row k of B except at most one cell, so it
-tries only the rows with at least n - 1 zeros: at most four builds per
-candidate (k, m), usually none on a random pair, and up to 4n^2 when
-nearly every row is zero.
+tries only the rows with at least n - 1 zeros, and only the variants whose
+fixed zero counts (3n - 4 to 3n - 2 per matrix) are those of the input: a
+random pair, dense or not, usually costs no build at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DimensionMismatch, NormalMatrix, _same_order
+from .core import DimensionMismatch, NormalMatrix, _same_order, nu
 from .ortho import (
     TAG_GIFT,
     TAG_PROPAGATION,
@@ -158,17 +158,26 @@ def mm_pair(v: MmVariant, n: int) -> tuple[NormalMatrix, NormalMatrix]:
     return spec_generic(sa), spec_generic(sb)
 
 
+# zeros of a generic pair with k != m, diagonal included, minus 3n; every
+# variant with k = m has (-2, -2)
+_MM_ZEROS = ((-3, -3), (-3, -3), (-4, -2), (-2, -4))
+
+
 def mm_classify(a: NormalMatrix, b: NormalMatrix) -> MmVariant | None:
     """Direct membership in the minimal-pair family: the pair must equal one
     of the generated generic pairs.  Ties break to the lexicographically
     smallest (k, m), then the smallest variant.  Only rows of B with at least
-    n - 1 zeros can be k, and only such rows of A can be m."""
+    n - 1 zeros can be k, only such rows of A can be m, and a variant is
+    built only when its zero counts are those of A and B."""
     n = _same_order(a, b)
     ks = [i for i, r in enumerate(b.rows, 1) if r.bit_count() >= n - 1]
     ms = [i for i, r in enumerate(a.rows, 1) if r.bit_count() >= n - 1]
+    zeros = (nu(a) - 3 * n, nu(b) - 3 * n)
     for k in ks:
         for m in ms:
             for variant in range(4):
+                if zeros != ((-2, -2) if k == m else _MM_ZEROS[variant]):
+                    continue
                 v = MmVariant(k, m, variant)
                 if mm_pair(v, n) == (a, b):
                     return v

@@ -25,6 +25,13 @@ class per vertex, each adjacency row the AND of 2n bitsets looked up by
 the vertex's rows and columns.  All metrics are computed on the class
 graph; the blow-up back to the full graph only needs class sizes.
 
+A mask contains a pattern iff each half of its slots contains that half
+of the pattern, so the signatures of all masks are the outer AND of two
+tables over half masks.  A class is one value of an int64 key: the VNL
+signature, or for WNL a 2-bit level per (p, q) that counts the nested
+patterns W ⊆ W&Z(q;p) ⊆ W&Z(p;q)&Z(q;p) the mask contains.  Classes are
+numbered in the lexicographic order of their signatures.
+
 Conjugation by permutation matrices and the transpose are automorphisms
 of all three graphs, and eccentricity is invariant under automorphisms.
 So `stats` runs one BFS per orbit of classes: one member of every class
@@ -69,6 +76,8 @@ GRAPH_KINDS = (ORTHO, VNL, WNL)
 
 ORTHO_BUILD_GUARD = 4
 PATTERN_BUILD_GUARD = 5
+# the WNL class key packs a 2-bit level for each of the n^2 pairs (p, q)
+assert 2 * PATTERN_BUILD_GUARD**2 <= 63, "WNL class keys would overflow int64"
 
 INFINITY = math.inf
 
@@ -90,13 +99,21 @@ def _patterns(n: int) -> dict[tuple[str, int, int], int]:
     }
 
 
-def _signatures(masks: np.ndarray, n: int, patterns: list[int]) -> np.ndarray:
-    """Pack pattern containment of each mask into one integer per mask."""
+def _signatures(n: int, patterns: list[int], step: int = 1) -> np.ndarray:
+    """Entry m has bit step*s set iff off-diagonal mask m of order n
+    contains patterns[s]: a table over the high h slots at m >> h ANDed
+    with one over the low h slots, so the outer AND is in mask order."""
     import numpy as np
-    sig = np.zeros(len(masks), dtype=np.int64)
-    for s, pat in enumerate(patterns):
-        sig |= ((masks & pat) == pat).astype(np.int64) << s
-    return sig
+    h = (n * n - n) // 2
+    half = np.arange(1 << h, dtype=np.int64)
+    tables = []
+    for shift in (h, 0):
+        t = np.zeros(1 << h, dtype=np.int64)
+        for s, pat in enumerate(patterns):
+            part = (pat >> shift) & ((1 << h) - 1)
+            t |= ((half & part) == part).astype(np.int64) << step * s
+        tables.append(t)
+    return (tables[0][:, None] & tables[1][None, :]).reshape(-1)
 
 
 def _apply_perm(sig: np.ndarray, perm) -> np.ndarray:
@@ -319,31 +336,33 @@ def _fold(terms, perm) -> list[int]:
 
 def _build_pattern_graph(kind: str, n: int) -> OrthoGraph:
     import numpy as np
-    slots = n * n - n
-    full = (1 << slots) - 1
-    allm = np.arange(1 << slots, dtype=np.int64)
+    full = (1 << (n * n - n)) - 1
     pattern_lists = [_vnl_patterns(n)] if kind == VNL else _wnl_patterns(n)
-    sigs = [_signatures(allm, n, pats) for pats in pattern_lists]
+    sigs = [_signatures(n, pats) for pats in pattern_lists]
 
     # vertex filter: some off-diagonal (p,q) pattern, and not the top matrix
     offdiag_bits = sum(1 << (p * n + q) for p in range(n) for q in range(n) if p != q)
     is_vert = (sigs[0] & offdiag_bits) != 0
     is_vert[full] = False
-    vmask = allm[is_vert]
-    vsigs = [s[is_vert] for s in sigs]
+    vmask = np.flatnonzero(is_vert)
 
-    # quotient by the signature tuple
-    key = np.stack(vsigs, axis=1)
-    uniq, class_of = np.unique(key, axis=0, return_inverse=True)
-    class_of = class_of.reshape(-1)
-    sizes = np.bincount(class_of, minlength=len(uniq)).tolist()
+    # quotient by one key per vertex: the bits s of the pattern lists sum
+    # into bits 2s, 2s+1, a level that fixes all three as wzz => wzo => w
+    key = sum(_signatures(n, pats, 2) for pats in pattern_lists)[is_vert]
+    _, first, class_of = np.unique(key, return_index=True, return_inverse=True)
+    # number the classes by their signature rows, not by the packed key
+    rows = [s[vmask[first]] for s in sigs]
+    order = np.lexsort(rows[::-1])
+    rows = [r[order] for r in rows]
+    class_of = np.argsort(order)[class_of]
+    sizes = np.bincount(class_of, minlength=len(order)).tolist()
 
     # transposing moves signature bit (p, q) to (q, p)
     perm = [q * n + p for p in range(n) for q in range(n)]
     if kind == VNL:
-        terms = [(uniq[:, 0], uniq[:, 0])]
+        terms = [(rows[0], rows[0])]
     else:
-        w, wzo, wzz = uniq[:, 0], uniq[:, 1], uniq[:, 2]
+        w, wzo, wzz = rows
         terms = [(wzz, w), (wzo, wzo), (w, wzz)]
     class_adj = _fold(terms, perm)
     assert class_adj == _fold([(r, l) for l, r in terms], perm), "asymmetric relation"

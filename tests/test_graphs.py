@@ -274,12 +274,30 @@ def test_ortho4_stats():
 
 
 def test_vnl5_wnl5_diameter_two():
-    sv = stats(_built(VNL, 5))
-    assert sv["vertices"] == 113590
-    assert sv["diameter"] == 2
-    sw = stats(_built(WNL, 5))
-    assert sw["vertices"] == 231759
-    assert sw["diameter"] == 2
+    for kind, want, classes in (
+        (VNL, {"vertices": 113590, "edges": 650473265, "loops": 11380}, 750),
+        (WNL, {"vertices": 231759, "edges": 1325938647, "loops": 13405}, 11479),
+    ):
+        g = _built(kind, 5)
+        want |= {"kind": kind, "n": 5, "girth": 3, "diameter": 2, "connected": True}
+        assert stats(g) == want
+        assert len(g._class_sizes) == classes
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_signatures_match_per_mask_containment(n):
+    vnl = graphs._vnl_patterns(n)
+    w, wzo, wzz = graphs._wnl_patterns(n)
+    for pats in (vnl, w, wzo, wzz):
+        sigs = graphs._signatures(n, pats).tolist()
+        assert len(sigs) == 1 << (n * n - n)
+        for m, sig in enumerate(sigs):
+            assert sig == sum(((m & p) == p) << s for s, p in enumerate(pats)), (m, sig)
+    # the 2-bit WNL class key needs wzz => wzo => w for every (p, q)
+    for lo, hi in ((w, wzo), (wzo, wzz)):
+        lo_sig = graphs._signatures(n, lo)
+        assert (graphs._signatures(n, hi) & ~lo_sig == 0).all()
+        assert all(h & l == l for l, h in zip(lo, hi))
 
 
 # -- orbit-reduced stats ------------------------------------------------------
