@@ -3,6 +3,9 @@
 One invocation, one structured JSON document on standard output, a short
 human summary on standard error.  Exit codes: 0 success, 1 failed property
 check, 2 usage or parse error, 3 resource cap exceeded.
+
+Each handler imports the modules it runs, so that a one-shot run compiles
+only those (`mul` needs `core` alone, and only `graph`/`dist` load numpy).
 """
 
 from __future__ import annotations
@@ -11,21 +14,23 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import border as border_mod
-from . import graphs as graphs_mod
-from . import search as search_mod
 from .core import (
+    GRAPH_KINDS,
     MatrixFormatError,
     NormalMatrix,
+    SearchInconclusive,
     all_zero,
     format_matrix,
     mat_odot,
     parse_matrix,
     sigma,
 )
-from .families import FamilySpec, MmVariant, mm_classify, mm_pair, spec_generic
-from .ortho import indicator, is_orthogonal, orth_set, row_type
+
+if TYPE_CHECKING:
+    from .border import BorderedBlocks, BorderVector
+    from .search import ThetaCertificate
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -50,7 +55,8 @@ def _read_matrix(arg: str) -> NormalMatrix:
     return parse_matrix(text)
 
 
-def _read_vector(arg: str) -> border_mod.BorderVector:
+def _read_vector(arg: str) -> BorderVector:
+    from .border import BorderVector
     entries = []
     for ch in arg.strip():
         if ch == "0":
@@ -61,7 +67,7 @@ def _read_vector(arg: str) -> border_mod.BorderVector:
             raise MatrixFormatError(f"bad vector glyph {ch!r} in {arg!r}")
     if not entries:
         raise MatrixFormatError("empty vector")
-    return border_mod.BorderVector.from_entries(entries)
+    return BorderVector.from_entries(entries)
 
 
 def _emit(doc: dict, summary: str) -> None:
@@ -91,6 +97,7 @@ def _cmd_mul(args) -> int:
 
 
 def _cmd_indicator(args) -> int:
+    from .ortho import indicator
     a = _read_matrix(args.a)
     b = _read_matrix(args.b)
     rep = indicator(a, b)
@@ -105,6 +112,8 @@ def _cmd_indicator(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .families import mm_classify
+    from .ortho import indicator, is_orthogonal, row_type
     a = _read_matrix(args.a)
     b = _read_matrix(args.b)
     rep = indicator(a, b)
@@ -129,6 +138,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_orth_set(args) -> int:
+    from .ortho import orth_set
     a = _read_matrix(args.a)
     out = sorted(orth_set(a), key=lambda m: m.rows)
     doc = {
@@ -143,6 +153,7 @@ def _cmd_orth_set(args) -> int:
 
 
 def _cmd_generic(args) -> int:
+    from .families import FamilySpec, spec_generic
     spec = FamilySpec.parse(args.n, args.set)
     g = spec_generic(spec)
     doc = {
@@ -156,6 +167,8 @@ def _cmd_generic(args) -> int:
 
 
 def _cmd_mm(args) -> int:
+    from .families import MmVariant, mm_pair
+    from .ortho import indicator, is_orthogonal
     v = MmVariant(args.k, args.m, args.variant)
     a, b = mm_pair(v, args.n)
     rep = indicator(a, b)
@@ -177,25 +190,27 @@ def _cmd_mm(args) -> int:
     return EXIT_OK
 
 
-def _cert_doc(command: str, cert: search_mod.ThetaCertificate) -> dict:
+def _cert_doc(command: str, cert: ThetaCertificate) -> dict:
     doc = {"command": command}
     doc.update(cert.to_document())
     return doc
 
 
 def _cmd_theta(args) -> int:
+    from . import search
+    # the bounded search's limits; an exhaustive run has none to apply
+    names = ("budget", "node_limit", "time_limit")
+    limits = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
     if args.mode == "exhaustive":
-        cert = search_mod.theta_exhaustive(args.n)
+        if limits:
+            given = ", ".join("--" + k.replace("_", "-") for k in limits)
+            raise ValueError(f"{given}: only valid with --mode bounded")
+        cert = search.theta_exhaustive(args.n)
     else:
         if args.budget is None:
             raise ValueError("--budget is required with --mode bounded")
-        cert = search_mod.theta_bounded(
-            args.n,
-            args.budget,
-            node_limit=args.node_limit,
-            time_limit=args.time_limit,
-        )
-    lower = cert.completeness == search_mod.COMPLETENESS_LOWER_BOUND
+        cert = search.theta_bounded(args.n, **limits)
+    lower = cert.completeness == search.COMPLETENESS_LOWER_BOUND
     _emit(
         _cert_doc("theta", cert),
         f"{'at least' if lower else 'minimum'} {cert.value} ({cert.completeness}), "
@@ -205,7 +220,8 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_theta_delta(args) -> int:
-    cert = search_mod.theta_delta_exhaustive(args.n)
+    from .search import theta_delta_exhaustive
+    cert = theta_delta_exhaustive(args.n)
     _emit(
         _cert_doc("theta-delta", cert),
         f"minimum {cert.value} over self-orthogonal matrices, "
@@ -215,8 +231,9 @@ def _cmd_theta_delta(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .search import enumerate_orthogonal_pairs
     pairs = list(
-        search_mod.enumerate_orthogonal_pairs(
+        enumerate_orthogonal_pairs(
             args.n,
             args.max_sigma,
             node_limit=args.node_limit,
@@ -239,7 +256,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_check_theorem(args) -> int:
-    report = search_mod.check_theorem_theta(args.n)
+    from .search import check_theorem_theta
+    report = check_theorem_theta(args.n)
     doc = {"command": "check-theorem"}
     doc.update(report)
     _emit(doc, f"mode {report['mode']}, holds: {report['holds']}")
@@ -251,23 +269,25 @@ def _cmd_check_theorem(args) -> int:
 BORDER_ARITY = {"compose": 3, "split": 1, "check": 6, "check-self": 3}
 
 
-def _read_blocks(m: str, v: str, w: str) -> border_mod.BorderedBlocks:
-    return border_mod.BorderedBlocks(_read_matrix(m), _read_vector(v), _read_vector(w))
+def _read_blocks(m: str, v: str, w: str) -> BorderedBlocks:
+    from .border import BorderedBlocks
+    return BorderedBlocks(_read_matrix(m), _read_vector(v), _read_vector(w))
 
 
 def _cmd_border(args) -> int:
+    from . import border
     want = BORDER_ARITY[args.action]
     if len(args.args) != want:
         raise ValueError(
             f"border {args.action} takes {want} arguments, got {len(args.args)}"
         )
     if args.action == "compose":
-        out = border_mod.border_compose(_read_blocks(*args.args))
+        out = border.border_compose(_read_blocks(*args.args))
         doc = {"command": "border", "action": "compose", "matrix": format_matrix(out)}
         _emit(doc, f"composed matrix of order {out.n}")
         return EXIT_OK
     if args.action == "split":
-        blocks = border_mod.border_split(_read_matrix(args.args[0]))
+        blocks = border.border_split(_read_matrix(args.args[0]))
         doc = {
             "command": "border",
             "action": "split",
@@ -278,14 +298,14 @@ def _cmd_border(args) -> int:
         _emit(doc, f"split into block of order {blocks.b.n} plus two vectors")
         return EXIT_OK
     if args.action == "check":
-        res = border_mod.border_orthogonality_condition(
+        res = border.border_orthogonality_condition(
             _read_blocks(*args.args[:3]), _read_blocks(*args.args[3:])
         )
         doc = {"command": "border", "action": "check"}
         doc.update(res)
         _emit(doc, f"bordered pair orthogonal: {res['orthogonal']}")
         return EXIT_OK
-    res = border_mod.self_ortho_border_condition(_read_blocks(*args.args))
+    res = border.self_ortho_border_condition(_read_blocks(*args.args))
     doc = {"command": "border", "action": "check-self"}
     doc.update(res)
     _emit(doc, f"bordered matrix self-orthogonal: {res['self_orthogonal']}")
@@ -293,8 +313,9 @@ def _cmd_border(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .border import reduce_size
     a = _read_matrix(args.a)
-    out = border_mod.reduce_size(a, args.i)
+    out = reduce_size(a, args.i)
     doc = {
         "command": "reduce",
         "a": format_matrix(a),
@@ -306,8 +327,9 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    g = graphs_mod.build(args.kind, args.n)
-    st = graphs_mod.stats(g)
+    from .graphs import build, stats
+    g = build(args.kind, args.n)
+    st = stats(g)
     doc = {"command": "graph"}
     doc.update(st)
     _emit(
@@ -319,17 +341,18 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_dist(args) -> int:
-    g = graphs_mod.build(args.kind, args.n)
+    from .graphs import INFINITY, build, dist
+    g = build(args.kind, args.n)
     u = _read_matrix(args.a)
     v = _read_matrix(args.b)
-    d = graphs_mod.dist(g, u, v)
+    d = dist(g, u, v)
     doc = {
         "command": "dist",
         "kind": args.kind,
         "n": args.n,
         "a": format_matrix(u),
         "b": format_matrix(v),
-        "dist": "inf" if d == graphs_mod.INFINITY else d,
+        "dist": "inf" if d == INFINITY else d,
     }
     _emit(doc, f"distance {doc['dist']} in {args.kind}, n={args.n}")
     return EXIT_OK
@@ -381,8 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "bounded"), default="exhaustive")
     p.add_argument("--budget", type=int)
-    p.add_argument("--node-limit", type=int, default=200_000_000)
-    p.add_argument("--time-limit", type=float, default=3600.0)
+    p.add_argument("--node-limit", type=int)
+    p.add_argument("--time-limit", type=float)
     p.set_defaults(func=_cmd_theta)
 
     p = sub.add_parser("theta-delta", help="minimal zero count, self-orthogonal")
@@ -412,12 +435,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("graph", help="relation graph statistics")
-    p.add_argument("--kind", choices=graphs_mod.GRAPH_KINDS, required=True)
+    p.add_argument("--kind", choices=GRAPH_KINDS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("dist", help="distance between two vertices")
-    p.add_argument("--kind", choices=graphs_mod.GRAPH_KINDS, required=True)
+    p.add_argument("--kind", choices=GRAPH_KINDS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("a")
     p.add_argument("b")
@@ -437,7 +460,7 @@ def main(argv=None) -> int:
     except PropertyFailure as exc:
         print(f"property check failed: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
-    except search_mod.SearchInconclusive as exc:
+    except SearchInconclusive as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         # where the search stopped: its counters, as one strict-JSON line
         print(json.dumps(exc.stats, allow_nan=False), file=sys.stderr)

@@ -45,6 +45,19 @@ class MatrixFormatError(ValueError):
     """Raised by parse_matrix on malformed input text."""
 
 
+class SearchInconclusive(RuntimeError):
+    """A resource cap was hit before the search finished."""
+
+    def __init__(self, message: str, stats: dict):
+        super().__init__(message)
+        self.stats = stats
+
+
+# the relation graphs of `graphs`, named here so that the CLI parser can
+# offer them without importing the graph builders (and numpy)
+GRAPH_KINDS = ("ortho", "vnl", "wnl")
+
+
 def oplus_scalar(a: int, b: int) -> int:
     """Tropical sum: max(a, b)."""
     _check_scalar(a)

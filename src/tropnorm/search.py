@@ -30,6 +30,7 @@ from itertools import combinations
 
 from .core import (
     NormalMatrix,
+    SearchInconclusive,
     _bits,
     _row_union,
     _slot_image,
@@ -51,14 +52,6 @@ WITNESS_CAP = 10_000
 COMPLETENESS_EXHAUSTIVE = "exhaustive"
 COMPLETENESS_BOUNDED = "bounded_proof"
 COMPLETENESS_LOWER_BOUND = "lower_bound"
-
-
-class SearchInconclusive(RuntimeError):
-    """A resource cap was hit before the search finished."""
-
-    def __init__(self, message: str, stats: dict):
-        super().__init__(message)
-        self.stats = stats
 
 
 @dataclass

@@ -174,6 +174,16 @@ def test_removed_flags_rejected(capsys):
     assert run(capsys, "graph", "--kind", "ortho", "--n", "2", "--stats")[0] == 2
 
 
+def test_exhaustive_theta_rejects_search_limits(capsys):
+    # the limits only steer the bounded search; exhaustive mode would ignore them
+    for flags in (["--budget", "2"], ["--node-limit", "1"], ["--time-limit", "5"],
+                  ["--mode", "exhaustive", "--budget", "2", "--node-limit", "1"]):
+        code, doc, err = run(capsys, "theta", "--n", "3", *flags)
+        assert (code, doc) == (2, None)
+        assert "only valid with --mode bounded" in err
+        assert all(f in err for f in flags if f.startswith("--") and f != "--mode")
+
+
 def test_border_vectors_with_leading_minus(capsys):
     # "-0" looks like an option; it parses with or without "--"
     for sep in ((), ("--",)):
@@ -229,10 +239,14 @@ def test_check_theorem_failure_exit(capsys):
         assert run(capsys, "check-theorem", "--n", n)[0] == 2
 
 
+def _src_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_cli_import_leaves_numpy_unloaded():
     # numpy is imported by the graph builders, not by `import tropnorm.cli`
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = _src_env()
     probe = "import sys, tropnorm.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert out.stdout.strip() == "False", out.stderr
@@ -242,6 +256,44 @@ def test_cli_import_leaves_numpy_unloaded():
     )
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["vertices"] == 62
+
+
+# the package and each subcommand load only the modules they run
+_LOADED_PROBE = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import tropnorm
+else:
+    from tropnorm import cli
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 0
+loaded = [m for m in sys.modules if m in ("tropnorm", "numpy") or m.startswith("tropnorm.")]
+print(json.dumps(loaded))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (None, ()),
+        (["mul", "0-/-0", "0-/-0"], ("cli", "core")),
+        (["border", "split", "0--/-00/0-0"], ("border", "cli", "core", "ortho")),
+        (["classify", "0-0/00-/-00", "0-0/00-/-00"], ("cli", "core", "families", "ortho")),
+        (["theta", "--n", "3"], ("cli", "core", "families", "fixtures", "ortho", "search")),
+        (["graph", "--kind", "ortho", "--n", "3"], ("cli", "core", "families", "graphs", "ortho")),
+    ],
+)
+def test_subcommand_import_footprint(argv, extra):
+    out = subprocess.run(
+        [sys.executable, "-c", _LOADED_PROBE, json.dumps(argv)],
+        env=_src_env(), capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    want = {"tropnorm", *(f"tropnorm.{m}" for m in extra)}
+    if argv and argv[0] == "graph":
+        want.add("numpy")
+    assert set(json.loads(out.stdout)) == want
 
 
 def test_deterministic_output(capsys):

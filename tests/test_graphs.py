@@ -259,8 +259,34 @@ def test_class_adjacency_matches_adjacent_n4_n5():
             cb = int(g._class_of[g.vertex_index(b)])
             got = adjacent(kind, a, b)
             assert bool(g._class_adj[ca] >> cb & 1) == got, (kind, n, a, b)
+            assert adjacent(kind, b, a) == got, (kind, n, a, b)
             if got:
                 assert is_orthogonal(a, b)
+
+
+def _is_symmetric(rows):
+    """Whether the bit matrix whose row a is the int rows[a] equals its
+    transpose, compared 1,024 rows against 1,024 columns at a time."""
+    import numpy as np
+    k = len(rows)
+    width = (k + 7) // 8
+    packed = b"".join(r.to_bytes(width, "little") for r in rows)
+    packed = np.frombuffer(packed, np.uint8).reshape(k, width)
+    for at in range(0, width, 128):
+        block = np.unpackbits(packed[8 * at : 8 * (at + 128)], axis=1, count=k, bitorder="little")
+        cols = np.unpackbits(packed[:, at : at + 128], axis=1, bitorder="little")
+        if not np.array_equal(block, cols[:, : len(block)].T):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("kind", (VNL, WNL))
+def test_pattern_class_adjacency_symmetric(kind):
+    """The build folds only the left terms into rows; the relation must be
+    symmetric for the rows to be the columns as well."""
+    for n in range(2, 6):
+        assert _is_symmetric(_built(kind, n)._class_adj), (kind, n)
+    assert not _is_symmetric([0b10, 0b00])
 
 
 def test_ortho4_stats():
