@@ -98,11 +98,13 @@ class IndicatorReport:
         }
 
 
-def _orth_rows(arows: tuple[int, ...], brows: tuple[int, ...], full: int) -> bool:
-    """Row-union check of orthogonality on bitmask rows.
+def is_orthogonal(a: NormalMatrix, b: NormalMatrix) -> bool:
+    """True iff A*B and B*A are both the all-zero matrix.
 
-    Product row i is full iff the rows of the right factor indexed by the
-    zeros of left row i cover every column; both orders, early exit."""
+    Row i of a product is full iff the rows of the right factor indexed by
+    the zeros of left row i cover every column; both orders, early exit."""
+    full = (1 << _same_order(a, b)) - 1
+    arows, brows = a.rows, b.rows
     for ra in arows:
         if _row_union(ra, brows) != full:
             return False
@@ -110,12 +112,6 @@ def _orth_rows(arows: tuple[int, ...], brows: tuple[int, ...], full: int) -> boo
         if _row_union(rb, arows) != full:
             return False
     return True
-
-
-def is_orthogonal(a: NormalMatrix, b: NormalMatrix) -> bool:
-    """True iff A*B and B*A are both the all-zero matrix."""
-    n = _same_order(a, b)
-    return _orth_rows(a.rows, b.rows, (1 << n) - 1)
 
 
 def indicator(a: NormalMatrix, b: NormalMatrix) -> IndicatorReport:

@@ -2,8 +2,10 @@
 
 Two engines pin the minimum number of off-diagonal zeros:
 
-* an exhaustive oracle (small orders) that walks zero patterns by
-  increasing total count and tests orthogonality directly;
+* exhaustive oracles (small orders) that walk zero patterns by
+  increasing total count and test every one: a pair by two ANDs of row
+  sets and full-family complements (`_full_family`), a self-orthogonal
+  candidate row by row, built from per-row values with fixed zero counts;
 * a branch-and-bound engine that grows left factors and enumerates the
   right factor column by column under exact hitting-set bounds (column
   j of B must meet row i of A wherever a_ij = -1; orthogonality is this
@@ -26,17 +28,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import product
+from math import comb
 
 from .core import (
     NormalMatrix,
     SearchInconclusive,
     _bits,
+    _offdiag_tables,
     _row_union,
     _slot_image,
     format_matrix,
     from_offdiag_mask,
-    identity,
     is_canonical,
     offdiag_mask,
     offdiag_rows,
@@ -44,7 +47,7 @@ from .core import (
     slot_generators,
 )
 from .families import MmVariant, mm_classify, mm_pair
-from .ortho import _orth_rows, indicator, is_orthogonal
+from .ortho import indicator, is_orthogonal
 from . import fixtures
 
 WITNESS_CAP = 10_000
@@ -96,6 +99,15 @@ def _pair_from_masks(n: int, amask: int, bmask: int) -> tuple[NormalMatrix, Norm
 THETA_EXHAUSTIVE_GUARD = 4
 
 
+def _full_family(n: int, rows: tuple[int, ...]) -> tuple[int, int]:
+    """The row set of a matrix (bit r set iff some row is r) and the
+    complement of its full family (bit p set iff the union of the rows
+    picked by p is not full).  A*B = Z iff row_set(A) & nonfull(B) == 0."""
+    full = (1 << n) - 1
+    row_set = sum(1 << r for r in set(rows))
+    return row_set, sum(1 << p for p in range(1 << n) if _row_union(p, rows) != full)
+
+
 def theta_exhaustive(n: int) -> ThetaCertificate:
     """Exact minimum of off-diagonal zeros over all mutually orthogonal
     ordered pairs, with every minimal pair enumerated.  Guarded at n <= 4."""
@@ -104,37 +116,23 @@ def theta_exhaustive(n: int) -> ThetaCertificate:
     if n < 1:
         raise ValueError("n must be positive")
     t0 = time.monotonic()
-    if n == 1:
-        # the only matrix is [0], self-orthogonal with no off-diagonal zeros
-        m = identity(1)
-        return ThetaCertificate(
-            n=1,
-            kind="pair",
-            value=0,
-            completeness=COMPLETENESS_EXHAUSTIVE,
-            witnesses=[(m, m)],
-            total_witnesses=1,
-            search_stats={"nodes": 1, "elapsed_s": time.monotonic() - t0},
-        )
-
     slots = n * n - n
-    full = (1 << n) - 1
-    rows = [offdiag_rows(n, mask) for mask in range(1 << slots)]
-    by_count: dict[int, list[int]] = {}
+    by_count: list[list[tuple[int, int, int]]] = [[] for _ in range(slots + 1)]
     for mask in range(1 << slots):
-        by_count.setdefault(mask.bit_count(), []).append(mask)
+        by_count[mask.bit_count()].append((mask, *_full_family(n, offdiag_rows(n, mask))))
 
     nodes = 0
     for total in range(2 * slots + 1):
         found: list[tuple[int, int]] = []
         for ka in range(max(0, total - slots), min(slots, total) + 1):
-            kb = total - ka
-            for amask in by_count.get(ka, ()):
-                arows = rows[amask]
-                for bmask in by_count.get(kb, ()):
-                    nodes += 1
-                    if _orth_rows(arows, rows[bmask], full):
-                        found.append((amask, bmask))
+            group_a, group_b = by_count[ka], by_count[total - ka]
+            nodes += len(group_a) * len(group_b)
+            for amask, rs_a, nf_a in group_a:
+                found += [
+                    (amask, bmask)
+                    for bmask, rs_b, nf_b in group_b
+                    if not (rs_a & nf_b or rs_b & nf_a)
+                ]
         if found:
             found.sort()
             witnesses = [_pair_from_masks(n, a, b) for a, b in found]
@@ -162,20 +160,28 @@ def theta_delta_exhaustive(n: int) -> ThetaCertificate:
         raise ValueError("n must be positive")
     t0 = time.monotonic()
     slots = n * n - n
+    stride = n - 1
     full = (1 << n) - 1
-    slot_ids = list(range(slots))
+    # per row i and count c, the values of row i with c off-diagonal zeros
+    values = [
+        [[r for f, r in enumerate(row) if f.bit_count() == c] for c in range(stride + 1)]
+        for _, row in _offdiag_tables(n)
+    ]
+    splits: list[list[tuple[int, ...]]] = [[] for _ in range(slots + 1)]
+    for counts in product(range(stride + 1), repeat=n):
+        splits[sum(counts)].append(counts)
 
     nodes = 0
     for k in range(slots + 1):
+        nodes += comb(slots, k)
         found: list[int] = []
-        for chosen in combinations(slot_ids, k):
-            nodes += 1
-            mask = 0
-            for s in chosen:
-                mask |= 1 << s
-            rows = offdiag_rows(n, mask)
-            if _orth_rows(rows, rows, full):
-                found.append(mask)
+        for counts in splits[k]:
+            for rows in product(*[values[i][c] for i, c in enumerate(counts)]):
+                for r in rows:
+                    if _row_union(r, rows) != full:
+                        break
+                else:
+                    found.append(offdiag_mask(n, rows))
         if found:
             found.sort()
             witnesses = [from_offdiag_mask(n, m) for m in found]

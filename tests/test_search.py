@@ -1,3 +1,4 @@
+import random
 import time
 from collections import Counter
 
@@ -7,6 +8,7 @@ from tropnorm import fixtures
 from tropnorm.core import (
     all_normal_matrices,
     all_zero,
+    from_offdiag_mask,
     is_canonical,
     naive_odot,
     nu,
@@ -22,6 +24,7 @@ from tropnorm.search import (
     COMPLETENESS_EXHAUSTIVE,
     COMPLETENESS_LOWER_BOUND,
     SearchInconclusive,
+    _full_family,
     check_theorem_theta,
     enumerate_orthogonal_pairs,
     theta_bounded,
@@ -33,6 +36,9 @@ THETA = {1: 0, 2: 2, 3: 6, 4: 8}
 THETA_WITNESSES = {2: 4, 3: 66, 4: 18}
 THETA_DELTA = {1: 0, 2: 2, 3: 3, 4: 6, 5: 8}
 THETA_DELTA_WITNESSES = {1: 1, 2: 1, 3: 2, 4: 16, 5: 5}
+# pairs (matrices) tested: every one with at most `value` zeros
+THETA_NODES = {1: 1, 2: 11, 3: 2510, 4: 1_271_626}
+THETA_DELTA_NODES = {1: 1, 2: 4, 3: 42, 4: 2510, 5: 263_950}
 
 
 def test_theta_exhaustive_values():
@@ -43,6 +49,7 @@ def test_theta_exhaustive_values():
         assert cert.kind == "pair"
         if n in THETA_WITNESSES:
             assert cert.total_witnesses == THETA_WITNESSES[n]
+        assert cert.search_stats["nodes"] == THETA_NODES[n]
         for a, b in cert.witnesses:
             assert is_orthogonal(a, b)
             assert sigma(a, b) == value
@@ -61,11 +68,66 @@ def test_theta_delta_values():
         assert cert.value == value
         assert cert.kind == "self"
         assert cert.total_witnesses == THETA_DELTA_WITNESSES[n]
+        assert cert.search_stats["nodes"] == THETA_DELTA_NODES[n]
         for a in cert.witnesses:
             assert is_orthogonal(a, a)
             assert nu(a) - n == value
     with pytest.raises(ValueError):
         theta_delta_exhaustive(6)
+
+
+def _naive_orthogonal(a, b) -> bool:
+    zero = all_zero(a.n)
+    return naive_odot(a, b) == zero and naive_odot(b, a) == zero
+
+
+def _full_family_orthogonal(a, b) -> bool:
+    rs_a, nf_a = _full_family(a.n, a.rows)
+    rs_b, nf_b = _full_family(b.n, b.rows)
+    return not (rs_a & nf_b or rs_b & nf_a)
+
+
+def test_full_family_predicate_matches_naive_odot():
+    mats = list(all_normal_matrices(3))
+    for a in mats:
+        for b in mats:
+            assert _full_family_orthogonal(a, b) == _naive_orthogonal(a, b)
+    # a uniform pair of order 4 is rarely orthogonal, so half the factors
+    # have each off-diagonal cell zero with probability 3/4
+    rng = random.Random(1204)
+
+    def factor():
+        bits = rng.getrandbits(12)
+        if rng.random() < 0.5:
+            bits |= rng.getrandbits(12)
+        return from_offdiag_mask(4, bits)
+
+    seen = Counter()
+    for _ in range(20_000):
+        a, b = factor(), factor()
+        want = _naive_orthogonal(a, b)
+        assert _full_family_orthogonal(a, b) == want
+        seen[want] += 1
+    assert min(seen.values()) > 1000
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_theta_delta_matches_naive_scan(n):
+    zero = all_zero(n)
+    selfs = sorted(
+        (nu(a) - n, to_offdiag_mask(a))
+        for a in all_normal_matrices(n)
+        if naive_odot(a, a) == zero
+    )
+    value = selfs[0][0]
+    minimal = [m for s, m in selfs if s == value]
+    cert = theta_delta_exhaustive(n)
+    assert cert.value == value
+    assert [to_offdiag_mask(a) for a in cert.witnesses] == minimal
+    assert cert.total_witnesses == len(minimal)
+    assert cert.search_stats["nodes"] == sum(
+        1 for m in range(1 << (n * n - n)) if m.bit_count() <= value
+    )
 
 
 def test_theta_delta_3_is_circulant():
@@ -177,6 +239,20 @@ def test_enumerate_matches_brute_force_n3():
             for a, b in enumerate_orthogonal_pairs(3, budget)
         ]
         assert pairs == [t for t in brute if t[0] <= budget]
+
+
+def test_theta_exhaustive_matches_naive_scan_n3():
+    brute = _brute_force_pairs(3)
+    value = brute[0][0]
+    minimal = [(am, bm) for s, am, bm in brute if s == value]
+    cert = theta_exhaustive(3)
+    assert cert.value == value
+    assert [(to_offdiag_mask(a), to_offdiag_mask(b)) for a, b in cert.witnesses] == minimal
+    assert cert.total_witnesses == len(minimal)
+    masks = range(1 << 6)
+    assert cert.search_stats["nodes"] == sum(
+        1 for am in masks for bm in masks if am.bit_count() + bm.bit_count() <= value
+    )
 
 
 def test_enumerate_n4_counts_and_closure():
