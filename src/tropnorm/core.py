@@ -15,11 +15,12 @@ modules call it instead of re-deriving them:
   set bits of a mask, which is one row of a tropical product;
 * set-bit iteration `_bits` and the bit transpose `_cols`;
 * the symmetry group S_n x C2 of conjugation by permutation matrices
-  and the transpose: `is_canonical` picks the lex-greatest matrix of
-  each orbit through per-order conjugation tables, and the slot-generator
-  table `slot_generators` holds the transposition (1 2), the n-cycle and
-  the transpose, which generate the group, each as a permutation of the
-  off-diagonal slots that `_slot_image` applies to a mask.
+  and the transpose: per-order conjugation tables `_conj_tables` apply
+  every permutation to row masks, `is_canonical` picks the lex-greatest
+  matrix of each orbit through the entries of those tables that can
+  give it its first row, and the slot-generator table `slot_generators`
+  holds the transposition (1 2), the n-cycle and the transpose, which
+  generate the group, each as a permutation of the off-diagonal slots.
 
 All indices in the public API are 1-based.
 """
@@ -425,6 +426,23 @@ def _conj_tables(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     return tuple(tables)
 
 
+@lru_cache(maxsize=None)
+def _first_row_tables(n: int) -> tuple[tuple[tuple, ...], ...]:
+    """Per source row s and row mask r holding bit s: the `_conj_tables`
+    entries whose permutation sends row s to row 0 and the other bits of
+    r to the top |r| - 1 bits, so that the image of a row r at s is the
+    greatest first row of its zero count, in `_conj_tables` order (the
+    identity first).  Each permutation lands under n keys, one per |r|."""
+    tables = [[[] for _ in range(1 << n)] for _ in range(n)]
+    for src, img in _conj_tables(n):
+        r = 1 << src[0]
+        tables[src[0]][r].append((src, img))
+        for t in reversed(range(1, n)):
+            r |= 1 << src[t]
+            tables[src[0]][r].append((src, img))
+    return tuple(tuple(map(tuple, by_mask)) for by_mask in tables)
+
+
 def is_canonical(rows: Sequence[int]) -> bool:
     """Whether the row tuple is lexicographically greatest among its images
     under conjugation by permutation matrices and the transpose, the group
@@ -438,15 +456,21 @@ def is_canonical(rows: Sequence[int]) -> bool:
     c = max(map(int.bit_count, (*rows, *cols)))
     if rows[0] != 1 | ((1 << c - 1) - 1) << n - c + 1:
         return False
-    tables = _conj_tables(n)
-    for base, perms in ((rows, tables[1:]), (cols, tables)):
-        for src, img in perms:
-            for t, s in enumerate(src):
-                d = img[base[s]] - rows[t]
-                if d:
-                    if d > 0:
-                        return False
-                    break
+    # so only the images that send a row of c zeros to row 0 in that form
+    # tie rows at row 0; every other image is smaller there
+    tables = _first_row_tables(n)
+    for base, skip in ((rows, 1), (cols, 0)):
+        for s, r in enumerate(base):
+            if r.bit_count() != c:
+                continue
+            # on rows, the identity leads the entries of (0, rows[0])
+            for src, img in tables[s][r][skip if s == 0 else 0:]:
+                for t in range(1, n):
+                    d = img[base[src[t]]] - rows[t]
+                    if d:
+                        if d > 0:
+                            return False
+                        break
     return True
 
 
@@ -465,17 +489,6 @@ def slot_generators(n: int) -> tuple[tuple[int, ...], ...]:
         tuple(slot[i % n + 1, j % n + 1] for i, j in pos),
         tuple(slot[j, i] for i, j in pos),
     )
-
-
-def _slot_image(mask: int, perm: tuple[int, ...]) -> int:
-    """Image of an off-diagonal mask under a slot permutation such as a
-    generator of `slot_generators`: bit s moves to bit perm[s]."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
 
 
 def from_offdiag_mask(n: int, mask: int) -> NormalMatrix:

@@ -21,30 +21,29 @@ fits the budget, and no witness is attached).  Resource caps abort with a
 distinguishable error instead of a silent truncation.
 
 Both walk off-diagonal masks and take the mask codec, the row-union
-kernel, the canonical form and the slot generators from `core`.
+kernel, the canonical form and the conjugation tables from `core`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import product
 from math import comb
 
 from .core import (
     NormalMatrix,
     SearchInconclusive,
     _bits,
+    _cols,
+    _conj_tables,
     _offdiag_tables,
     _row_union,
-    _slot_image,
     format_matrix,
     from_offdiag_mask,
     is_canonical,
     offdiag_mask,
     offdiag_rows,
     sigma,
-    slot_generators,
 )
 from .families import MmVariant, mm_classify, mm_pair
 from .ortho import indicator, is_orthogonal
@@ -105,7 +104,11 @@ def _full_family(n: int, rows: tuple[int, ...]) -> tuple[int, int]:
     picked by p is not full).  A*B = Z iff row_set(A) & nonfull(B) == 0."""
     full = (1 << n) - 1
     row_set = sum(1 << r for r in set(rows))
-    return row_set, sum(1 << p for p in range(1 << n) if _row_union(p, rows) != full)
+    # the union of pick p is that of p less its lowest bit, plus one row
+    union = [0] * (1 << n)
+    for p in range(1, 1 << n):
+        union[p] = union[p & (p - 1)] | rows[(p & -p).bit_length() - 1]
+    return row_set, sum(1 << p for p, u in enumerate(union) if u != full)
 
 
 def theta_exhaustive(n: int) -> ThetaCertificate:
@@ -167,21 +170,29 @@ def theta_delta_exhaustive(n: int) -> ThetaCertificate:
         [[r for f, r in enumerate(row) if f.bit_count() == c] for c in range(stride + 1)]
         for _, row in _offdiag_tables(n)
     ]
-    splits: list[list[tuple[int, ...]]] = [[] for _ in range(slots + 1)]
-    for counts in product(range(stride + 1), repeat=n):
-        splits[sum(counts)].append(counts)
+    rows = [0] * n
+    found: list[int] = []
+
+    def place(i: int, left: int) -> None:
+        # rows 0..i-1 are placed, and rows i..n-1 take `left` more zeros
+        if i == n:
+            found.append(offdiag_mask(n, rows))
+            return
+        for c in range(max(0, left - stride * (n - 1 - i)), min(stride, left) + 1):
+            for r in values[i][c]:
+                rows[i] = r
+                # row t of A*A needs rows 0..h only, h the highest set bit
+                # of row t: test each row once it is decided
+                for x in rows[: i + 1]:
+                    if x >> i == 1 and _row_union(x, rows) != full:
+                        break
+                else:
+                    place(i + 1, left - c)
 
     nodes = 0
     for k in range(slots + 1):
         nodes += comb(slots, k)
-        found: list[int] = []
-        for counts in splits[k]:
-            for rows in product(*[values[i][c] for i, c in enumerate(counts)]):
-                for r in rows:
-                    if _row_union(r, rows) != full:
-                        break
-                else:
-                    found.append(offdiag_mask(n, rows))
+        place(0, k)
         if found:
             found.sort()
             witnesses = [from_offdiag_mask(n, m) for m in found]
@@ -239,9 +250,10 @@ def _bounded_pairs(
     1978): a canonical one is extended only by cells less significant
     than its least one (row ascending, then column descending) and an
     extension is kept only if canonical, which reaches every canonical
-    set.  The pairs found are closed under `core.slot_generators` and the
-    swap.  Per left factor, exact per-column hitting-set sizes bound the
-    right factor, which is then enumerated column by column.
+    set.  The pairs found are closed under the group and the swap by
+    writing out their orbits through `core._conj_tables`.  Per left
+    factor, exact per-column hitting-set sizes bound the right factor,
+    which is then enumerated column by column.
 
     The stats count ticks (`nodes`: extensions tested plus DFS nodes), the
     extensions tested (`left_factors`), the canonical left factors searched,
@@ -356,15 +368,21 @@ def _bounded_pairs(
         exc.stats = phase_stats()
         raise
 
-    # close the pairs found under the group, with `reduced` as the work list
-    gens = slot_generators(n)
+    # close the pairs found under the group: write out the orbit of each
+    # pair not reached yet, every conjugation of both factors and of both
+    # transposes, each also swapped
+    tables = _conj_tables(n)
     found = set()
-    while reduced:
-        sig, am, bm = t = reduced.pop()
-        if t not in found:
-            found.add(t)
-            reduced.append((sig, bm, am))
-            reduced += [(sig, _slot_image(am, g), _slot_image(bm, g)) for g in gens]
+    for sig, am, bm in reduced:
+        if (sig, am, bm) in found:
+            continue
+        ar, br = offdiag_rows(n, am), offdiag_rows(n, bm)
+        for a, b in ((ar, br), (_cols(ar), _cols(br))):
+            for src, img in tables:
+                ima = offdiag_mask(n, [img[a[s]] for s in src])
+                imb = offdiag_mask(n, [img[b[s]] for s in src])
+                found.add((sig, ima, imb))
+                found.add((sig, imb, ima))
     return sorted(found), phase_stats()
 
 

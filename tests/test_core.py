@@ -1,14 +1,17 @@
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
 
 from conftest import rand_normal
+from tropnorm import search
 from tropnorm.core import (
     DimensionMismatch,
     MatrixFormatError,
     NormalMatrix,
-    _slot_image,
+    _cols,
+    _conj_tables,
     all_normal_matrices,
     all_zero,
     format_matrix,
@@ -30,6 +33,7 @@ from tropnorm.core import (
     to_offdiag_mask,
     transpose,
 )
+from tropnorm.ortho import is_orthogonal
 
 
 def test_construction_and_entries():
@@ -154,6 +158,64 @@ def _orbit(m):
     return out
 
 
+def _slot_image(mask, perm):
+    """Image of an off-diagonal mask under a slot permutation such as a
+    generator of `slot_generators`: bit s moves to bit perm[s]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _is_canonical_full_walk(rows):
+    """Reference canonicity test: compare rows with every image under
+    S_n x C2, the identity on rows excepted."""
+    n = len(rows)
+    cols = _cols(rows)
+    c = max(map(int.bit_count, (*rows, *cols)))
+    if rows[0] != 1 | ((1 << c - 1) - 1) << n - c + 1:
+        return False
+    tables = _conj_tables(n)
+    for base, perms in ((rows, tables[1:]), (cols, tables)):
+        for src, img in perms:
+            for t, s in enumerate(src):
+                d = img[base[s]] - rows[t]
+                if d:
+                    if d > 0:
+                        return False
+                    break
+    return True
+
+
+def _images(rows):
+    """Row tuples of every image of rows under S_n x C2."""
+    return [
+        tuple(img[base[s]] for s in src)
+        for base in (tuple(rows), tuple(_cols(rows)))
+        for src, img in _conj_tables(len(rows))
+    ]
+
+
+def _first_row_form(rows, rng):
+    """A random image of rows that passes the first-row test of
+    `is_canonical`: a row or column of the most zeros c, sent to row 0
+    with its other zeros relabelled to the top c - 1 columns."""
+    n = len(rows)
+    cols = _cols(rows)
+    c = max(map(int.bit_count, (*rows, *cols)))
+    base = rng.choice([b for b in (rows, cols) if c in map(int.bit_count, b)])
+    s = rng.choice([i for i, r in enumerate(base) if r.bit_count() == c])
+    rest = [j for j in range(n) if not base[s] >> j & 1]
+    top = [j for j in range(n) if base[s] >> j & 1 and j != s]
+    rng.shuffle(rest)
+    rng.shuffle(top)
+    src = [s, *rest, *top]  # row t of the image comes from row src[t]
+    p = {j: t for t, j in enumerate(src)}
+    return tuple(sum(1 << p[j] for j in range(n) if base[i] >> j & 1) for i in src)
+
+
 def test_canonical_one_per_orbit():
     # orbits under conjugation by permutation matrices and the transpose
     for n, orbits in {1: 1, 2: 3, 3: 13, 4: 144}.items():
@@ -176,6 +238,65 @@ def test_canonical_one_per_orbit():
                         reached.append(image)
             assert sorted(reached) == sorted(map(to_offdiag_mask, orbit))
         assert orbits == 0
+
+
+def test_canonical_matches_full_walk_in_bounded_search(monkeypatch):
+    # every row tuple that the orderly generation of theta(5, 14) tests
+    tested = []
+
+    def recording(rows):
+        got = is_canonical(rows)
+        tested.append((tuple(rows), got))
+        return got
+
+    monkeypatch.setattr(search, "is_canonical", recording)
+    _, stats = search._bounded_pairs(5, 14)
+    assert len(tested) == stats["left_factors"] == 1551
+    # the root, the identity, is searched without a test
+    assert sum(got for _, got in tested) + 1 == stats["canonical"] == 736
+    for rows, got in tested:
+        assert got == _is_canonical_full_walk(rows)
+
+
+@pytest.mark.parametrize("n, sets", [(5, 60), (6, 30), (7, 10)])
+def test_canonical_matches_full_walk_on_first_row_forms(n, sets):
+    # a random set almost always fails the first-row test, so each seeded
+    # set is tested through images that pass it: the greatest one of its
+    # orbit and random first-row forms, next to random images of the
+    # orbit and the transposes of all of these
+    rng = random.Random(1300 + n)
+    outcomes = Counter()
+    for _ in range(sets):
+        density = rng.choice((0.2, 0.35, 0.5, 0.7))
+        rows = tuple(
+            1 << i | sum(1 << j for j in range(n) if rng.random() < density)
+            for i in range(n)
+        )
+        images = _images(rows)
+        forms = [max(images), *(_first_row_form(rows, rng) for _ in range(6))]
+        forms += rng.sample(images, 4)
+        forms += [tuple(_cols(x)) for x in forms]
+        assert is_canonical(forms[0])
+        for x in forms:
+            got = is_canonical(x)
+            assert got == _is_canonical_full_walk(x), x
+            outcomes[got, x[0] == forms[0][0]] += 1
+    # both outcomes are reached past the first-row test
+    assert outcomes[True, True] >= sets and outcomes[False, True] >= sets
+
+
+def test_bounded_pairs_closed_under_slot_generators():
+    triples, _ = search._bounded_pairs(5, 14)
+    assert len(triples) == 6680
+    found = set(triples)
+    gens = slot_generators(5)
+    for sig, am, bm in triples:
+        a, b = from_offdiag_mask(5, am), from_offdiag_mask(5, bm)
+        assert is_orthogonal(a, b)
+        assert sigma(a, b) == sig <= 14
+        assert (sig, bm, am) in found
+        for g in gens:
+            assert (sig, _slot_image(am, g), _slot_image(bm, g)) in found
 
 
 def test_counts():

@@ -192,10 +192,11 @@ def test_bounded_resource_cap():
 
 
 def test_bounded_time_limit_at_order_6():
-    # the clock is read on every tick; the whole search takes over a second
+    # the clock is read on every tick; listing every pair with at most 18
+    # zeros takes about 2 s on a 2-CPU host, ten times the limit
     t0 = time.monotonic()
     with pytest.raises(SearchInconclusive, match="time limit"):
-        theta_bounded(6, budget=17, time_limit=0.2)
+        list(enumerate_orthogonal_pairs(6, 18, time_limit=0.2))
     assert time.monotonic() - t0 < 10
 
 
