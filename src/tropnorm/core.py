@@ -59,25 +59,6 @@ class SearchInconclusive(RuntimeError):
 GRAPH_KINDS = ("ortho", "vnl", "wnl")
 
 
-def oplus_scalar(a: int, b: int) -> int:
-    """Tropical sum: max(a, b)."""
-    _check_scalar(a)
-    _check_scalar(b)
-    return max(a, b)
-
-
-def odot_scalar(a: int, b: int) -> int:
-    """Tropical product on {0, -1}: zero iff both arguments are zero."""
-    _check_scalar(a)
-    _check_scalar(b)
-    return ZERO if (a == ZERO and b == ZERO) else MINUS_ONE
-
-
-def _check_scalar(a: int) -> None:
-    if a not in _SCALARS:
-        raise ValueError(f"scalar must be 0 or -1, got {a!r}")
-
-
 @dataclass(frozen=True)
 class NormalMatrix:
     """Square matrix over {0, -1} with zero diagonal, stored as row bitmasks.

@@ -550,10 +550,6 @@ def girth(g: OrthoGraph):
     return stats(g)["girth"]
 
 
-def is_connected(g: OrthoGraph) -> bool:
-    return stats(g)["connected"]
-
-
 def has_loop(g: OrthoGraph, u: NormalMatrix) -> bool:
     c = int(g._class_of[g.vertex_index(u)])
     return bool(g._class_adj[c] & (1 << c))

@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 from math import comb
+from operator import and_
 
 from .core import (
     NormalMatrix,
@@ -211,28 +213,6 @@ def theta_delta_exhaustive(n: int) -> ThetaCertificate:
 # -- branch-and-bound engine --------------------------------------------
 
 
-@dataclass
-class _BnbContext:
-    node_limit: int
-    time_limit: float
-    t0: float = 0.0
-    nodes: int = 0
-
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.node_limit:
-            raise SearchInconclusive(
-                f"node limit {self.node_limit} exceeded", self.stats()
-            )
-        if time.monotonic() - self.t0 > self.time_limit:
-            raise SearchInconclusive(
-                f"time limit {self.time_limit}s exceeded", self.stats()
-            )
-
-    def stats(self) -> dict:
-        return {"nodes": self.nodes, "elapsed_s": time.monotonic() - self.t0}
-
-
 def _bounded_pairs(
     n: int,
     max_sigma: int,
@@ -251,87 +231,85 @@ def _bounded_pairs(
     than its least one (row ascending, then column descending) and an
     extension is kept only if canonical, which reaches every canonical
     set.  The pairs found are closed under the group and the swap by
-    writing out their orbits through `core._conj_tables`.  Per left
-    factor, exact per-column hitting-set sizes bound the right factor,
-    which is then enumerated column by column.
+    writing out their orbits through `core._conj_tables`.
+
+    The right factor is enumerated column by column from candidate bitsets
+    built once per call: column j of B takes the masks without bit j,
+    fewest zeros first, and `meets[j][r]` marks those allowed beside a row
+    r of A (all if r has a zero at j, else those that meet r).  Per left
+    factor, their AND over the rows of A lists the valid columns, and its
+    lowest bit gives the least zero count, whose sum over j bounds B.
 
     The stats count ticks (`nodes`: extensions tested plus DFS nodes), the
     extensions tested (`left_factors`), the canonical left factors searched,
     those cut by the column bound, DFS leaves with sigma(B) >= sigma(A),
-    and the leaves rejected because BA is not all zero.
+    and the leaves rejected because BA is not all zero.  A negative cap or
+    a NaN time limit raises ValueError.
     """
-    ctx = _BnbContext(node_limit, time_limit)
-    ctx.t0 = time.monotonic()
+    if node_limit < 0:
+        raise ValueError(f"node limit {node_limit} is negative")
+    if not time_limit >= 0:
+        raise ValueError(f"time limit {time_limit} is negative or NaN")
+    t0 = time.monotonic()
+    keys = ("nodes", "elapsed_s", "left_factors", "canonical", "col_cut", "leaves", "ba_rejects")
+    stats = dict.fromkeys(keys, 0)
+
+    def tick() -> None:
+        stats["nodes"] += 1
+        over = stats["nodes"] > node_limit
+        if over or time.monotonic() - t0 > time_limit:
+            stats["elapsed_s"] = time.monotonic() - t0
+            cap = f"node limit {node_limit}" if over else f"time limit {time_limit}s"
+            raise SearchInconclusive(f"{cap} exceeded", stats)
 
     full = (1 << n) - 1
 
-    # per column j: candidate off-diagonal column masks over rows != j,
-    # sorted by popcount, as (mask, popcount, row indices); mask bit is
-    # the true row index
-    universes = []
+    # per column j: the candidates as (zero count, row indices), and `meets`
+    cands, meets = [], []
     for j in range(n):
-        subs = sorted(
+        masks = sorted(
             (h for h in range(1 << n) if not h >> j & 1),
             key=lambda h: (h.bit_count(), h),
         )
-        universes.append([(h, h.bit_count(), tuple(_bits(h))) for h in subs])
+        cands.append([(h.bit_count(), tuple(_bits(h))) for h in masks])
+        meets.append([
+            sum(1 << t for t, h in enumerate(masks) if r >> j & 1 or h & r)
+            for r in range(1 << n)
+        ])
 
     reduced: list[tuple[int, int, int]] = []
-    tested = canonical = col_cut = leaves = ba_rejects = 0
-
-    def phase_stats() -> dict:
-        return {
-            **ctx.stats(),
-            "left_factors": tested,
-            "canonical": canonical,
-            "col_cut": col_cut,
-            "leaves": leaves,
-            "ba_rejects": ba_rejects,
-        }
 
     def search_left(arows: tuple[int, ...], a_off: int) -> None:
-        nonlocal col_cut
         b_budget = max_sigma - a_off
-
-        # column j of B must meet every row of A that has -1 in column j;
-        # the least such column per position bounds B from below
-        fams = [[r for r in arows if not r >> j & 1] for j in range(n)]
-        col_min = [
-            next(sz for h, sz, _ in universes[j] if all(map(h.__and__, fams[j])))
-            for j in range(n)
-        ]
+        oks = [reduce(and_, map(m.__getitem__, arows)) for m in meets]
+        # the lowest allowed candidate is the cheapest column j can take
+        col_min = [cands[j][(ok & -ok).bit_length() - 1][0] for j, ok in enumerate(oks)]
         if sum(col_min) > b_budget:
-            col_cut += 1
+            stats["col_cut"] += 1
             return
-        # candidate columns per position, cheapest first; listed only past
-        # the bound, which cuts most left factors
-        valid_cols = [
-            [col for col in universes[j] if all(map(col[0].__and__, fams[j]))]
-            for j in range(n)
-        ]
+        valid_cols = [[cands[j][t] for t in _bits(ok)] for j, ok in enumerate(oks)]
         suffix = [sum(col_min[j:]) for j in range(n + 1)]
 
         # DFS over columns of B
         brow_partial = [1 << i for i in range(n)]  # diagonal always zero
 
         def descend(j: int, used: int):
-            nonlocal leaves, ba_rejects
-            ctx.tick()
+            tick()
             if j == n:
                 if used < a_off:
                     return  # found from (B, A), whose left factor has fewer zeros
-                leaves += 1
+                stats["leaves"] += 1
                 # AB = Z holds by column construction; check BA = Z
                 for br in brow_partial:
                     if _row_union(br, arows) != full:
-                        ba_rejects += 1
+                        stats["ba_rejects"] += 1
                         return
                 bmask = offdiag_mask(n, brow_partial)
                 reduced.append((a_off + used, offdiag_mask(n, arows), bmask))
                 return
             rest = suffix[j + 1]
             jbit = 1 << j
-            for _, sz, idx in valid_cols[j]:
+            for sz, idx in valid_cols[j]:
                 if used + sz + rest > b_budget:
                     break
                 # set column j bits into the partial rows
@@ -348,25 +326,20 @@ def _bounded_pairs(
     cells = [(i, 1 << j) for i in range(n) for j in reversed(range(n)) if j != i]
 
     def grow(arows: list[int], a_off: int, start: int) -> None:
-        nonlocal tested, canonical
-        canonical += 1
+        stats["canonical"] += 1
         search_left(tuple(arows), a_off)
         if a_off == max_sigma // 2:
             return
         for k in range(start, len(cells)):
             i, jbit = cells[k]
-            ctx.tick()
-            tested += 1
+            tick()
+            stats["left_factors"] += 1
             arows[i] |= jbit
             if is_canonical(arows):
                 grow(arows, a_off + 1, k + 1)
             arows[i] ^= jbit
 
-    try:
-        grow([1 << i for i in range(n)], 0, 0)
-    except SearchInconclusive as exc:
-        exc.stats = phase_stats()
-        raise
+    grow([1 << i for i in range(n)], 0, 0)
 
     # close the pairs found under the group: write out the orbit of each
     # pair not reached yet, every conjugation of both factors and of both
@@ -383,7 +356,8 @@ def _bounded_pairs(
                 imb = offdiag_mask(n, [img[b[s]] for s in src])
                 found.add((sig, ima, imb))
                 found.add((sig, imb, ima))
-    return sorted(found), phase_stats()
+    stats["elapsed_s"] = time.monotonic() - t0
+    return sorted(found), stats
 
 
 def enumerate_orthogonal_pairs(

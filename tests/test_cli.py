@@ -168,6 +168,19 @@ def test_search_argument_errors(capsys):
         assert f"n={n}" in err
 
 
+def test_invalid_search_caps(capsys):
+    # a negative or NaN cap is refused and named; an infinite one is a cap
+    # that never stops the search
+    bounded = ("theta", "--n", "3", "--mode", "bounded", "--budget", "2")
+    enum = ("enumerate", "--n", "3", "--max-sigma", "2")
+    for flag, value in (("--time-limit", "nan"), ("--time-limit", "-1"), ("--node-limit", "-5")):
+        for argv in (bounded, enum):
+            code, doc, err = run(capsys, *argv, flag, value)
+            assert (code, doc) == (2, None)
+            assert f"limit {value}" in err
+    assert run(capsys, *bounded, "--time-limit", "inf")[0] == 0
+
+
 def test_removed_flags_rejected(capsys):
     assert run(capsys, "--threads", "2", "theta-delta", "--n", "3")[0] == 2
     assert run(capsys, "--seed", "7", "theta-delta", "--n", "3")[0] == 2
@@ -219,8 +232,10 @@ def test_resource_cap_exit(capsys):
         "1000",
     )
     assert code == 3
+    # listing every pair of order 6 with at most 18 zeros takes about 1.5 s
+    # on a 2-CPU host, seven times the limit
     code, doc, err = run(
-        capsys, "theta", "--n", "6", "--mode", "bounded", "--budget", "17", "--time-limit", "0.2"
+        capsys, "enumerate", "--n", "6", "--max-sigma", "18", "--time-limit", "0.2"
     )
     assert (code, doc) == (3, None)
     assert "time limit" in err

@@ -12,6 +12,7 @@ from tropnorm.core import (
     is_canonical,
     naive_odot,
     nu,
+    offdiag_rows,
     permute_conjugate,
     sigma,
     to_offdiag_mask,
@@ -24,6 +25,7 @@ from tropnorm.search import (
     COMPLETENESS_EXHAUSTIVE,
     COMPLETENESS_LOWER_BOUND,
     SearchInconclusive,
+    _bounded_pairs,
     _full_family,
     check_theorem_theta,
     enumerate_orthogonal_pairs,
@@ -184,31 +186,46 @@ def test_theta_5_closure():
         assert sigma(a, b) == 14
 
 
+STATS_KEYS = ["nodes", "elapsed_s", "left_factors", "canonical", "col_cut", "leaves", "ba_rejects"]
+
+
+def _counters(stats):
+    assert list(stats) == STATS_KEYS
+    return tuple(v for k, v in stats.items() if k != "elapsed_s")
+
+
 def test_bounded_resource_cap():
     with pytest.raises(SearchInconclusive) as exc:
         theta_bounded(6, budget=10, node_limit=100)
-    assert exc.value.stats["nodes"] <= 200
-    assert exc.value.stats["left_factors"] <= exc.value.stats["nodes"]
+    # the tick past the cap raises before its extension is counted
+    assert _counters(exc.value.stats) == (101, 100, 42, 42, 0, 0)
+
+
+def test_bounded_rejects_invalid_caps():
+    for caps in ({"node_limit": -5}, {"time_limit": -1.0}, {"time_limit": float("nan")}):
+        with pytest.raises(ValueError, match="negative"):
+            theta_bounded(3, 2, **caps)
+        with pytest.raises(ValueError, match="negative"):
+            list(enumerate_orthogonal_pairs(3, 2, **caps))
+    assert theta_bounded(3, 5, time_limit=float("inf")).value == 6
+    assert list(enumerate_orthogonal_pairs(3, 0, node_limit=0, time_limit=0.0)) == []
 
 
 def test_bounded_time_limit_at_order_6():
     # the clock is read on every tick; listing every pair with at most 18
-    # zeros takes about 2 s on a 2-CPU host, ten times the limit
+    # zeros takes about 1.5 s on a 2-CPU host, seven times the limit
     t0 = time.monotonic()
     with pytest.raises(SearchInconclusive, match="time limit"):
         list(enumerate_orthogonal_pairs(6, 18, time_limit=0.2))
     assert time.monotonic() - t0 < 10
 
 
-PHASES = ("left_factors", "canonical", "col_cut", "leaves", "ba_rejects")
-
-
 def test_bounded_phase_counters():
     stats = theta_bounded(4, budget=9).search_stats
-    assert set(stats) == {"nodes", "elapsed_s", *PHASES}
-    # extensions tested by the orderly generation, and the canonical left
-    # factors searched: one per orbit of S_4 x C2 with at most 9 // 2 zeros
-    assert (stats["left_factors"], stats["canonical"]) == (89, 33)
+    # (nodes, left_factors, canonical, col_cut, leaves, ba_rejects)
+    assert _counters(stats) == (500, 89, 33, 20, 207, 162)
+    # the canonical left factors searched: one per orbit of S_4 x C2 with
+    # at most 9 // 2 zeros
     assert stats["canonical"] == sum(
         1 for m in all_normal_matrices(4) if nu(m) - 4 <= 9 // 2 and is_canonical(m.rows)
     )
@@ -216,7 +233,7 @@ def test_bounded_phase_counters():
     assert stats["col_cut"] <= stats["canonical"]
     assert stats["ba_rejects"] <= stats["leaves"]
     stats = theta_bounded(5, budget=13).search_stats
-    assert (stats["left_factors"], stats["canonical"]) == (834, 354)
+    assert _counters(stats) == (3237, 834, 354, 304, 1000, 1000)
 
 
 def _brute_force_pairs(n):
@@ -254,6 +271,26 @@ def test_theta_exhaustive_matches_naive_scan_n3():
     assert cert.search_stats["nodes"] == sum(
         1 for am in masks for bm in masks if am.bit_count() + bm.bit_count() <= value
     )
+
+
+def test_bounded_pairs_match_full_family_scan_n4():
+    # every pair of order-4 masks with at most 10 zeros in all, tested by
+    # the row-set and full-family predicate of the exhaustive oracle
+    by_count = [[] for _ in range(11)]
+    for m in range(1 << 12):
+        if m.bit_count() <= 10:
+            by_count[m.bit_count()].append((m, *_full_family(4, offdiag_rows(4, m))))
+    scan = {
+        (ka + kb, am, bm)
+        for ka in range(11)
+        for kb in range(11 - ka)
+        for am, rs_a, nf_a in by_count[ka]
+        for bm, rs_b, nf_b in by_count[kb]
+        if not (rs_a & nf_b or rs_b & nf_a)
+    }
+    triples, _ = _bounded_pairs(4, 10)
+    assert len(triples) == len(scan) == 2946
+    assert set(triples) == scan
 
 
 def test_enumerate_n4_counts_and_closure():
