@@ -4,13 +4,17 @@ A bordered matrix stacks a column vector on the right, a row vector at
 the bottom and a forced 0 in the corner.  Orthogonality of two bordered
 matrices reduces to four vector conditions over the inner blocks, and a
 self-orthogonal block needs only two.
+
+Everything works on `core.NormalMatrix` row masks and `BorderVector.mask`
+(bit i-1 is position i): the border column is bit n of the inner rows, the
+border row one more mask, and a condition holds when its mask is full.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import MINUS_ONE, ZERO, DimensionMismatch, NormalMatrix, _cols, _row_union
+from .core import MINUS_ONE, ZERO, DimensionMismatch, NormalMatrix, _bits, _cols, _row_union
 from .ortho import is_orthogonal
 
 
@@ -42,14 +46,7 @@ class BorderVector:
         return ZERO if i in self.zeros else MINUS_ONE
 
     def mask(self) -> int:
-        m = 0
-        for i in self.zeros:
-            m |= 1 << (i - 1)
-        return m
-
-
-def _is_zero_vector_mask(mask: int, n: int) -> bool:
-    return mask == (1 << n) - 1
+        return sum(1 << (i - 1) for i in self.zeros)
 
 
 def left_product_mask(b: NormalMatrix, v: BorderVector) -> int:
@@ -64,13 +61,6 @@ def right_product_mask(w: BorderVector, b: NormalMatrix) -> int:
     if b.n != w.n:
         raise DimensionMismatch(f"block order {b.n} != vector length {w.n}")
     return _row_union(w.mask(), b.rows)
-
-
-def vector_oplus_mask(*masks: int) -> int:
-    out = 0
-    for m in masks:
-        out |= m
-    return out
 
 
 @dataclass(frozen=True)
@@ -90,12 +80,10 @@ class BorderedBlocks:
 def border_compose(blocks: BorderedBlocks) -> NormalMatrix:
     """Assemble the order n+1 matrix from blocks; the corner entry is 0."""
     n = blocks.b.n
-    zeros = set(blocks.b.zeros)
-    for i in blocks.v.zeros:
-        zeros.add((i, n + 1))
-    for j in blocks.w.zeros:
-        zeros.add((n + 1, j))
-    return NormalMatrix.from_zeros(n + 1, zeros)
+    v = blocks.v.mask()
+    rows = [r | (v >> i & 1) << n for i, r in enumerate(blocks.b.rows)]
+    rows.append(blocks.w.mask() | 1 << n)
+    return NormalMatrix(n + 1, tuple(rows))
 
 
 def border_split(a: NormalMatrix) -> BorderedBlocks:
@@ -103,11 +91,10 @@ def border_split(a: NormalMatrix) -> BorderedBlocks:
     if a.n < 2:
         raise ValueError("cannot split an order-1 matrix")
     n = a.n - 1
-    inner = NormalMatrix.from_zeros(
-        n, {(i, j) for (i, j) in a.zeros if i <= n and j <= n}
-    )
-    v = BorderVector(n, {i for i in range(1, n + 1) if a.entry(i, n + 1) == ZERO})
-    w = BorderVector(n, {j for j in range(1, n + 1) if a.entry(n + 1, j) == ZERO})
+    low = (1 << n) - 1
+    inner = NormalMatrix(n, tuple(r & low for r in a.rows[:n]))
+    v = BorderVector(n, {i + 1 for i in _bits(a.col_mask(n + 1) & low)})
+    w = BorderVector(n, {j + 1 for j in _bits(a.rows[n] & low)})
     return BorderedBlocks(inner, v, w)
 
 
@@ -121,20 +108,13 @@ def border_orthogonality_condition(b1: BorderedBlocks, b2: BorderedBlocks) -> di
     if not is_orthogonal(b1.b, b2.b):
         raise ValueError("inner blocks are not mutually orthogonal")
     conds = {
-        "b1_v2_oplus_v1": vector_oplus_mask(
-            left_product_mask(b1.b, b2.v), b1.v.mask()
-        ),
-        "b2_v1_oplus_v2": vector_oplus_mask(
-            left_product_mask(b2.b, b1.v), b2.v.mask()
-        ),
-        "w1_b2_oplus_w2": vector_oplus_mask(
-            right_product_mask(b1.w, b2.b), b2.w.mask()
-        ),
-        "w2_b1_oplus_w1": vector_oplus_mask(
-            right_product_mask(b2.w, b1.b), b1.w.mask()
-        ),
+        "b1_v2_oplus_v1": left_product_mask(b1.b, b2.v) | b1.v.mask(),
+        "b2_v1_oplus_v2": left_product_mask(b2.b, b1.v) | b2.v.mask(),
+        "w1_b2_oplus_w2": right_product_mask(b1.w, b2.b) | b2.w.mask(),
+        "w2_b1_oplus_w1": right_product_mask(b2.w, b1.b) | b1.w.mask(),
     }
-    detail = {k: _is_zero_vector_mask(m, n) for k, m in conds.items()}
+    full = (1 << n) - 1
+    detail = {k: m == full for k, m in conds.items()}
     return {"orthogonal": all(detail.values()), "conditions": detail}
 
 
@@ -144,9 +124,10 @@ def self_ortho_border_condition(blocks: BorderedBlocks) -> dict:
     b = blocks.b
     if not is_orthogonal(b, b):
         raise ValueError("inner block is not self-orthogonal")
+    full = (1 << b.n) - 1
     detail = {
-        "b_v": _is_zero_vector_mask(left_product_mask(b, blocks.v), b.n),
-        "w_b": _is_zero_vector_mask(right_product_mask(blocks.w, b), b.n),
+        "b_v": left_product_mask(b, blocks.v) == full,
+        "w_b": right_product_mask(blocks.w, b) == full,
     }
     return {"self_orthogonal": all(detail.values()), "conditions": detail}
 
@@ -159,17 +140,12 @@ def reduce_size(a: NormalMatrix, i: int) -> NormalMatrix:
         raise IndexError(f"index {i} out of range 1..{n}")
     if n < 2:
         raise ValueError("cannot reduce an order-1 matrix")
-    row_off = a.rows[i - 1] & ~(1 << (i - 1))
-    col_off = a.col_mask(i) & ~(1 << (i - 1))
-    if row_off or col_off:
+    bit = 1 << (i - 1)
+    if a.rows[i - 1] != bit or a.col_mask(i) != bit:
         raise ValueError(
             f"row/column {i} has off-diagonal zeros; deletion not supported"
         )
-
-    def shift(x: int) -> int:
-        return x if x < i else x - 1
-
-    zeros = {
-        (shift(r), shift(c)) for (r, c) in a.zeros if r != i and c != i
-    }
-    return NormalMatrix.from_zeros(n - 1, zeros)
+    # squeeze bit i-1, now clear, out of every other row
+    low = bit - 1
+    rows = [(r & low) | (r >> i << (i - 1)) for r in a.rows[:i - 1] + a.rows[i:]]
+    return NormalMatrix(n - 1, tuple(rows))

@@ -196,11 +196,16 @@ def _cert_doc(command: str, cert: ThetaCertificate) -> dict:
     return doc
 
 
+def _given(args, names: tuple[str, ...]) -> dict:
+    """The options among names that the command line sets; the others keep
+    the defaults of the function they are passed to."""
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+
+
 def _cmd_theta(args) -> int:
     from . import search
     # the bounded search's limits; an exhaustive run has none to apply
-    names = ("budget", "node_limit", "time_limit")
-    limits = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+    limits = _given(args, ("budget", "node_limit", "time_limit"))
     if args.mode == "exhaustive":
         if limits:
             given = ", ".join("--" + k.replace("_", "-") for k in limits)
@@ -232,14 +237,8 @@ def _cmd_theta_delta(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     from .search import enumerate_orthogonal_pairs
-    pairs = list(
-        enumerate_orthogonal_pairs(
-            args.n,
-            args.max_sigma,
-            node_limit=args.node_limit,
-            time_limit=args.time_limit,
-        )
-    )
+    limits = _given(args, ("node_limit", "time_limit"))
+    pairs = list(enumerate_orthogonal_pairs(args.n, args.max_sigma, **limits))
     doc = {
         "command": "enumerate",
         "n": args.n,
@@ -415,8 +414,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="orthogonal pairs up to a zero budget")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-sigma", type=int, required=True)
-    p.add_argument("--node-limit", type=int, default=200_000_000)
-    p.add_argument("--time-limit", type=float, default=3600.0)
+    p.add_argument("--node-limit", type=int)
+    p.add_argument("--time-limit", type=float)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("check-theorem", help="minimal-pair characterization check")

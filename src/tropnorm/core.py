@@ -1,9 +1,12 @@
 """Two-element tropical semiring {0, -1} and normal matrices over it.
 
 A normal matrix is identified with its set of zero positions: the diagonal
-is always zero, every other entry is 0 or -1.  Internally each matrix keeps
-one bitmask per row (bit j-1 set means entry (i, j) is zero), which makes
+is always zero, every other entry is 0 or -1.  Each matrix keeps one
+bitmask per row (bit j-1 set means entry (i, j) is zero), which makes
 tropical products and row/column extraction cheap up to n ~ 12 and beyond.
+It is the one encoding: `families`, `border` and the conjugations here
+build and read row masks, and `NormalMatrix.from_zeros` and `.zeros` serve
+only callers whose input or output really is a set of positions.
 
 This module owns every bit-level decision about that format, and the other
 modules call it instead of re-deriving them:
@@ -278,12 +281,12 @@ def permute_conjugate(a: NormalMatrix, i: int, j: int) -> NormalMatrix:
     a._check_index(j)
     if i == j:
         return a
-    swap = {i: j, j: i}
-    zeros = [
-        (swap.get(p, p), swap.get(q, q))
-        for (p, q) in a.zeros
-    ]
-    return NormalMatrix.from_zeros(a.n, zeros)
+    p, q = i - 1, j - 1
+    rows = list(a.rows)
+    rows[p], rows[q] = rows[q], rows[p]
+    # swap bits p and q of every row: flip both where they differ
+    both = 1 << p | 1 << q
+    return NormalMatrix(a.n, tuple(r ^ both if (r >> p ^ r >> q) & 1 else r for r in rows))
 
 
 # -- counting --------------------------------------------------------

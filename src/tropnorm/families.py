@@ -1,13 +1,14 @@
 """Constraint families V/W/Z, generic matrices and the minimal-pair family.
 
-An atom forces a set of zero positions:
+An atom forces zeros, given as the row masks of `core.NormalMatrix`:
 
-  V(p;q)  all of row p and all of column q,
-  W(p;q)  row p except (p,q) and column q except (p,q),
+  V(p;q)  all of row p and all of column q: row p full, bit q-1 elsewhere,
+  W(p;q)  the same without the cell (p,q),
   Z(p;q)  the single cell (p,q).
 
-A FamilySpec is a conjunction of atoms; its generic matrix has exactly the
-forced zeros (plus the diagonal) and -1 everywhere else.
+A FamilySpec is a conjunction of atoms; its rows are the OR of the atoms'
+rows and the diagonal, and its generic matrix has exactly those zeros and
+-1 everywhere else.  Membership is a maskwise subset test.
 
 `mm_pair` builds the generic pair of a minimal-family label (k, m, variant)
 and `mm_classify` finds the first label whose pair equals its input.  Every
@@ -40,23 +41,20 @@ class Atom:
     def __str__(self) -> str:
         return f"{self.kind}:{self.p},{self.q}"
 
-    def forced_zeros(self, n: int) -> frozenset[tuple[int, int]]:
+    def rows(self, n: int) -> tuple[int, ...]:
+        """Row masks of the zeros the atom forces, in core's format (bit
+        j-1 of rows[i-1] is the cell (i, j))."""
         if not (1 <= self.p <= n and 1 <= self.q <= n):
             raise ValueError(f"atom {self} out of range for n={n}")
-        p, q = self.p, self.q
-        if self.kind == "V":
-            return frozenset(
-                [(p, i) for i in range(1, n + 1)]
-                + [(i, q) for i in range(1, n + 1)]
-            )
-        if self.kind == "W":
-            return frozenset(
-                [(p, i) for i in range(1, n + 1) if i != q]
-                + [(i, q) for i in range(1, n + 1) if i != p]
-            )
-        if self.kind == "Z":
-            return frozenset([(p, q)])
-        raise ValueError(f"unknown atom kind {self.kind!r}")
+        full, qbit = (1 << n) - 1, 1 << (self.q - 1)
+        # per kind: row p, and every other row (column q)
+        forced = {"V": (full, qbit), "W": (full ^ qbit, qbit), "Z": (qbit, 0)}
+        if self.kind not in forced:
+            raise ValueError(f"unknown atom kind {self.kind!r}")
+        row_p, col_q = forced[self.kind]
+        rows = [col_q] * n
+        rows[self.p - 1] = row_p
+        return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -91,11 +89,12 @@ class FamilySpec:
         return "&".join(str(a) for a in self.atoms)
 
     @property
-    def required_zeros(self) -> frozenset[tuple[int, int]]:
-        zeros = {(i, i) for i in range(1, self.n + 1)}
+    def rows(self) -> tuple[int, ...]:
+        """Row masks of the forced zeros, diagonal included."""
+        rows = [1 << i for i in range(self.n)]
         for atom in self.atoms:
-            zeros |= atom.forced_zeros(self.n)
-        return frozenset(zeros)
+            rows = [r | f for r, f in zip(rows, atom.rows(self.n))]
+        return tuple(rows)
 
 
 def family(n: int, *atoms: tuple[str, int, int]) -> FamilySpec:
@@ -105,14 +104,14 @@ def family(n: int, *atoms: tuple[str, int, int]) -> FamilySpec:
 
 def spec_generic(spec: FamilySpec) -> NormalMatrix:
     """The unique matrix with exactly the forced zeros."""
-    return NormalMatrix.from_zeros(spec.n, spec.required_zeros)
+    return NormalMatrix(spec.n, spec.rows)
 
 
 def spec_contains(spec: FamilySpec, a: NormalMatrix) -> bool:
     """Membership: every forced zero is a zero of A."""
     if spec.n != a.n:
         raise DimensionMismatch(f"orders differ: {spec.n} vs {a.n}")
-    return spec.required_zeros <= a.zeros
+    return all(f & ~r == 0 for f, r in zip(spec.rows, a.rows))
 
 
 # -- the four-variant minimal-pair family -----------------------------

@@ -31,7 +31,8 @@ of the pattern, so the signatures of all masks are the outer AND of two
 tables over half masks.  A class is one value of an int64 key: the VNL
 signature, or for WNL a 2-bit level per (p, q) that counts the nested
 patterns W ⊆ W&Z(q;p) ⊆ W&Z(p;q)&Z(q;p) the mask contains.  Classes are
-numbered in the lexicographic order of their signatures.
+numbered in the order of their keys, and the signature rows of the edge
+terms are decoded from the keys.
 
 Conjugation by permutation matrices and the transpose are automorphisms
 of all three graphs, and eccentricity is invariant under automorphisms.
@@ -43,8 +44,8 @@ union-find joins each class with the classes of its images (ORTHO n=4:
 Vertices are keyed by their off-diagonal mask (`core.to_offdiag_mask`).
 A graph keeps only the sorted numpy array of those masks: `vertices`
 decodes a matrix on demand, and `vertex_index` is a binary search.  The
-V/W/Z patterns are the masks of the zeros a `families.Atom` forces, so
-neither the slot order nor the patterns are written here.
+V/W/Z patterns are the off-diagonal masks of the rows a `families.Atom`
+forces, so neither the slot order nor the patterns are written here.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from .core import (
     _offdiag_tables,
     _row_union,
     from_offdiag_mask,
+    offdiag_mask,
     slot_generators,
     to_offdiag_mask,
 )
@@ -89,9 +91,7 @@ def _patterns(n: int) -> dict[tuple[str, int, int], int]:
     """Off-diagonal mask of the zeros each atom (kind, p, q) of order n
     forces, keyed by (kind, p, q)."""
     return {
-        (kind, p, q): to_offdiag_mask(
-            NormalMatrix.from_zeros(n, Atom(kind, p, q).forced_zeros(n))
-        )
+        (kind, p, q): offdiag_mask(n, Atom(kind, p, q).rows(n))
         for kind in ATOM_KINDS
         for p in range(1, n + 1)
         for q in range(1, n + 1)
@@ -337,24 +337,22 @@ def _build_pattern_graph(kind: str, n: int) -> OrthoGraph:
     import numpy as np
     full = (1 << (n * n - n)) - 1
     pattern_lists = [_vnl_patterns(n)] if kind == VNL else _wnl_patterns(n)
-    sigs = [_signatures(n, pats) for pats in pattern_lists]
+    # one key per mask: the bits s of the pattern lists sum into bits 2s,
+    # 2s+1, a level that fixes all three as wzz => wzo => w
+    key = sum(_signatures(n, pats, 2) for pats in pattern_lists)
 
-    # vertex filter: some off-diagonal (p,q) pattern, and not the top matrix
-    offdiag_bits = sum(1 << (p * n + q) for p in range(n) for q in range(n) if p != q)
-    is_vert = (sigs[0] & offdiag_bits) != 0
+    # vertex filter: some off-diagonal (p,q) level, and not the top matrix
+    offdiag_fields = sum(3 << 2 * (p * n + q) for p in range(n) for q in range(n) if p != q)
+    is_vert = (key & offdiag_fields) != 0
     is_vert[full] = False
     vmask = np.flatnonzero(is_vert)
 
-    # quotient by one key per vertex: the bits s of the pattern lists sum
-    # into bits 2s, 2s+1, a level that fixes all three as wzz => wzo => w
-    key = sum(_signatures(n, pats, 2) for pats in pattern_lists)[is_vert]
-    _, first, class_of = np.unique(key, return_index=True, return_inverse=True)
-    # number the classes by their signature rows, not by the packed key
-    rows = [s[vmask[first]] for s in sigs]
-    order = np.lexsort(rows[::-1])
-    rows = [r[order] for r in rows]
-    class_of = np.argsort(order)[class_of]
-    sizes = np.bincount(class_of, minlength=len(order)).tolist()
+    # a class is a key value; signature row t has bit s where level s exceeds t
+    keys, class_of = np.unique(key[is_vert], return_inverse=True)
+    levels = [(keys >> 2 * s) & 3 for s in range(n * n)]
+    rows = [sum((lv > t).astype(np.int64) << s for s, lv in enumerate(levels))
+            for t in range(len(pattern_lists))]
+    sizes = np.bincount(class_of, minlength=len(keys)).tolist()
 
     # transposing moves signature bit (p, q) to (q, p)
     perm = [q * n + p for p in range(n) for q in range(n)]

@@ -458,31 +458,30 @@ def _mm_generic_pairs(n: int) -> list[tuple[NormalMatrix, NormalMatrix]]:
 def check_theorem_theta(n: int) -> dict:
     """Machine-check of the minimal-pair characterization.
 
-    n = 2: the exhaustive minimal pairs coincide with the generic family.
+    n = 2..6: the minimal pairs are those of least sigma in
+    `enumerate_orthogonal_pairs(n, 4n - 6)`, which lists every pair up to
+    the family's 4n - 6 zeros, so the least sigma there is theta(n).
+    n = 2: they coincide with the generic family.
     n = 3..6: the equivalence fails; the stored outsider pair is among
-    the minimal pairs and lies outside the family.  The minimal pairs are
-    those of least sigma in `enumerate_orthogonal_pairs(n, 4n - 6)`, which
-    lists every pair up to the family's 4n - 6 zeros, so the least sigma
-    there is theta(n).
+    the minimal pairs and lies outside the family.
     n = 7..10: forward direction only; every generic family pair is
     orthogonal with the predicted zero counts.
     """
+    if 2 <= n <= 6:
+        pairs = list(enumerate_orthogonal_pairs(n, 4 * n - 6))
+        theta = sigma(*pairs[0])
+        minimal = [p for p in pairs if sigma(*p) == theta]
     if n == 2:
-        cert = theta_exhaustive(2)
-        minimal = {(a.rows, b.rows) for a, b in cert.witnesses}
-        generic = {(a.rows, b.rows) for a, b in _mm_generic_pairs(2)}
+        generic = set(_mm_generic_pairs(2))
         return {
             "n": n,
             "mode": "equivalence",
-            "holds": minimal == generic,
-            "theta": cert.value,
+            "holds": set(minimal) == generic,
+            "theta": theta,
             "minimal_pairs": len(minimal),
             "family_pairs": len(generic),
         }
     if 3 <= n <= 6:
-        pairs = list(enumerate_orthogonal_pairs(n, 4 * n - 6))
-        theta = sigma(*pairs[0])
-        minimal = [p for p in pairs if sigma(*p) == theta]
         outsiders = {p for p in minimal if mm_classify(*p) is None}
         stored_found = fixtures.minimal_pair_outside_family(n) in outsiders
         return {

@@ -12,7 +12,7 @@ from tropnorm.border import (
     reduce_size,
     self_ortho_border_condition,
 )
-from tropnorm.core import identity, mat_odot, all_zero
+from tropnorm.core import NormalMatrix, identity, mat_odot, all_zero
 from tropnorm.ortho import is_orthogonal
 
 
@@ -153,3 +153,77 @@ def test_reduce_preserves_orthogonality_of_remainder():
         assert is_orthogonal(r1, r2)
         assert mat_odot(r1, r2) == all_zero(n)
         checked += 1
+
+
+# -- references on zero-position sets ---------------------------------------
+
+
+def _compose_zeros(blocks):
+    n = blocks.b.n
+    zeros = set(blocks.b.zeros)
+    zeros |= {(i, n + 1) for i in blocks.v.zeros}
+    zeros |= {(n + 1, j) for j in blocks.w.zeros}
+    return NormalMatrix.from_zeros(n + 1, zeros)
+
+
+def _split_zeros(a):
+    n = a.n - 1
+    inner = NormalMatrix.from_zeros(n, {(i, j) for i, j in a.zeros if i <= n and j <= n})
+    v = BorderVector(n, {i for i, j in a.zeros if j == n + 1 and i <= n})
+    w = BorderVector(n, {j for i, j in a.zeros if i == n + 1 and j <= n})
+    return BorderedBlocks(inner, v, w)
+
+
+def _reduce_zeros(a, i):
+    """Row and column i deleted, or None when they hold an off-diagonal zero."""
+    if any(i in (r, c) and r != c for r, c in a.zeros):
+        return None
+
+    def shift(x):
+        return x if x < i else x - 1
+
+    return NormalMatrix.from_zeros(
+        a.n - 1, {(shift(r), shift(c)) for r, c in a.zeros if i not in (r, c)}
+    )
+
+
+def test_compose_split_match_zero_sets():
+    rng = random.Random(38)
+    for n in range(1, 8):
+        for _ in range(60):
+            blocks = rand_blocks(rng, n)
+            assert border_compose(blocks) == _compose_zeros(blocks)
+            a = rand_normal(rng, n + 1)
+            assert border_split(a) == _split_zeros(a)
+    with pytest.raises(ValueError, match="order-1"):
+        border_split(identity(1))
+
+
+def test_reduce_size_matches_zero_sets():
+    rng = random.Random(39)
+    for n in range(2, 8):
+        for i in range(1, n + 1):
+            for _ in range(10):
+                # clear row and column i, then put one zero back in the row
+                # only, in the column only, or nowhere
+                rows = [r if k == i - 1 else r & ~(1 << (i - 1))
+                        for k, r in enumerate(rand_normal(rng, n).rows)]
+                rows[i - 1] = 1 << (i - 1)
+                clean = NormalMatrix(n, tuple(rows))
+                t = rng.choice([t for t in range(1, n + 1) if t != i])
+                row_only = NormalMatrix.from_zeros(n, clean.zeros | {(i, t)})
+                col_only = NormalMatrix.from_zeros(n, clean.zeros | {(t, i)})
+                assert reduce_size(clean, i) == _reduce_zeros(clean, i)
+                for a in (row_only, col_only):
+                    assert _reduce_zeros(a, i) is None
+                    with pytest.raises(ValueError, match=f"row/column {i} has off-diagonal"):
+                        reduce_size(a, i)
+            a = rand_normal(rng, n)
+            want = _reduce_zeros(a, i)
+            if want is None:
+                with pytest.raises(ValueError):
+                    reduce_size(a, i)
+            else:
+                assert reduce_size(a, i) == want
+    with pytest.raises(ValueError, match="order-1"):
+        reduce_size(identity(1), 1)

@@ -181,6 +181,23 @@ def test_invalid_search_caps(capsys):
     assert run(capsys, *bounded, "--time-limit", "inf")[0] == 0
 
 
+def test_enumerate_passes_only_given_caps(capsys, monkeypatch):
+    # a cap left off the command line takes the search's own default
+    from tropnorm import search
+    seen = []
+
+    def fake(n, max_sigma, **caps):
+        seen.append(caps)
+        return iter(())
+
+    monkeypatch.setattr(search, "enumerate_orthogonal_pairs", fake)
+    enum = ("enumerate", "--n", "3", "--max-sigma", "2")
+    for flags, caps in (((), {}), (("--node-limit", "7"), {"node_limit": 7}),
+                        (("--time-limit", "2.5"), {"time_limit": 2.5})):
+        assert run(capsys, *enum, *flags)[0] == 0
+        assert seen.pop() == caps
+
+
 def test_removed_flags_rejected(capsys):
     assert run(capsys, "--threads", "2", "theta-delta", "--n", "3")[0] == 2
     assert run(capsys, "--seed", "7", "theta-delta", "--n", "3")[0] == 2

@@ -149,6 +149,26 @@ def test_permute_conjugate():
         assert nu(permute_conjugate(m, i, j)) == nu(m)
 
 
+def test_permute_conjugate_matches_relabelling():
+    # every (i, j) at orders 1..6, against moving each zero (p, q) to
+    # (s(p), s(q)) for the transposition s = (i j)
+    rng = random.Random(6)
+    for n in range(1, 7):
+        if n <= 3:
+            mats = list(all_normal_matrices(n))
+        else:
+            mats = [rand_normal(rng, n) for _ in range(40)]
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                s = {i: j, j: i}
+                for m in mats:
+                    moved = [(s.get(p, p), s.get(q, q)) for p, q in m.zeros]
+                    want = NormalMatrix.from_zeros(n, moved)
+                    assert permute_conjugate(m, i, j) == want, (m, i, j)
+    with pytest.raises(IndexError):
+        permute_conjugate(identity(3), 0, 2)
+
+
 def _orbit(m):
     """Every P A P^-1 and P A^T P^-1, from the definition."""
     out = set()

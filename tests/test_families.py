@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from conftest import rand_normal
+from conftest import atom_zeros, rand_normal
 from tropnorm import fixtures
 from tropnorm.core import (
+    DimensionMismatch,
     NormalMatrix,
     all_normal_matrices,
     from_offdiag_mask,
@@ -52,11 +53,11 @@ def test_v_is_w_cap_z():
             for q in range(1, n + 1):
                 v = family(n, ("V", p, q))
                 wz = family(n, ("W", p, q), ("Z", p, q))
-                assert v.required_zeros == wz.required_zeros
+                assert v.rows == wz.rows
                 # V(p;p) = W(p;p) and Z(p;p) forces nothing new
                 if p == q:
                     w = family(n, ("W", p, p))
-                    assert v.required_zeros == w.required_zeros
+                    assert v.rows == w.rows
 
 
 def test_generic_matrix_and_membership():
@@ -73,7 +74,52 @@ def test_generic_matrix_and_membership():
         p, q = rng.randint(1, n), rng.randint(1, n)
         spec = family(n, ("W", p, q))
         a = rand_normal(rng, n)
-        assert spec_contains(spec, a) == (spec.required_zeros <= a.zeros)
+        assert spec_contains(spec, a) == (_spec_zeros(spec) <= a.zeros)
+
+
+def _spec_zeros(spec):
+    """The zeros a spec forces, diagonal included, as a set of positions."""
+    zeros = {(i, i) for i in range(1, spec.n + 1)}
+    for atom in spec.atoms:
+        zeros |= atom_zeros(atom.kind, atom.p, atom.q, spec.n)
+    return zeros
+
+
+def test_atom_rows_match_positions():
+    # every atom of orders 1..7, against its definition as a position set
+    for n in range(1, 8):
+        for kind in ("V", "W", "Z"):
+            for p in range(1, n + 1):
+                for q in range(1, n + 1):
+                    rows = Atom(kind, p, q).rows(n)
+                    got = {(i + 1, j + 1) for i, r in enumerate(rows)
+                           for j in range(n) if r >> j & 1}
+                    assert got == atom_zeros(kind, p, q, n), (kind, p, q, n)
+    for atom in (Atom("V", 0, 1), Atom("W", 1, 4), Atom("Z", 4, 4)):
+        with pytest.raises(ValueError, match="out of range for n=3"):
+            atom.rows(3)
+    with pytest.raises(ValueError, match="unknown atom kind 'Q'"):
+        Atom("Q", 1, 2).rows(3)
+
+
+def test_spec_contains_is_set_inclusion():
+    # random conjunctions of up to three atoms against random and generic
+    # matrices, and the generic matrix is the spec's own position set
+    rng = random.Random(22)
+    hits = 0
+    for _ in range(600):
+        n = rng.randint(1, 7)
+        atoms = [(rng.choice("VWZ"), rng.randint(1, n), rng.randint(1, n))
+                 for _ in range(rng.randint(1, 3))]
+        spec = family(n, *atoms)
+        assert spec_generic(spec).zeros == _spec_zeros(spec)
+        for a in (rand_normal(rng, n), spec_generic(family(n, rng.choice(atoms)))):
+            want = _spec_zeros(spec) <= a.zeros
+            assert spec_contains(spec, a) == want, (spec, a)
+            hits += want
+    assert 0 < hits < 1200
+    with pytest.raises(DimensionMismatch):
+        spec_contains(family(3, ("V", 1, 2)), identity(4))
 
 
 def test_generic_zero_counts():

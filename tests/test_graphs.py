@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import rand_normal
+from conftest import atom_zeros, rand_normal
 from tropnorm import fixtures, graphs
 from tropnorm.core import (
     NormalMatrix,
@@ -16,7 +16,6 @@ from tropnorm.core import (
     naive_odot,
     transpose,
 )
-from tropnorm.families import Atom
 from tropnorm.graphs import (
     ORTHO,
     VNL,
@@ -229,8 +228,8 @@ def _edge_pair(rng, kind, n):
     corner conditions holds.  Other cells are zero with probability 1/4."""
     k, m = rng.sample(range(1, n + 1), 2)
     atom = "V" if kind == VNL else "W"
-    za = set(Atom(atom, k, m).forced_zeros(n))
-    zb = set(Atom(atom, m, k).forced_zeros(n))
+    za = atom_zeros(atom, k, m, n)
+    zb = atom_zeros(atom, m, k, n)
     if kind == WNL:  # corner zeros of A and of B, one pair per rule
         corners = {(k, m), (m, k)}
         ca, cb = rng.choice([(corners, set()), ({(m, k)}, {(k, m)}), (set(), corners)])

@@ -27,6 +27,7 @@ from tropnorm.search import (
     SearchInconclusive,
     _bounded_pairs,
     _full_family,
+    _mm_generic_pairs,
     check_theorem_theta,
     enumerate_orthogonal_pairs,
     theta_bounded,
@@ -346,6 +347,17 @@ def test_certificate_document():
     assert doc["completeness"] == COMPLETENESS_EXHAUSTIVE
     assert len(doc["witnesses"]) == min(66, 10_000)
     assert doc["total_witnesses"] == 66
+
+
+def test_check_theorem_order_two_matches_exhaustive_oracle():
+    # the n = 2 equivalence runs on the enumeration; the exhaustive search
+    # gives the same theta and the same minimal pairs, which are the family's
+    res = check_theorem_theta(2)
+    cert = theta_exhaustive(2)
+    assert res == {"n": 2, "mode": "equivalence", "holds": True, "theta": cert.value,
+                   "minimal_pairs": cert.total_witnesses, "family_pairs": 4}
+    pairs = [p for p in enumerate_orthogonal_pairs(2, 2) if sigma(*p) == cert.value]
+    assert set(pairs) == set(cert.witnesses) == set(_mm_generic_pairs(2))
 
 
 def test_check_theorem_small_orders():
