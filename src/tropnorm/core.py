@@ -4,26 +4,28 @@ A normal matrix is identified with its set of zero positions: the diagonal
 is always zero, every other entry is 0 or -1.  Each matrix keeps one
 bitmask per row (bit j-1 set means entry (i, j) is zero), which makes
 tropical products and row/column extraction cheap up to n ~ 12 and beyond.
-It is the one encoding: `families`, `border` and the conjugations here
-build and read row masks, and `NormalMatrix.from_zeros` and `.zeros` serve
-only callers whose input or output really is a set of positions.
+It is the one encoding: every builder in the package, here and in
+`ortho`, `families` and `border`, sets row masks, and `from_zeros` and
+`.zeros` serve only callers whose input or output is a set of positions.
 
 This module owns every bit-level decision about that format, and the other
 modules call it instead of re-deriving them:
 
 * the off-diagonal mask codec: `offdiag_rows` decodes an n(n-1)-bit mask
-  (one bit per off-diagonal cell, in `offdiag_positions` order) to row
-  masks through per-order lookup tables, and `offdiag_mask` encodes;
+  (one bit per off-diagonal cell, row-major) to row masks through
+  per-order lookup tables, `offdiag_row_array` decodes a numpy array of
+  masks, and `offdiag_mask` encodes ints or, elementwise, int64 arrays;
 * the row-union kernel `_row_union`: the union of the rows picked by the
   set bits of a mask, which is one row of a tropical product;
-* set-bit iteration `_bits` and the bit transpose `_cols`;
+* set-bit iteration `_bits` and the bit transpose `_cols`, with
+  `_col_array` its form on a numpy array of row masks;
 * the symmetry group S_n x C2 of conjugation by permutation matrices
-  and the transpose: per-order conjugation tables `_conj_tables` apply
-  every permutation to row masks, `is_canonical` picks the lex-greatest
-  matrix of each orbit through the entries of those tables that can
-  give it its first row, and the slot-generator table `slot_generators`
-  holds the transposition (1 2), the n-cycle and the transpose, which
-  generate the group, each as a permutation of the off-diagonal slots.
+  and the transpose, in one form: `_conj` gives conjugation by a
+  permutation as a (source rows, row-mask image) pair, `_conj_tables`
+  holds it for every permutation, `conj_generators` for the
+  transposition (1 2) and the n-cycle, which with the transpose generate
+  the group, and `is_canonical` picks the lex-greatest matrix of each
+  orbit through the table entries that can give it its first row.
 
 All indices in the public API are 1-based.
 """
@@ -33,7 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ZERO = 0
 MINUS_ONE = -1
@@ -99,18 +104,17 @@ class NormalMatrix:
     @classmethod
     def from_entries(cls, entries: list[list[int]]) -> "NormalMatrix":
         n = len(entries)
-        zeros = []
+        rows = []
         for i, row in enumerate(entries, 1):
             if len(row) != n:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
             for j, e in enumerate(row, 1):
                 if e not in _SCALARS:
                     raise ValueError(f"entry ({i},{j}) must be 0 or -1, got {e!r}")
-                if e == ZERO:
-                    zeros.append((i, j))
-                elif i == j:
+                if e != ZERO and i == j:
                     raise ValueError(f"diagonal entry ({i},{i}) must be zero")
-        return cls.from_zeros(n, zeros)
+            rows.append(sum(1 << j for j, e in enumerate(row) if e == ZERO))
+        return cls(n, tuple(rows))
 
     # -- inspection --------------------------------------------------
 
@@ -187,6 +191,13 @@ def _cols(rows: Sequence[int]) -> list[int]:
     return cols
 
 
+def _col_array(rows: np.ndarray) -> np.ndarray:
+    """`_cols` of each row of an int64 array of row masks, one matrix a row."""
+    import numpy as np
+    bits = np.arange(rows.shape[1])
+    return sum(((rows[:, [i]] >> bits) & 1) << i for i in bits.tolist())
+
+
 # -- distinguished matrices -----------------------------------------
 
 
@@ -215,7 +226,9 @@ def elementary_u(i: int, j: int, n: int) -> NormalMatrix:
     """Diagonal plus a single zero at (i, j); requires i != j."""
     if i == j:
         raise ValueError("U(i,i) coincides with the identity; rejected")
-    return NormalMatrix.from_zeros(n, [(i, j)])
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"position ({i},{j}) out of range for n={n}")
+    return NormalMatrix(n, tuple(1 << t | (t == i - 1) << (j - 1) for t in range(n)))
 
 
 def make_elementary(kind: str, n: int, i: int = 0, j: int = 0) -> NormalMatrix:
@@ -355,11 +368,6 @@ def format_matrix(a: NormalMatrix) -> str:
 # -- enumeration helpers ---------------------------------------------
 
 
-def offdiag_positions(n: int) -> list[tuple[int, int]]:
-    """Row-major list of the n(n-1) off-diagonal positions (1-based)."""
-    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-
-
 @lru_cache(maxsize=None)
 def _offdiag_tables(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Per row i: the shift of its (n-1)-bit field in an off-diagonal mask,
@@ -379,7 +387,7 @@ def _offdiag_tables(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
 
 def offdiag_rows(n: int, mask: int) -> tuple[int, ...]:
     """Row masks of the normal matrix whose off-diagonal zeros are the set
-    bits of mask, in the order given by offdiag_positions."""
+    bits of mask, one bit per off-diagonal cell in row-major order."""
     stride = n - 1
     if n < 1 or mask < 0 or mask >> (n * stride):
         raise ValueError(f"mask {mask} does not fit the off-diagonal slots of order {n}")
@@ -387,8 +395,20 @@ def offdiag_rows(n: int, mask: int) -> tuple[int, ...]:
     return tuple([row[(mask >> shift) & field] for shift, row in _offdiag_tables(n)])
 
 
+def offdiag_row_array(n: int, masks: np.ndarray) -> np.ndarray:
+    """`offdiag_rows` of every entry of an int64 array of masks, as an
+    array with one column per row."""
+    import numpy as np
+    field = (1 << (n - 1)) - 1
+    return np.stack(
+        [np.asarray(row)[(masks >> shift) & field] for shift, row in _offdiag_tables(n)],
+        axis=1,
+    )
+
+
 def offdiag_mask(n: int, rows: Sequence[int]) -> int:
-    """Inverse of offdiag_rows: the off-diagonal mask of the row masks."""
+    """Inverse of offdiag_rows: the off-diagonal mask of the row masks, or
+    elementwise of int64 arrays of them (`offdiag_row_array(...).T`)."""
     stride = n - 1
     m = 0
     for i, r in enumerate(rows):
@@ -396,18 +416,28 @@ def offdiag_mask(n: int, rows: Sequence[int]) -> int:
     return m
 
 
+def _conj(n: int, p: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Conjugation P A P^-1 by the permutation p of 0..n-1: the source row
+    p^-1(t) of each row t and the image of every row mask, bit j moved to
+    p(j).  The image of rows is `[img[rows[s]] for s in src]`: the zero at
+    (i, j) moves to (p(i), p(j))."""
+    src = tuple(sorted(range(n), key=p.__getitem__))
+    img = tuple(sum(1 << p[j] for j in _bits(r)) for r in range(1 << n))
+    return src, img
+
+
 @lru_cache(maxsize=None)
 def _conj_tables(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Per permutation p of 0..n-1, the identity first: the source row of
-    each row of P A P^-1 (row t is the image of row p^-1(t)) and the image
-    of every row mask under relabelling bit j as bit p(j).  The tables of
-    order n hold n! * (n + 2^n) entries."""
-    tables = []
-    for p in permutations(range(n)):
-        src = tuple(sorted(range(n), key=p.__getitem__))
-        img = tuple(sum(1 << p[j] for j in _bits(r)) for r in range(1 << n))
-        tables.append((src, img))
-    return tuple(tables)
+    """`_conj` of every permutation of 0..n-1, the identity first.  The
+    tables of order n hold n! * (n + 2^n) entries."""
+    return tuple(_conj(n, p) for p in permutations(range(n)))
+
+
+def conj_generators(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """`_conj` of the transposition (1 2) and of the n-cycle i -> i+1
+    (mod n); with the transpose they generate S_n x C2."""
+    swap = (*reversed(range(min(n, 2))), *range(2, n))
+    return _conj(n, swap), _conj(n, [(i + 1) % n for i in range(n)])
 
 
 @lru_cache(maxsize=None)
@@ -458,26 +488,9 @@ def is_canonical(rows: Sequence[int]) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def slot_generators(n: int) -> tuple[tuple[int, ...], ...]:
-    """Generators of conjugation by permutation matrices times the
-    transpose, as permutations of the off-diagonal slots: the
-    transposition (1 2), the n-cycle i -> i+1 (mod n) and the transpose.
-    Entry s of a generator is the slot that the bit of slot s moves to;
-    conjugation by p moves the zero at (i, j) to (p(i), p(j))."""
-    pos = offdiag_positions(n)
-    slot = {ij: s for s, ij in enumerate(pos)}
-    swap = {1: 2, 2: 1}
-    return (
-        tuple(slot[swap.get(i, i), swap.get(j, j)] for i, j in pos),
-        tuple(slot[i % n + 1, j % n + 1] for i, j in pos),
-        tuple(slot[j, i] for i, j in pos),
-    )
-
-
 def from_offdiag_mask(n: int, mask: int) -> NormalMatrix:
-    """Matrix whose off-diagonal zeros are the set bits of mask, in the
-    order given by offdiag_positions."""
+    """Matrix whose off-diagonal zeros are the set bits of mask, in
+    row-major order."""
     return NormalMatrix(n, offdiag_rows(n, mask))
 
 

@@ -36,10 +36,11 @@ terms are decoded from the keys.
 
 Conjugation by permutation matrices and the transpose are automorphisms
 of all three graphs, and eccentricity is invariant under automorphisms.
-So `stats` runs one BFS per orbit of classes: one member of every class
-is mapped through the slot-generator table `core.slot_generators`, and a
-union-find joins each class with the classes of its images (ORTHO n=4:
-142 orbits of 4,094 classes; VNL n=5: 18 of 750; WNL n=5: 107 of 11,479).
+So `stats` runs one BFS per orbit of classes: the row masks of one member
+of every class go through the conjugations `core.conj_generators`, which
+search shares, and the bit transpose `core._col_array`, and a union-find
+joins each class with the classes of its images (ORTHO n=4: 142 orbits of
+4,094 classes; VNL n=5: 18 of 750; WNL n=5: 107 of 11,479).
 
 Vertices are keyed by their off-diagonal mask (`core.to_offdiag_mask`).
 A graph keeps only the sorted numpy array of those masks: `vertices`
@@ -60,11 +61,12 @@ from typing import TYPE_CHECKING
 from .core import (
     GRAPH_KINDS,
     NormalMatrix,
-    _offdiag_tables,
+    _col_array,
     _row_union,
+    conj_generators,
     from_offdiag_mask,
     offdiag_mask,
-    slot_generators,
+    offdiag_row_array,
     to_offdiag_mask,
 )
 from .families import ATOM_KINDS, Atom
@@ -113,15 +115,6 @@ def _signatures(n: int, patterns: list[int], step: int = 1) -> np.ndarray:
             t |= ((half & part) == part).astype(np.int64) << step * s
         tables.append(t)
     return (tables[0][:, None] & tables[1][None, :]).reshape(-1)
-
-
-def _apply_perm(sig: np.ndarray, perm) -> np.ndarray:
-    """Move bit s of every entry to bit perm[s]."""
-    import numpy as np
-    out = np.zeros_like(sig)
-    for s in range(len(perm)):
-        out |= ((sig >> s) & 1) << perm[s]
-    return out
 
 
 # -- class bitsets ---------------------------------------------------------
@@ -280,22 +273,11 @@ def build(kind: str, n: int) -> OrthoGraph:
     return _build_pattern_graph(kind, n)
 
 
-def _rows_of(masks: np.ndarray, n: int) -> np.ndarray:
-    """Row masks of every off-diagonal mask, one column per row, through
-    the lookup tables of the core codec."""
-    import numpy as np
-    low = (1 << (n - 1)) - 1
-    return np.stack(
-        [np.asarray(row)[(masks >> shift) & low] for shift, row in _offdiag_tables(n)],
-        axis=1,
-    )
-
-
 def _build_ortho(n: int) -> OrthoGraph:
     import numpy as np
     masks = np.arange(1, (1 << (n * n - n)) - 1, dtype=np.int64)
-    rows = _rows_of(masks, n)
-    cols = _rows_of(_apply_perm(masks, slot_generators(n)[2]), n)  # rows of the transpose
+    rows = offdiag_row_array(n, masks)
+    cols = _col_array(rows)
 
     # A (.) B is all zero iff every row of A meets every column of B.  For
     # each n-bit value r: the vertices each of whose columns meets r, and
@@ -497,6 +479,8 @@ def _class_orbits(g: OrthoGraph) -> list[int]:
     import numpy as np
     masks = g.vertices.masks
     _, first = np.unique(g._class_of, return_index=True)
+    rows = offdiag_row_array(g.n, masks[first])
+    images = [np.asarray(img)[rows[:, src]] for src, img in conj_generators(g.n)]
     parent = list(range(len(first)))
 
     def root(c: int) -> int:
@@ -505,8 +489,8 @@ def _class_orbits(g: OrthoGraph) -> list[int]:
             c = parent[c]
         return c
 
-    for perm in slot_generators(g.n):
-        img = _apply_perm(masks[first], perm)
+    for image in (*images, _col_array(rows)):
+        img = offdiag_mask(g.n, image.T)
         at = np.searchsorted(masks, img)
         assert (masks[at] == img).all(), "a generator maps a vertex off the graph"
         for a, b in enumerate(g._class_of[at].tolist()):

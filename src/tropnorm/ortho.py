@@ -283,24 +283,10 @@ def residue_pair(n: int) -> tuple[NormalMatrix, NormalMatrix]:
     the pair is not orthogonal."""
     if n < 4:
         raise ValueError(f"residue pair needs n >= 4, got {n}")
-    a = NormalMatrix.from_zeros(
-        n,
-        [
-            (i, j)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            if i == j or (i + j) % 3 == 2
-        ],
-    )
-    b = NormalMatrix.from_zeros(
-        n,
-        [
-            (i, j)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            if (i + j) % 2 == 0
-        ],
-    )
+    cells = range(1, n + 1)
+    a = NormalMatrix(n, tuple(sum(1 << (j - 1) for j in cells if i == j or (i + j) % 3 == 2)
+                              for i in cells))
+    b = NormalMatrix(n, tuple(sum(1 << (j - 1) for j in cells if (i + j) % 2 == 0) for i in cells))
     return a, b
 
 
@@ -308,10 +294,6 @@ def row_majority_counterexample(n: int) -> NormalMatrix:
     """All entries zero except column n off the diagonal.  Every row has n-1
     zeros (a strict majority) yet the matrix is not self-orthogonal: the
     column condition of the majority test cannot be dropped."""
-    zeros = [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if j != n or i == n
-    ]
-    return NormalMatrix.from_zeros(n, zeros)
+    cells = range(1, n + 1)
+    return NormalMatrix(n, tuple(sum(1 << (j - 1) for j in cells if j != n or i == n)
+                                 for i in cells))

@@ -38,7 +38,6 @@ from .core import (
     _bits,
     _cols,
     _conj_tables,
-    _offdiag_tables,
     _row_union,
     format_matrix,
     from_offdiag_mask,
@@ -169,8 +168,8 @@ def theta_delta_exhaustive(n: int) -> ThetaCertificate:
     full = (1 << n) - 1
     # per row i and count c, the values of row i with c off-diagonal zeros
     values = [
-        [[r for f, r in enumerate(row) if f.bit_count() == c] for c in range(stride + 1)]
-        for _, row in _offdiag_tables(n)
+        [[r for r in range(1 << n) if r >> i & 1 and r.bit_count() == c + 1] for c in range(n)]
+        for i in range(n)
     ]
     rows = [0] * n
     found: list[int] = []
@@ -458,9 +457,9 @@ def _mm_generic_pairs(n: int) -> list[tuple[NormalMatrix, NormalMatrix]]:
 def check_theorem_theta(n: int) -> dict:
     """Machine-check of the minimal-pair characterization.
 
-    n = 2..6: the minimal pairs are those of least sigma in
-    `enumerate_orthogonal_pairs(n, 4n - 6)`, which lists every pair up to
-    the family's 4n - 6 zeros, so the least sigma there is theta(n).
+    n = 2..6: the minimal pairs are those of least sigma among the
+    `_bounded_pairs(n, 4n - 6)` triples, every pair up to the family's
+    4n - 6 zeros, so the least sigma there is theta(n).
     n = 2: they coincide with the generic family.
     n = 3..6: the equivalence fails; the stored outsider pair is among
     the minimal pairs and lies outside the family.
@@ -468,9 +467,9 @@ def check_theorem_theta(n: int) -> dict:
     orthogonal with the predicted zero counts.
     """
     if 2 <= n <= 6:
-        pairs = list(enumerate_orthogonal_pairs(n, 4 * n - 6))
-        theta = sigma(*pairs[0])
-        minimal = [p for p in pairs if sigma(*p) == theta]
+        triples, _ = _bounded_pairs(n, 4 * n - 6)
+        theta = triples[0][0]
+        minimal = [_pair_from_masks(n, a, b) for s, a, b in triples if s == theta]
     if n == 2:
         generic = set(_mm_generic_pairs(2))
         return {

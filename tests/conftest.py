@@ -19,3 +19,30 @@ def atom_zeros(kind: str, p: int, q: int, n: int) -> set[tuple[int, int]]:
     row = {(p, j) for j in range(1, n + 1)}
     col = {(i, q) for i in range(1, n + 1)}
     return {"V": row | col, "W": (row | col) - {(p, q)}, "Z": {(p, q)}}[kind]
+
+
+def slot_generators(n: int) -> tuple[tuple[int, ...], ...]:
+    """Generators of S_n x C2 as permutations of the off-diagonal slots,
+    written from the cells: conjugation by the transposition (1 2) and by
+    the n-cycle i -> i+1 (mod n) moves the zero at (i, j) to (p(i), p(j)),
+    and the transpose moves it to (j, i).  Entry s is the slot that the bit
+    of slot s moves to; the slots are the off-diagonal cells, row-major."""
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    slot = {ij: s for s, ij in enumerate(cells)}
+    swap = {1: 2, 2: 1}
+    return (
+        tuple(slot[swap.get(i, i), swap.get(j, j)] for i, j in cells),
+        tuple(slot[i % n + 1, j % n + 1] for i, j in cells),
+        tuple(slot[j, i] for i, j in cells),
+    )
+
+
+def slot_image(mask: int, perm) -> int:
+    """Image of an off-diagonal mask under a slot permutation: bit s moves
+    to bit perm[s]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out

@@ -1,19 +1,22 @@
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
-from conftest import rand_normal
+from conftest import rand_normal, slot_generators, slot_image
 from tropnorm import search
 from tropnorm.core import (
     DimensionMismatch,
     MatrixFormatError,
     NormalMatrix,
+    _col_array,
     _cols,
     _conj_tables,
     all_normal_matrices,
     all_zero,
+    conj_generators,
+    elementary_u,
     format_matrix,
     from_offdiag_mask,
     identity,
@@ -24,12 +27,13 @@ from tropnorm.core import (
     naive_odot,
     nu,
     nu_row,
-    offdiag_positions,
+    offdiag_mask,
+    offdiag_row_array,
+    offdiag_rows,
     parse_matrix,
     permute_conjugate,
     sigma,
     sigma_row,
-    slot_generators,
     to_offdiag_mask,
     transpose,
 )
@@ -42,6 +46,56 @@ def test_construction_and_entries():
     assert m.entry(2, 1) == -1
     assert m.entry(2, 2) == 0
     assert m.zeros == frozenset({(1, 1), (2, 2), (3, 3), (1, 2), (3, 1)})
+
+
+def _outcome(build, *args):
+    """The value of build(*args), or the type and message of its error."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _from_entries_reference(entries):
+    """`NormalMatrix.from_entries` through the positions of the zeros."""
+    n = len(entries)
+    zeros = []
+    for i, row in enumerate(entries, 1):
+        if len(row) != n:
+            raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
+        for j, e in enumerate(row, 1):
+            if e not in (0, -1):
+                raise ValueError(f"entry ({i},{j}) must be 0 or -1, got {e!r}")
+            if e == 0:
+                zeros.append((i, j))
+            elif i == j:
+                raise ValueError(f"diagonal entry ({i},{i}) must be zero")
+    return NormalMatrix.from_zeros(n, zeros)
+
+
+def test_from_entries_matches_zero_positions():
+    # every grid of 0, -1 and 5 up to order 3: the matrix or the message
+    built = 0
+    for n in range(4):
+        for cells in product((0, -1, 5), repeat=n * n):
+            entries = [list(cells[i * n:(i + 1) * n]) for i in range(n)]
+            got = _outcome(NormalMatrix.from_entries, entries)
+            assert got == _outcome(_from_entries_reference, entries), entries
+            built += isinstance(got, NormalMatrix)
+    assert built == 1 + 2**2 + 2**6
+
+
+def test_elementary_u_matches_zero_positions():
+    for n in range(7):
+        for i, j in product(range(n + 2), repeat=2):
+            want = (
+                (ValueError, "U(i,i) coincides with the identity; rejected")
+                if i == j
+                else _outcome(NormalMatrix.from_zeros, n, [(i, j)])
+            )
+            assert _outcome(elementary_u, i, j, n) == want, (i, j, n)
+    with pytest.raises(ValueError, match=r"position \(2,5\) out of range for n=4"):
+        elementary_u(2, 5, 4)
 
 
 def test_diagonal_always_zero():
@@ -178,17 +232,6 @@ def _orbit(m):
     return out
 
 
-def _slot_image(mask, perm):
-    """Image of an off-diagonal mask under a slot permutation such as a
-    generator of `slot_generators`: bit s moves to bit perm[s]."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
 def _is_canonical_full_walk(rows):
     """Reference canonicity test: compare rows with every image under
     S_n x C2, the identity on rows excepted."""
@@ -249,14 +292,15 @@ def test_canonical_one_per_orbit():
             # exactly the lex-greatest row tuple of the orbit is canonical
             canonical = [x for x in orbit if is_canonical(x.rows)]
             assert canonical == [max(orbit, key=lambda x: x.rows)]
-            # and the slot generators reach the whole orbit
-            reached = [to_offdiag_mask(m)]
-            for mask in reached:
-                for g in slot_generators(n):
-                    image = _slot_image(mask, g)
+            # and the two conjugations of `conj_generators` with the
+            # transpose reach the whole orbit
+            reached = [m.rows]
+            for rows in reached:
+                images = [tuple(img[rows[s]] for s in src) for src, img in conj_generators(n)]
+                for image in (*images, tuple(_cols(rows))):
                     if image not in reached:
                         reached.append(image)
-            assert sorted(reached) == sorted(map(to_offdiag_mask, orbit))
+            assert sorted(reached) == sorted(x.rows for x in orbit)
         assert orbits == 0
 
 
@@ -309,6 +353,7 @@ def test_bounded_pairs_closed_under_slot_generators():
     triples, _ = search._bounded_pairs(5, 14)
     assert len(triples) == 6680
     found = set(triples)
+    # the generators as slot permutations, independent of `core`
     gens = slot_generators(5)
     for sig, am, bm in triples:
         a, b = from_offdiag_mask(5, am), from_offdiag_mask(5, bm)
@@ -316,7 +361,7 @@ def test_bounded_pairs_closed_under_slot_generators():
         assert sigma(a, b) == sig <= 14
         assert (sig, bm, am) in found
         for g in gens:
-            assert (sig, _slot_image(am, g), _slot_image(bm, g)) in found
+            assert (sig, slot_image(am, g), slot_image(bm, g)) in found
 
 
 def test_counts():
@@ -355,14 +400,42 @@ def test_parse_errors():
 
 def test_offdiag_mask_round_trip():
     for n in (1, 2, 3, 4):
-        slots = n * n - n
-        assert len(offdiag_positions(n)) == slots
-        for mask in range(min(1 << slots, 256)):
+        for mask in range(min(1 << (n * n - n), 256)):
             assert to_offdiag_mask(from_offdiag_mask(n, mask)) == mask
-    # the codec's slot order is the row-major order of offdiag_positions
+    # the codec's slot order is the row-major order of the off-diagonal cells
     for n in range(1, 7):
-        for s, pos in enumerate(offdiag_positions(n)):
+        cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        for s, pos in enumerate(cells):
             assert from_offdiag_mask(n, 1 << s) == NormalMatrix.from_zeros(n, [pos])
+
+
+def _masks_to_check(n):
+    """Every off-diagonal mask of order n up to 4, seeded ones above."""
+    slots = n * n - n
+    if n <= 4:
+        return list(range(1 << slots))
+    rng = random.Random(1600 + n)
+    return [0, (1 << slots) - 1, *(rng.getrandbits(slots) for _ in range(3000))]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_array_codec_matches_int_codec(n):
+    import numpy as np
+    masks = _masks_to_check(n)
+    rows = offdiag_row_array(n, np.array(masks, dtype=np.int64))
+    assert rows.shape == (len(masks), n)
+    assert rows.tolist() == [list(offdiag_rows(n, m)) for m in masks]
+    # offdiag_mask encodes elementwise when given one array per row
+    assert offdiag_mask(n, rows.T).tolist() == masks
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_col_array_matches_cols(n):
+    # every ORTHO vertex: all masks but the identity's and the all-zero one
+    import numpy as np
+    masks = np.arange(1, (1 << (n * n - n)) - 1, dtype=np.int64)
+    want = [_cols(offdiag_rows(n, m)) for m in masks.tolist()]
+    assert _col_array(offdiag_row_array(n, masks)).tolist() == want
 
 
 def test_all_normal_matrices():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import atom_zeros, rand_normal
+from conftest import atom_zeros, rand_normal, slot_generators
 from tropnorm import fixtures, graphs
 from tropnorm.core import (
     NormalMatrix,
@@ -367,6 +367,40 @@ def test_orbit_classes_alike(kind, n):
         assert root <= c
         assert g._class_sizes[c] == g._class_sizes[root], (kind, n, c)
         assert ecc[c] == ecc[root], (kind, n, c)
+
+
+def _slot_orbits(g):
+    """Reference for `graphs._class_orbits`: one member of every class is
+    mapped through the generators as permutations of the off-diagonal
+    slots, bit by bit, and a union-find joins the classes."""
+    import numpy as np
+    masks = g.vertices.masks
+    _, first = np.unique(g._class_of, return_index=True)
+    parent = list(range(len(first)))
+
+    def root(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    for perm in slot_generators(g.n):
+        img = np.zeros_like(masks[first])
+        for s, t in enumerate(perm):
+            img |= ((masks[first] >> s) & 1) << t
+        at = np.searchsorted(masks, img)
+        assert (masks[at] == img).all()
+        for a, b in enumerate(g._class_of[at].tolist()):
+            a, b = root(a), root(b)
+            parent[max(a, b)] = min(a, b)
+    return [root(c) for c in range(len(parent))]
+
+
+@pytest.mark.parametrize("kind,n", [(ORTHO, n) for n in (2, 3, 4)] + [
+    (kind, n) for kind in (VNL, WNL) for n in (2, 3, 4, 5)
+])
+def test_class_orbits_match_slot_permutations(kind, n):
+    g = _built(kind, n)
+    assert graphs._class_orbits(g) == _slot_orbits(g)
 
 
 # -- vertices decoded on demand ------------------------------------------------

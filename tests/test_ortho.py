@@ -189,8 +189,28 @@ def test_residue_pair_orthogonal():
     # the documented n = 5 exception: column 5 of A is zero only in odd rows
     a, b = residue_pair(5)
     assert not is_orthogonal(a, b)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="residue pair needs n >= 4, got 3"):
         residue_pair(3)
+
+
+def _zero_cells(n, zero):
+    """The matrix whose zeros are the cells (i, j) with zero(i, j)."""
+    cells = range(1, n + 1)
+    return NormalMatrix.from_zeros(n, [(i, j) for i in cells for j in cells if zero(i, j)])
+
+
+def test_residue_and_row_majority_match_zero_positions():
+    for n in range(4, 14):
+        assert residue_pair(n) == (
+            _zero_cells(n, lambda i, j: i == j or (i + j) % 3 == 2),
+            _zero_cells(n, lambda i, j: (i + j) % 2 == 0),
+        )
+    for n in range(1, 14):
+        want = _zero_cells(n, lambda i, j: j != n or i == n)
+        assert row_majority_counterexample(n) == want
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"order must be >= 1, got {n}"):
+            row_majority_counterexample(n)
 
 
 def test_oplus_zero_implies_orthogonal():
