@@ -78,11 +78,9 @@ class NormalMatrix:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"order must be >= 1, got {self.n}")
+        full = _full_row(self.n)
         if len(self.rows) != self.n:
             raise ValueError("row count does not match order")
-        full = (1 << self.n) - 1
         for i, r in enumerate(self.rows):
             if r & ~full:
                 raise ValueError(f"row {i + 1} has bits outside [1..n]")
@@ -201,21 +199,26 @@ def _col_array(rows: np.ndarray) -> np.ndarray:
 # -- distinguished matrices -----------------------------------------
 
 
+def _full_row(n: int) -> int:
+    """The row mask with all n bits set, once n is checked as an order."""
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    return (1 << n) - 1
+
+
 def identity(n: int) -> NormalMatrix:
     return NormalMatrix(n, tuple(1 << i for i in range(n)))
 
 
 def all_zero(n: int) -> NormalMatrix:
-    full = (1 << n) - 1
-    return NormalMatrix(n, (full,) * n)
+    return NormalMatrix(n, (_full_row(n),) * n)
 
 
 def elementary_e(i: int, j: int, n: int) -> NormalMatrix:
     """All entries zero except a single -1 at (i, j); requires i != j."""
     if i == j:
         raise ValueError("E(i,i) would break the zero diagonal")
-    full = (1 << n) - 1
-    rows = list((full,) * n)
+    rows = [_full_row(n)] * n
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"position ({i},{j}) out of range for n={n}")
     rows[i - 1] &= ~(1 << (j - 1))

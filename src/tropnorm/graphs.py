@@ -356,24 +356,52 @@ def _build_pattern_graph(kind: str, n: int) -> OrthoGraph:
 # -- metrics ----------------------------------------------------------------
 
 
-def _bfs(adj: list[int], start: int, target: int | None = None):
-    """Breadth-first search over bitset rows from `start`: the number of
-    layers until `target` is reached, or with no target the eccentricity
-    of `start`; INFINITY when the goal is unreachable."""
+def _layer(adj: list[int], frontier: int, unseen: int, k: int) -> int:
+    """The unseen classes next to the frontier, walking the smaller set:
+    top-down ORs the frontier's rows, bottom-up keeps the unseen classes
+    whose row meets the frontier (the adjacency is symmetric)."""
+    if frontier.bit_count() <= unseen.bit_count():
+        return reduce(or_, [adj[c] for c in _members(frontier, k)], 0) & unseen
+    import numpy as np
+    hit = np.zeros(k, dtype=bool)
+    hit[[c for c in _members(unseen, k) if adj[c] & frontier]] = True
+    return _to_bits(hit)
+
+
+def _bfs(adj: list[int], start: int):
+    """Eccentricity of `start`, INFINITY when some class is unreachable."""
     k = len(adj)
-    goal = (1 << k) - 1 if target is None else 1 << target
-    seen = frontier = 1 << start
+    frontier = 1 << start
+    unseen = ((1 << k) - 1) ^ frontier
     layers = 0
-    while seen & goal != goal:
-        nxt = 0
-        for c in _members(frontier, k):
-            nxt |= adj[c]
-        frontier = nxt & ~seen
+    while unseen:
+        frontier = _layer(adj, frontier, unseen, k)
         if not frontier:
             return INFINITY
-        seen |= frontier
+        unseen ^= frontier
         layers += 1
     return layers
+
+
+def _meet(adj: list[int], a: int, b: int):
+    """Distance between distinct classes a and b: a ball grows around each,
+    the one with the smaller frontier by a layer at a time, until a new
+    layer meets the other frontier; INFINITY when a frontier empties."""
+    if adj[a] >> b & 1:
+        return 1
+    k = len(adj)
+    ends = [(1 << c, ((1 << k) - 1) ^ 1 << c) for c in (a, b)]  # (frontier, unseen)
+    layers = 0
+    while True:
+        ends.sort(key=lambda end: end[0].bit_count())
+        (frontier, unseen), (other, _) = ends
+        frontier = _layer(adj, frontier, unseen, k)
+        layers += 1
+        if frontier & other:
+            return layers
+        if not frontier:
+            return INFINITY
+        ends[0] = (frontier, unseen ^ frontier)
 
 
 def _intra_dist(adj: list[int], c: int):
@@ -395,7 +423,7 @@ def dist(g: OrthoGraph, u: NormalMatrix, v: NormalMatrix):
     cv = int(g._class_of[iv])
     if cu == cv:
         return _intra_dist(g._class_adj, cu)
-    return _bfs(g._class_adj, cu, cv)
+    return _meet(g._class_adj, cu, cv)
 
 
 def stats(g: OrthoGraph) -> dict:
@@ -478,7 +506,9 @@ def _class_orbits(g: OrthoGraph) -> list[int]:
     with the class of that image."""
     import numpy as np
     masks = g.vertices.masks
-    _, first = np.unique(g._class_of, return_index=True)
+    # any member of every class: its images fall in the same classes
+    first = np.empty(len(g._class_sizes), dtype=np.int64)
+    first[g._class_of] = np.arange(len(masks))
     rows = offdiag_row_array(g.n, masks[first])
     images = [np.asarray(img)[rows[:, src]] for src, img in conj_generators(g.n)]
     parent = list(range(len(first)))

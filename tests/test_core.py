@@ -16,6 +16,7 @@ from tropnorm.core import (
     all_normal_matrices,
     all_zero,
     conj_generators,
+    elementary_e,
     elementary_u,
     format_matrix,
     from_offdiag_mask,
@@ -147,6 +148,14 @@ def test_elementary_constructors():
             make_elementary(kind, 3, 2, 2)
     with pytest.raises(ValueError):
         make_elementary("Q", 3, 1, 2)
+
+
+@pytest.mark.parametrize("n", (0, -1))
+def test_constructors_reject_orders_below_one(n):
+    # the order is checked before a full row mask is shifted out of it
+    for make in (identity, all_zero, lambda n: elementary_e(1, 2, n)):
+        with pytest.raises(ValueError, match=f"order must be >= 1, got {n}"):
+            make(n)
 
 
 def test_oplus_is_zero_union():

@@ -328,6 +328,30 @@ def test_signatures_match_per_mask_containment(n):
 # -- orbit-reduced stats ------------------------------------------------------
 
 
+def _set_bits(x):
+    """Indices of the set bits of x, read off its binary digits."""
+    return [i for i, digit in enumerate(reversed(bin(x))) if digit == "1"]
+
+
+def _class_dists(adj, start):
+    """Distance from class `start` to every class by a plain top-down BFS,
+    each layer the OR of the rows of the one before: the reference for
+    the layer step and the two-sided meet of `graphs`."""
+    dists = [math.inf] * len(adj)
+    dists[start] = 0
+    seen, frontier, layer = 1 << start, [start], 0
+    while frontier:
+        layer += 1
+        reach = 0
+        for c in frontier:
+            reach |= adj[c]
+        frontier = _set_bits(reach & ~seen)
+        seen |= reach
+        for c in frontier:
+            dists[c] = layer
+    return dists
+
+
 @functools.lru_cache(maxsize=None)
 def _all_sources_eccentricities(kind, n):
     """Eccentricity of every class, from a BFS out of every class: the
@@ -335,7 +359,7 @@ def _all_sources_eccentricities(kind, n):
     g = _built(kind, n)
     adj = g._class_adj
     return [
-        max(graphs._bfs(adj, c), graphs._intra_dist(adj, c) if size >= 2 else 0)
+        max(max(_class_dists(adj, c)), graphs._intra_dist(adj, c) if size >= 2 else 0)
         for c, size in enumerate(g._class_sizes)
     ]
 
@@ -348,6 +372,55 @@ def test_stats_matches_all_sources_eccentricity(kind, n):
     s = stats(_built(kind, n))
     diam = max(_all_sources_eccentricities(kind, n))
     assert (s["diameter"], s["connected"]) == (diam, diam < math.inf)
+
+
+@pytest.mark.parametrize("kind,n", [(ORTHO, 4), (WNL, 4)])
+def test_layer_matches_or_of_rows(kind, n):
+    """One layer step against the OR of the frontier's rows restricted to
+    the unseen classes, on seeded disjoint frontier and unseen sets from
+    sparse to dense frontiers, so that both directions run."""
+    adj = _built(kind, n)._class_adj
+    k = len(adj)
+    rng = random.Random(47)
+    top_down = set()
+    for p in (0.01, 0.1, 0.5, 0.9):
+        for _ in range(5):
+            frontier = unseen = 0
+            for c in range(k):
+                if rng.random() < p:
+                    frontier |= 1 << c
+                elif rng.random() < 0.5:
+                    unseen |= 1 << c
+            reach = 0
+            for c in _set_bits(frontier):
+                reach |= adj[c]
+            assert graphs._layer(adj, frontier, unseen, k) == reach & unseen, (kind, n, p)
+            top_down.add(frontier.bit_count() <= unseen.bit_count())
+    assert top_down == {True, False}
+
+
+@pytest.mark.parametrize("kind,n,reached", [
+    (WNL, 2, {1, math.inf}), (ORTHO, 4, {1, 2, 3}), (VNL, 5, {1, 2}),
+    (WNL, 4, {1, 2}), (WNL, 5, {1, 2}),
+])
+def test_dist_matches_top_down_bfs(kind, n, reached):
+    """`dist` in both orders against the plain BFS, on every pair of
+    vertices in different classes at n=2, else on seeded sources with
+    seeded targets each; the pairs reach every distance in `reached`."""
+    g = _built(kind, n)
+    verts, class_of = g.vertices, g._class_of.tolist()
+    rng = random.Random(46)
+    k = g.num_vertices
+    got = set()
+    for i in range(k) if n == 2 else rng.sample(range(k), 6):
+        dists = _class_dists(g._class_adj, class_of[i])
+        for j in range(k) if n == 2 else rng.sample(range(k), 60):
+            if class_of[i] != class_of[j]:
+                want = dists[class_of[j]]
+                assert dist(g, verts[i], verts[j]) == want, (kind, n, i, j)
+                assert dist(g, verts[j], verts[i]) == want, (kind, n, j, i)
+                got.add(want)
+    assert got == reached
 
 
 @pytest.mark.parametrize("kind,n,orbits", [
