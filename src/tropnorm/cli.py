@@ -49,10 +49,11 @@ def _read_matrix(arg: str) -> NormalMatrix:
     in inline form."""
     if os.path.exists(arg):
         with open(arg) as fh:
-            text = fh.read()
-    else:
-        text = arg.replace("/", "\n")
-    return parse_matrix(text)
+            return parse_matrix(fh.read())
+    if any(ch not in "0-/" and not ch.isspace() for ch in arg):
+        raise MatrixFormatError(
+            f"no such file {arg!r}, and it is not matrix text ('0', '-', '/')")
+    return parse_matrix(arg.replace("/", "\n"))
 
 
 def _read_vector(arg: str) -> BorderVector:

@@ -22,12 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DimensionMismatch, NormalMatrix, _same_order, nu
-from .ortho import (
-    TAG_GIFT,
-    TAG_PROPAGATION,
-    IndicatorReport,
-)
+from .core import DimensionMismatch, NormalMatrix, _bits, _same_order, nu
+from .ortho import IndicatorReport
 
 ATOM_KINDS = ("V", "W", "Z")
 
@@ -190,23 +186,27 @@ def mm_characterize(report: IndicatorReport) -> tuple[int, int] | None:
     if report.a == report.b or report.duplicate_count != 0:
         return None
     n = report.n
-    for k in range(1, n + 1):
-        for m in range(1, n + 1):
+    for k in range(n):
+        for m in range(n):
             if k != m and _characterize_at(report, k, m):
-                return (k, m)
+                return (k + 1, m + 1)
     return None
 
 
 def _characterize_at(report: IndicatorReport, k: int, m: int) -> bool:
-    n = report.n
-    for pos in ((k, m), (m, k)):
-        if report.classes[pos].tag != TAG_PROPAGATION:
+    """The conditions at the 0-based (k, m), read from the masks: (k, m) and
+    (m, k) are propagation bits, and every off-diagonal cell outside rows
+    and columns k and m is a gift bit whose K holds k and whose M holds m."""
+    kbit, mbit = 1 << k, 1 << m
+    if not (report.prop_rows[k] & mbit and report.prop_rows[m] & kbit):
+        return False
+    others = ((1 << report.n) - 1) & ~(kbit | mbit)
+    for s in _bits(others):
+        row = others & ~(1 << s)
+        if report.gift_rows[s] & row != row:
             return False
-    for s in range(1, n + 1):
-        for t in range(1, n + 1):
-            if s == t or s in (k, m) or t in (k, m):
-                continue
-            cls = report.classes[(s, t)]
-            if cls.tag != TAG_GIFT or (k, m) not in cls.gift_witnesses:
+        for t in _bits(row):
+            ks, ms = report.witness_masks(s, t)
+            if not (ks & kbit and ms & mbit):
                 return False
     return True

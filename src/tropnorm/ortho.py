@@ -11,6 +11,8 @@ two distinct middle indices).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import and_
 
 from .core import (
     DimensionMismatch,
@@ -26,7 +28,6 @@ from .core import (
     sigma_row,
 )
 
-TAG_DIAGONAL = "diagonal"
 TAG_PROPAGATION = "propagation"
 TAG_COST = "cost"
 TAG_GIFT = "gift"
@@ -47,16 +48,29 @@ class ZeroClass:
     gift_witnesses: frozenset[tuple[int, int]] = frozenset()
 
 
+# the one class of every nonzero cell and of every propagation cell
+_NO_WITNESS = {tag: ZeroClass(tag) for tag in (TAG_NONZERO, TAG_PROPAGATION)}
+
+
 @dataclass(frozen=True)
 class IndicatorReport:
-    """Indicator matrix of a pair plus the per-cell zero classification."""
+    """Indicator matrix of a pair plus the classification of its zeros:
+    per row s, a mask of the columns t of each tag (a cell in none is
+    nonzero).  The witness masks of a cost or gift cell, 0-based, are
+    K = a_s & Bcol_t (a_sk = b_kt = 0) and M = b_s & Acol_t (b_sm = a_mt =
+    0); a cost zero's witnesses are K & M, and a gift zero has K & M empty,
+    so its witnesses are all of K x M."""
 
     a: NormalMatrix
     b: NormalMatrix
     left: NormalMatrix  # A * B
     right: NormalMatrix  # B * A
     indicator: NormalMatrix  # C
-    classes: dict[tuple[int, int], ZeroClass] = field(compare=False)
+    prop_rows: tuple[int, ...]
+    cost_rows: tuple[int, ...]
+    gift_rows: tuple[int, ...]
+    acols: tuple[int, ...] = field(compare=False, repr=False)
+    bcols: tuple[int, ...] = field(compare=False, repr=False)
     prop_count: int = 0
     cost_count: int = 0
     gift_count: int = 0
@@ -66,24 +80,52 @@ class IndicatorReport:
     def n(self) -> int:
         return self.a.n
 
+    def witness_masks(self, s: int, t: int) -> tuple[int, int]:
+        """(K, M) of the 0-based cell (s, t)."""
+        return self.a.rows[s] & self.bcols[t], self.b.rows[s] & self.acols[t]
+
     def row_class_counts(self, i: int) -> dict[str, int]:
-        counts = {TAG_PROPAGATION: 0, TAG_COST: 0, TAG_GIFT: 0, TAG_NONZERO: 0}
-        for j in range(1, self.n + 1):
-            if j == i:
-                continue
-            counts[self.classes[(i, j)].tag] += 1
+        if not 1 <= i <= self.n:
+            raise IndexError(f"row {i} out of range for n={self.n}")
+        masks = (self.prop_rows[i - 1], self.cost_rows[i - 1], self.gift_rows[i - 1])
+        counts = dict(zip((TAG_PROPAGATION, TAG_COST, TAG_GIFT), (r.bit_count() for r in masks)))
+        counts[TAG_NONZERO] = self.n - 1 - sum(counts.values())
         return counts
+
+    def _cells(self):
+        """(s, t, tag, witnesses) per off-diagonal cell in (s, t) order,
+        1-based, witnesses as the document gives them: the sorted k of a
+        cost cell, the sorted [k, m] of a gift cell, else None."""
+        tags = zip(self.prop_rows, self.cost_rows, self.gift_rows)
+        for s, (prop, cost, gift) in enumerate(tags):
+            for t in (t for t in range(self.n) if t != s):
+                tbit, (ks, ms) = 1 << t, self.witness_masks(s, t)
+                if cost & tbit:
+                    cell = TAG_COST, [k + 1 for k in _bits(ks & ms)]
+                elif gift & tbit:
+                    cell = TAG_GIFT, [[k + 1, m + 1] for k in _bits(ks) for m in _bits(ms)]
+                else:
+                    cell = (TAG_PROPAGATION if prop & tbit else TAG_NONZERO), None
+                yield s + 1, t + 1, *cell
+
+    @cached_property
+    def classes(self) -> dict[tuple[int, int], ZeroClass]:
+        """The class of every off-diagonal cell, built from the masks on
+        first access."""
+        return {
+            (s, t): ZeroClass(tag, cost_witnesses=frozenset(ws)) if tag == TAG_COST
+            else ZeroClass(tag, gift_witnesses=frozenset(map(tuple, ws))) if tag == TAG_GIFT
+            else _NO_WITNESS[tag]
+            for s, t, tag, ws in self._cells()
+        }
 
     def to_document(self) -> dict:
         """Structured serialization consumed by the CLI."""
         cells = []
-        for (i, j), cls in sorted(self.classes.items()):
-            cell: dict = {"pos": [i, j], "class": cls.tag}
-            if cls.tag == TAG_COST:
-                cell["witnesses"] = sorted(cls.cost_witnesses)
-            elif cls.tag == TAG_GIFT:
-                cell["witnesses"] = [list(w) for w in sorted(cls.gift_witnesses)]
-            cells.append(cell)
+        for s, t, tag, ws in self._cells():
+            cells.append({"pos": [s, t], "class": tag})
+            if ws is not None:
+                cells[-1]["witnesses"] = ws
         return {
             "n": self.n,
             "orthogonal": self.indicator == all_zero(self.n),
@@ -118,74 +160,51 @@ def indicator(a: NormalMatrix, b: NormalMatrix) -> IndicatorReport:
     """Build the indicator matrix and classify all of its off-diagonal cells.
 
     Precedence per cell: propagation, then cost, then gift (a zero meeting
-    both witness patterns is a cost zero).  Witness sets are complete, not
-    one representative.
+    both witness patterns is a cost zero).  One pass per row of masks.
     """
     n = _same_order(a, b)
     left = mat_odot(a, b)
     right = mat_odot(b, a)
     ind = NormalMatrix(n, tuple(l & r for l, r in zip(left.rows, right.rows)))
 
-    # a witness k of (s, t) has a_sk = b_kt = 0 (k in a_s & Bcol_t) and a
-    # witness m has b_sm = a_mt = 0 (m in b_s & Acol_t); a cost zero has a
-    # common such index, a gift zero a pair k != m
-    acols = _cols(a.rows)
-    bcols = _cols(b.rows)
-    classes: dict[tuple[int, int], ZeroClass] = {}
-    prop = cost = gift = 0
-    for s in range(n):
-        ra = a.rows[s]
-        rb = b.rows[s]
-        ri = ind.rows[s]
-        for t in range(n):
-            if s == t:
-                continue
-            tbit = 1 << t
-            if not ri & tbit:
-                classes[(s + 1, t + 1)] = ZeroClass(TAG_NONZERO)
-                continue
-            if (ra | rb) & tbit:
-                classes[(s + 1, t + 1)] = ZeroClass(TAG_PROPAGATION)
-                prop += 1
-                continue
-            outside = ~((1 << s) | tbit)
-            ks = ra & bcols[t] & outside
-            ms = rb & acols[t] & outside
+    acols, bcols = tuple(_cols(a.rows)), tuple(_cols(b.rows))
+    props, costs, gifts = [], [], []
+    for s, (ra, rb, ri) in enumerate(zip(a.rows, b.rows, ind.rows)):
+        props.append(ri & (ra | rb) & ~(1 << s))
+        cost = gift = 0
+        for t in _bits(ri & ~(ra | rb)):  # ra | rb holds the diagonal
+            ks, ms = ra & bcols[t], rb & acols[t]
             if ks & ms:
-                cost_ws = frozenset(k + 1 for k in _bits(ks & ms))
-                classes[(s + 1, t + 1)] = ZeroClass(TAG_COST, cost_witnesses=cost_ws)
-                cost += 1
-                continue
-            gift_ws = frozenset(
-                (k + 1, m + 1) for k in _bits(ks) for m in _bits(ms) if k != m
-            )
-            if gift_ws:
-                classes[(s + 1, t + 1)] = ZeroClass(TAG_GIFT, gift_witnesses=gift_ws)
-                gift += 1
-                continue
-            # exhaustiveness of the classification is a stated property of
-            # indicator zeros; reaching here would disprove it
-            raise AssertionError(
-                f"unclassifiable indicator zero at ({s + 1},{t + 1}) for the pair"
-            )
+                cost |= 1 << t
+            elif ks and ms:
+                gift |= 1 << t
+            else:
+                # exhaustiveness of the classification is a stated property
+                # of indicator zeros; reaching here would disprove it
+                raise AssertionError(
+                    f"unclassifiable indicator zero at ({s + 1},{t + 1}) for the pair"
+                )
+        costs.append(cost)
+        gifts.append(gift)
 
-    if a == b:
-        dup = 0  # duplicates are defined only for distinct matrices
-    else:
-        dup = sum(
-            ((ra & rb) & ~(1 << (i))).bit_count()
-            for i, (ra, rb) in enumerate(zip(a.rows, b.rows))
-        )
+    # duplicates are defined only for distinct matrices
+    dup = 0 if a == b else sum(
+        (ra & rb & ~(1 << i)).bit_count() for i, (ra, rb) in enumerate(zip(a.rows, b.rows))
+    )
     return IndicatorReport(
         a=a,
         b=b,
         left=left,
         right=right,
         indicator=ind,
-        classes=classes,
-        prop_count=prop,
-        cost_count=cost,
-        gift_count=gift,
+        prop_rows=tuple(props),
+        cost_rows=tuple(costs),
+        gift_rows=tuple(gifts),
+        acols=acols,
+        bcols=bcols,
+        prop_count=sum(r.bit_count() for r in props),
+        cost_count=sum(r.bit_count() for r in costs),
+        gift_count=sum(r.bit_count() for r in gifts),
         duplicate_count=dup,
     )
 
@@ -200,33 +219,27 @@ class RowType:
 def row_type(report: IndicatorReport, i: int) -> RowType:
     """Classify row i of the indicator: a cost row carries n-2 cost zeros and
     one propagation zero; a gift row carries n-3 gift zeros, two propagation
-    zeros and two off-diagonal zeros of the pair in that row."""
+    zeros and two off-diagonal zeros of the pair in that row.  The common
+    witnesses are the AND of the witness masks over the row's cost (gift)
+    cells, and a row with no such cell has none.  The least is reported."""
     n = report.n
     if not 1 <= i <= n:
         raise IndexError(f"row {i} out of range for n={n}")
-    counts = report.row_class_counts(i)
-    if counts[TAG_COST] == n - 2 and counts[TAG_PROPAGATION] == 1:
-        common: set[int] | None = None
-        for j in range(1, n + 1):
-            cls = report.classes.get((i, j))
-            if cls is not None and cls.tag == TAG_COST:
-                ws = set(cls.cost_witnesses)
-                common = ws if common is None else common & ws
-        if common:
-            return RowType("cost", k=min(common))
-    if (
-        counts[TAG_GIFT] == n - 3
-        and counts[TAG_PROPAGATION] == 2
-        and sigma_row(report.a, report.b, i) == 2
-    ):
-        common_g: set[tuple[int, int]] | None = None
-        for j in range(1, n + 1):
-            cls = report.classes.get((i, j))
-            if cls is not None and cls.tag == TAG_GIFT:
-                ws = set(cls.gift_witnesses)
-                common_g = ws if common_g is None else common_g & ws
-        if common_g:
-            k, m = min(common_g)
+    s, prop = i - 1, report.prop_rows[i - 1].bit_count()
+    cost, gift = report.cost_rows[s], report.gift_rows[s]
+    common_k = common_m = -1  # (x & -x).bit_length() is x's least index, 1-based
+    if cost and cost.bit_count() == n - 2 and prop == 1:
+        for t in _bits(cost):
+            common_k &= and_(*report.witness_masks(s, t))
+        if common_k:
+            return RowType("cost", k=(common_k & -common_k).bit_length())
+    elif (gift and gift.bit_count() == n - 3 and prop == 2
+          and sigma_row(report.a, report.b, i) == 2):
+        for t in _bits(gift):
+            ks, ms = report.witness_masks(s, t)
+            common_k, common_m = common_k & ks, common_m & ms
+        if common_k and common_m:  # the common gift witnesses are common_k x common_m
+            k, m = (common_k & -common_k).bit_length(), (common_m & -common_m).bit_length()
             return RowType("gift", k=k, m=m)
     return RowType("other")
 
@@ -263,15 +276,8 @@ def orth_set(a: NormalMatrix, candidates=None) -> set[NormalMatrix]:
 def majority_zero_pair(a: NormalMatrix, b: NormalMatrix) -> bool:
     """Hypothesis check: every row and column of both matrices has strictly
     more than n/2 zeros.  Pairs satisfying it are always orthogonal."""
-    n = _same_order(a, b)
-    half = n / 2
-    for m in (a, b):
-        for i in range(1, n + 1):
-            if m.row_mask(i).bit_count() <= half:
-                return False
-            if m.col_mask(i).bit_count() <= half:
-                return False
-    return True
+    half = _same_order(a, b) / 2
+    return all(r.bit_count() > half for m in (a, b) for r in (*m.rows, *_cols(m.rows)))
 
 
 def residue_pair(n: int) -> tuple[NormalMatrix, NormalMatrix]:

@@ -152,6 +152,16 @@ def test_usage_errors(capsys):
     assert run(capsys, "reduce", "00-/-0-/--0", "--i", "1")[0] == 2
 
 
+def test_missing_matrix_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, doc, err = run(capsys, "indicator", "nofile.txt", "0-/-0")
+    assert (code, doc) == (2, None)
+    assert "no such file 'nofile.txt'" in err and "not matrix text" in err
+    # text of the matrix glyphs alone is still parsed, and its faults named
+    code, _, err = run(capsys, "indicator", "0-/-", "0-/-0")
+    assert code == 2 and "line 2 has 1 characters, expected 2" in err
+
+
 def test_search_argument_errors(capsys):
     code, doc, err = run(capsys, "theta", "--n", "5", "--mode", "bounded", "--budget", "-5")
     assert (code, doc) == (2, None)

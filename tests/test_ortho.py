@@ -15,11 +15,14 @@ from tropnorm.core import (
     naive_odot,
     nu,
 )
+from tropnorm.families import MmVariant, mm_pair
 from tropnorm.ortho import (
     TAG_COST,
     TAG_GIFT,
     TAG_NONZERO,
     TAG_PROPAGATION,
+    RowType,
+    ZeroClass,
     indicator,
     is_orthogonal,
     majority_zero_pair,
@@ -140,6 +143,122 @@ def test_row_type_cost_and_gift():
     a6, b6 = fixtures.minimal_pair_outside_family(6)
     rep6 = indicator(a6, b6)
     assert row_type(rep6, 1).kind == "other"
+
+
+def _oracle_classify(a, b):
+    """The class of every off-diagonal cell from the definitions on the
+    0 / -1 entries, 1-based: (tag, cost witnesses, gift witnesses).  A zero
+    of the indicator is propagation under a zero of A or B; else cost when
+    some k outside {s, t} has a_sk = b_kt = b_sk = a_kt = 0; else gift when
+    some (k, m) with s, t, k, m distinct has a_sk = b_kt = b_sm = a_mt = 0."""
+    n = a.n
+    x = [[a.entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    y = [[b.entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+
+    def product_zero(p, q, s, t):
+        return any(p[s][k] == 0 and q[k][t] == 0 for k in range(n))
+
+    cells = {}
+    for s in range(n):
+        for t in range(n):
+            if s == t:
+                continue
+            cost, gift = frozenset(), frozenset()
+            if not (product_zero(x, y, s, t) and product_zero(y, x, s, t)):
+                tag = TAG_NONZERO
+            elif x[s][t] == 0 or y[s][t] == 0:
+                tag = TAG_PROPAGATION
+            else:
+                cost = frozenset(
+                    k + 1 for k in range(n)
+                    if k not in (s, t) and x[s][k] == y[k][t] == y[s][k] == x[k][t] == 0
+                )
+                if not cost:
+                    gift = frozenset(
+                        (k + 1, m + 1) for k in range(n) for m in range(n)
+                        if len({s, t, k, m}) == 4
+                        and x[s][k] == y[k][t] == y[s][m] == x[m][t] == 0
+                    )
+                tag = TAG_COST if cost else TAG_GIFT if gift else "unclassified"
+            cells[(s + 1, t + 1)] = (tag, cost, gift)
+    return cells
+
+
+def _oracle_row_types(a, b, cells):
+    """Row types from the cell classes: a cost row has n-2 cost zeros, one
+    propagation zero and a witness common to its cost zeros; a gift row has
+    n-3 gift zeros, two propagation zeros, two off-diagonal zeros of the
+    pair in the row and a witness (k, m) common to its gift zeros.  A row
+    with no cost (gift) zero has no common witness."""
+    n = a.n
+    out = []
+    for i in range(1, n + 1):
+        row = [cells[(i, j)] for j in range(1, n + 1) if j != i]
+        tags = [tag for tag, _, _ in row]
+        costs = [c for tag, c, _ in row if tag == TAG_COST]
+        gifts = [g for tag, _, g in row if tag == TAG_GIFT]
+        pair_zeros = sum(
+            (a.entry(i, j) == 0) + (b.entry(i, j) == 0) for j in range(1, n + 1) if j != i
+        )
+        kind = RowType("other")
+        if tags.count(TAG_COST) == n - 2 and tags.count(TAG_PROPAGATION) == 1 and costs:
+            common = frozenset.intersection(*costs)
+            if common:
+                kind = RowType("cost", k=min(common))
+        elif (tags.count(TAG_GIFT) == n - 3 and tags.count(TAG_PROPAGATION) == 2
+              and pair_zeros == 2 and gifts):
+            common = frozenset.intersection(*gifts)
+            if common:
+                k, m = min(common)
+                kind = RowType("gift", k=k, m=m)
+        out.append(kind)
+    return out
+
+
+def _oracle_pairs():
+    """Every pair at n = 2 and 3, seeded random pairs at n = 4..8 and
+    family pairs at n = 4..12."""
+    for n in (2, 3):
+        mats = list(all_normal_matrices(n))
+        yield from ((a, b) for a in mats for b in mats)
+    rng = random.Random(16)
+    for n in range(4, 9):
+        for _ in range(40):
+            yield rand_normal(rng, n), rand_normal(rng, n)
+    for n in range(4, 13):
+        for _ in range(10):
+            k, m = rng.randint(1, n), rng.randint(1, n)
+            yield mm_pair(MmVariant(k, m, rng.randrange(4)), n)
+
+
+def test_classifier_matches_entry_oracle():
+    kinds = set()
+    for a, b in _oracle_pairs():
+        n = a.n
+        want = _oracle_classify(a, b)
+        rep = indicator(a, b)
+        assert rep.classes == {pos: ZeroClass(*cls) for pos, cls in want.items()}
+        tags = [tag for tag, _, _ in want.values()]
+        dup = 0 if a == b else sum(
+            a.entry(i, j) == b.entry(i, j) == 0
+            for i in range(1, n + 1) for j in range(1, n + 1) if i != j
+        )
+        assert (rep.prop_count, rep.cost_count, rep.gift_count, rep.duplicate_count) == (
+            tags.count(TAG_PROPAGATION), tags.count(TAG_COST), tags.count(TAG_GIFT), dup)
+        cells = []
+        for (s, t), (tag, cost, gift) in sorted(want.items()):
+            cells.append({"pos": [s, t], "class": tag})
+            if tag == TAG_COST:
+                cells[-1]["witnesses"] = sorted(cost)
+            elif tag == TAG_GIFT:
+                cells[-1]["witnesses"] = [list(w) for w in sorted(gift)]
+        assert rep.to_document()["cells"] == cells
+        rows = [row_type(rep, i) for i in range(1, n + 1)]
+        assert rows == _oracle_row_types(a, b, want)
+        kinds.update((n, r.kind) for r in rows)
+    # the comparison reaches both row kinds, and the orders where a row's
+    # cost (n = 2) or gift (n = 3) cells are none
+    assert {(2, "other"), (3, "cost"), (3, "other"), (6, "gift")} <= kinds
 
 
 def test_orth_set_elementary():
