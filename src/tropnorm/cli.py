@@ -342,10 +342,10 @@ def _cmd_graph(args) -> int:
 
 def _cmd_dist(args) -> int:
     from .graphs import INFINITY, build, dist
-    g = build(args.kind, args.n)
+    # a malformed argument exits before the graph is built
     u = _read_matrix(args.a)
     v = _read_matrix(args.b)
-    d = dist(g, u, v)
+    d = dist(build(args.kind, args.n), u, v)
     doc = {
         "command": "dist",
         "kind": args.kind,

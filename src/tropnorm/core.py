@@ -360,12 +360,15 @@ def parse_matrix(text: str) -> NormalMatrix:
     return NormalMatrix(n, tuple(rows))
 
 
+# binary digits of a row mask to cells: a set bit is a zero entry
+_CELLS = str.maketrans("10", "0-")
+
+
 def format_matrix(a: NormalMatrix) -> str:
-    lines = []
-    for i in range(a.n):
-        r = a.rows[i]
-        lines.append("".join("0" if r & (1 << j) else "-" for j in range(a.n)))
-    return "\n".join(lines)
+    """One line per row, '0' for a zero entry and '-' for -1: the row mask
+    in n binary digits, reversed so that column 1 comes first."""
+    width = f"0{a.n}b"
+    return "\n".join([format(r, width)[::-1] for r in a.rows]).translate(_CELLS)
 
 
 # -- enumeration helpers ---------------------------------------------

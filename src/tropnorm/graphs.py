@@ -17,14 +17,26 @@ bit is its loop).  VNL and WNL adjacency depends only on which patterns a
 matrix carries, so their classes are the vertices with equal pattern
 signatures.  Their edge rule is a list of (left, right) signature terms,
 and class a meets class b when left[a] shares a bit with the transposed
-right[b].  Each adjacency row is the OR, over the set bits of the left
-terms, of per-bit bitsets of the classes whose transposed right term has
-that bit.  Swapping left and right maps the term list onto itself, so
-the relation is symmetric and the rows are also the columns (checked in
-the tests, not on every build).  ORTHO is built with one
-class per vertex, each adjacency row the AND of 2n bitsets looked up by
-the vertex's rows and columns.  All metrics are computed on the class
-graph; the blow-up back to the full graph only needs class sizes.
+right[b].  Swapping left and right maps the term list onto itself, so
+the relation is symmetric (checked in the tests, not on every build).
+
+A pattern graph keeps the relation in signature-node space: node
+t*n^2 + s stands for bit s of term t (n^2 nodes for VNL, 3n^2 for WNL).
+Per class c, lnode[c] holds the nodes of its left terms and rnode[c]
+those of its transposed right terms; per node x, rhas[x] is the bitset
+of the classes whose rnode has x, and grow[x] the union of lnode over
+them.  Class a meets class b iff lnode[a] & rnode[b], and row a of the
+adjacency is the OR of rhas over lnode[a].  `dist` between two classes
+builds no row: the left nodes X of the ball of radius d around a class
+give those of radius d + 1 as X with grow[x] ORed in for every x in X,
+so it grows X from lnode[a] until X meets rnode[b], each step at most
+3n^2 ORs of 3n^2-bit ints whatever the number of classes.  `has_loop`
+and `dist` inside one class build one row; `stats` builds all of them,
+once, on first use.  ORTHO adjacency does not factor through signature
+bits: it is built with one class per vertex, each adjacency row the AND
+of 2n bitsets looked up by the vertex's rows and columns, and its `dist`
+meets in the middle over the rows.  All metrics are computed on the
+class graph; the blow-up back to the full graph only needs class sizes.
 
 A mask contains a pattern iff each half of its slots contains that half
 of the pattern, so the signatures of all masks are the outer AND of two
@@ -126,6 +138,25 @@ def _to_bits(flags: np.ndarray) -> int:
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
+def _words(flags: np.ndarray) -> np.ndarray:
+    """The rows of a boolean matrix in little-endian 64-bit words: bit j of
+    row i is bit j % 64 of words[i, j // 64]."""
+    import numpy as np
+    k, width = flags.shape
+    padded = np.zeros((k, -(-width // 64) * 64), dtype=bool)
+    padded[:, :width] = flags
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+def _pack_rows(flags: np.ndarray) -> list[int]:
+    """Bitset of each row of a boolean matrix: bit j of row i is
+    flags[i, j]."""
+    rows, *high = _words(flags).T.tolist()
+    for w, word in enumerate(high, 1):
+        rows = [r | x << 64 * w for r, x in zip(rows, word)]
+    return rows
+
+
 def _members(x: int, k: int) -> list[int]:
     """Indices of the set bits of x, a bitset over k classes."""
     import numpy as np
@@ -154,14 +185,58 @@ class Vertices(Sequence):
 
 
 @dataclass
+class _Nodes:
+    """A VNL or WNL relation in signature-node space (module docstring)."""
+
+    lnode: list[int]  # class -> nodes of its left terms
+    rnode: list[int]  # class -> nodes of its transposed right terms
+    rhas: list[int]   # node -> classes whose rnode has it
+    grow: list[int]   # node -> union of lnode over rhas[node]
+
+    def row(self, c: int) -> int:
+        return _row_union(self.lnode[c], self.rhas)
+
+    def step(self, x: int) -> int:
+        """Left nodes of the ball one edge wider than the ball whose left
+        nodes are x."""
+        return x | _row_union(x, self.grow)
+
+    def dist(self, a: int, b: int):
+        """Distance between distinct classes a and b: the least d such that
+        the ball of radius d - 1 around a has a member adjacent to b, or
+        INFINITY once the ball stops growing.  Its left-node set grows at
+        most once per node, which bounds the loop."""
+        x, target = self.lnode[a], self.rnode[b]
+        for d in range(1, len(self.grow) + 2):
+            if x & target:
+                return d
+            grown = self.step(x)
+            if grown == x:
+                break
+            x = grown
+        return INFINITY
+
+
+@dataclass
 class OrthoGraph:
     kind: str
     n: int
     vertices: Vertices = field(repr=False)
     _class_of: np.ndarray = field(repr=False)   # vertex idx -> class
     _class_sizes: list = field(repr=False)
-    _class_adj: list = field(repr=False)        # int bitsets, self bit included
+    # adjacency rows, int bitsets with the self bit: ORTHO's from the
+    # build, VNL's and WNL's from _nodes on the first `_rows()`
+    _class_adj: list | None = field(default=None, repr=False)
+    _nodes: _Nodes | None = field(default=None, repr=False)  # VNL and WNL
     _stats: dict | None = field(default=None, repr=False)
+
+    def _rows(self) -> list[int]:
+        if self._class_adj is None:
+            self._class_adj = [self._nodes.row(c) for c in range(len(self._class_sizes))]
+        return self._class_adj
+
+    def _row(self, c: int) -> int:
+        return self._class_adj[c] if self._nodes is None else self._nodes.row(c)
 
     def vertex_index(self, a: NormalMatrix) -> int:
         if a.n != self.n:
@@ -305,14 +380,24 @@ def _build_ortho(n: int) -> OrthoGraph:
     )
 
 
-def _fold(terms, perm) -> list[int]:
-    """Class-adjacency rows of the relation given by (left, right) terms,
-    perm transposing signature bits: per term, has[s] holds the classes
-    whose transposed right term has bit s, and row a ORs has[s] over the
-    bits s of left[a]."""
-    has = [[_to_bits((right >> t) & 1) for t in perm] for _, right in terms]
-    lefts = [left.tolist() for left, _ in terms]
-    return [reduce(or_, map(_row_union, sigs, has)) for sigs in zip(*lefts)]
+def _node_tables(terms, perm: np.ndarray) -> _Nodes:
+    """Signature-node tables of the relation given by (left, right) terms,
+    perm transposing signature bits: node t*len(perm) + s is bit s of
+    term t."""
+    import numpy as np
+    bits = np.arange(len(perm))
+    left = np.hstack([lt[:, None] >> bits & 1 for lt, _ in terms]) != 0
+    right = np.hstack([rt[:, None] >> perm & 1 for _, rt in terms]) != 0
+    has = np.ascontiguousarray(right.T)
+    # grow[x] has node y iff some class has x in its rnode and y in its lnode
+    lsets = _words(left.T)
+    grow = np.array([(lsets & h).any(axis=1) for h in _words(has)])
+    return _Nodes(
+        lnode=_pack_rows(left),
+        rnode=_pack_rows(right),
+        rhas=[_to_bits(h) for h in has],
+        grow=_pack_rows(grow),
+    )
 
 
 def _build_pattern_graph(kind: str, n: int) -> OrthoGraph:
@@ -337,7 +422,7 @@ def _build_pattern_graph(kind: str, n: int) -> OrthoGraph:
     sizes = np.bincount(class_of, minlength=len(keys)).tolist()
 
     # transposing moves signature bit (p, q) to (q, p)
-    perm = [q * n + p for p in range(n) for q in range(n)]
+    perm = np.array([q * n + p for p in range(n) for q in range(n)])
     if kind == VNL:
         terms = [(rows[0], rows[0])]
     else:
@@ -349,7 +434,7 @@ def _build_pattern_graph(kind: str, n: int) -> OrthoGraph:
         vertices=Vertices(n, vmask),
         _class_of=class_of,
         _class_sizes=sizes,
-        _class_adj=_fold(terms, perm),
+        _nodes=_node_tables(terms, perm),
     )
 
 
@@ -404,12 +489,13 @@ def _meet(adj: list[int], a: int, b: int):
         ends[0] = (frontier, unseen ^ frontier)
 
 
-def _intra_dist(adj: list[int], c: int):
-    """Distance between two members of class c: 1 when they are adjacent,
-    2 through any other class, otherwise unreachable."""
-    if adj[c] & (1 << c):
+def _intra_dist(row: int, c: int):
+    """Distance between two members of class c, whose adjacency row is
+    row: 1 when they are adjacent, 2 through any other class, otherwise
+    unreachable."""
+    if row >> c & 1:
         return 1
-    if adj[c] & ~(1 << c):
+    if row & ~(1 << c):
         return 2
     return INFINITY
 
@@ -422,8 +508,10 @@ def dist(g: OrthoGraph, u: NormalMatrix, v: NormalMatrix):
     cu = int(g._class_of[iu])
     cv = int(g._class_of[iv])
     if cu == cv:
-        return _intra_dist(g._class_adj, cu)
-    return _meet(g._class_adj, cu, cv)
+        return _intra_dist(g._row(cu), cu)
+    if g._nodes is None:
+        return _meet(g._class_adj, cu, cv)
+    return g._nodes.dist(cu, cv)
 
 
 def stats(g: OrthoGraph) -> dict:
@@ -431,7 +519,7 @@ def stats(g: OrthoGraph) -> dict:
     if g._stats is not None:
         return g._stats
     sizes = g._class_sizes
-    adj = g._class_adj
+    adj = g._rows()
     k = len(sizes)
     self_adj = [bool(adj[c] & (1 << c)) for c in range(k)]
     others = [adj[c] & ~(1 << c) for c in range(k)]
@@ -456,7 +544,7 @@ def stats(g: OrthoGraph) -> dict:
     diam = 0
     for a in sorted(set(_class_orbits(g))):
         if sizes[a] >= 2:
-            diam = max(diam, _intra_dist(adj, a))
+            diam = max(diam, _intra_dist(adj[a], a))
         diam = max(diam, _bfs(adj, a))
         if diam == INFINITY:
             break
@@ -564,4 +652,4 @@ def girth(g: OrthoGraph):
 
 def has_loop(g: OrthoGraph, u: NormalMatrix) -> bool:
     c = int(g._class_of[g.vertex_index(u)])
-    return bool(g._class_adj[c] & (1 << c))
+    return bool(g._row(c) >> c & 1)

@@ -162,6 +162,23 @@ def test_missing_matrix_file(tmp_path, capsys, monkeypatch):
     assert code == 2 and "line 2 has 1 characters, expected 2" in err
 
 
+def test_dist_reads_arguments_before_building(tmp_path, capsys, monkeypatch):
+    # a malformed matrix exits 2 with its message, and no graph is built
+    from tropnorm import graphs
+
+    def refuse(kind, n):
+        raise AssertionError("graph built before the arguments were read")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(graphs, "build", refuse)
+    code, doc, err = run(capsys, "dist", "--kind", "wnl", "--n", "5", "0x", "00/-0")
+    assert (code, doc) == (2, None)
+    assert "no such file '0x', and it is not matrix text" in err
+    code, doc, err = run(capsys, "dist", "--kind", "wnl", "--n", "5", "00/-0", "0-/-")
+    assert (code, doc) == (2, None)
+    assert "line 2 has 1 characters, expected 2" in err
+
+
 def test_search_argument_errors(capsys):
     code, doc, err = run(capsys, "theta", "--n", "5", "--mode", "bounded", "--budget", "-5")
     assert (code, doc) == (2, None)

@@ -394,6 +394,25 @@ def test_parse_format_round_trip():
         assert parse_matrix(format_matrix(a)) == a
 
 
+def test_format_matrix_matches_per_cell_definition():
+    """format_matrix writes whole rows at once; each line must be the cells
+    of its row, '0' for a zero entry and '-' for -1, on every matrix of
+    order up to 4 and on seeded matrices of order up to 12."""
+    def per_cell(a):
+        return "\n".join(
+            "".join("0" if a.entry(i, j) == 0 else "-" for j in range(1, a.n + 1))
+            for i in range(1, a.n + 1)
+        )
+
+    rng = random.Random(48)
+    seeded = [rand_normal(rng, n) for n in range(5, 13) for _ in range(50)]
+    for n in range(1, 5):
+        for a in all_normal_matrices(n):
+            assert format_matrix(a) == per_cell(a), a
+    for a in seeded:
+        assert format_matrix(a) == per_cell(a), a
+
+
 def test_parse_errors():
     with pytest.raises(MatrixFormatError):
         parse_matrix("")

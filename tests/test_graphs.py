@@ -257,7 +257,7 @@ def test_class_adjacency_matches_adjacent_n4_n5():
             ca = int(g._class_of[g.vertex_index(a)])
             cb = int(g._class_of[g.vertex_index(b)])
             got = adjacent(kind, a, b)
-            assert bool(g._class_adj[ca] >> cb & 1) == got, (kind, n, a, b)
+            assert bool(g._rows()[ca] >> cb & 1) == got, (kind, n, a, b)
             assert adjacent(kind, b, a) == got, (kind, n, a, b)
             if got:
                 assert is_orthogonal(a, b)
@@ -281,10 +281,12 @@ def _is_symmetric(rows):
 
 @pytest.mark.parametrize("kind", (VNL, WNL))
 def test_pattern_class_adjacency_symmetric(kind):
-    """The build folds only the left terms into rows; the relation must be
-    symmetric for the rows to be the columns as well."""
+    """Row a holds the classes b with lnode[a] & rnode[b]: the relation is
+    read from the left nodes only.  It must be symmetric for the rows to be
+    the columns as well, and for the balls that `dist` grows in node space
+    to be the balls of the undirected graph."""
     for n in range(2, 6):
-        assert _is_symmetric(_built(kind, n)._class_adj), (kind, n)
+        assert _is_symmetric(_built(kind, n)._rows()), (kind, n)
     assert not _is_symmetric([0b10, 0b00])
 
 
@@ -357,9 +359,9 @@ def _all_sources_eccentricities(kind, n):
     """Eccentricity of every class, from a BFS out of every class: the
     unreduced loop that `stats` runs once per orbit."""
     g = _built(kind, n)
-    adj = g._class_adj
+    adj = g._rows()
     return [
-        max(max(_class_dists(adj, c)), graphs._intra_dist(adj, c) if size >= 2 else 0)
+        max(max(_class_dists(adj, c)), graphs._intra_dist(adj[c], c) if size >= 2 else 0)
         for c, size in enumerate(g._class_sizes)
     ]
 
@@ -379,7 +381,7 @@ def test_layer_matches_or_of_rows(kind, n):
     """One layer step against the OR of the frontier's rows restricted to
     the unseen classes, on seeded disjoint frontier and unseen sets from
     sparse to dense frontiers, so that both directions run."""
-    adj = _built(kind, n)._class_adj
+    adj = _built(kind, n)._rows()
     k = len(adj)
     rng = random.Random(47)
     top_down = set()
@@ -401,25 +403,109 @@ def test_layer_matches_or_of_rows(kind, n):
 
 @pytest.mark.parametrize("kind,n,reached", [
     (WNL, 2, {1, math.inf}), (ORTHO, 4, {1, 2, 3}), (VNL, 5, {1, 2}),
-    (WNL, 4, {1, 2}), (WNL, 5, {1, 2}),
+    (WNL, 4, {1, 2}), (WNL, 5, {1, 2}), (VNL, 3, {1, 2}), (VNL, 4, {1, 2}),
+    (WNL, 3, {1, 2, 3}),
 ])
 def test_dist_matches_top_down_bfs(kind, n, reached):
     """`dist` in both orders against the plain BFS, on every pair of
-    vertices in different classes at n=2, else on seeded sources with
+    vertices in different classes at n <= 3, else on seeded sources with
     seeded targets each; the pairs reach every distance in `reached`."""
     g = _built(kind, n)
     verts, class_of = g.vertices, g._class_of.tolist()
     rng = random.Random(46)
     k = g.num_vertices
     got = set()
-    for i in range(k) if n == 2 else rng.sample(range(k), 6):
-        dists = _class_dists(g._class_adj, class_of[i])
-        for j in range(k) if n == 2 else rng.sample(range(k), 60):
+    for i in range(k) if n <= 3 else rng.sample(range(k), 6):
+        dists = _class_dists(g._rows(), class_of[i])
+        for j in range(k) if n <= 3 else rng.sample(range(k), 60):
             if class_of[i] != class_of[j]:
                 want = dists[class_of[j]]
                 assert dist(g, verts[i], verts[j]) == want, (kind, n, i, j)
                 assert dist(g, verts[j], verts[i]) == want, (kind, n, j, i)
                 got.add(want)
+    assert got == reached
+
+
+@pytest.mark.parametrize("kind", (VNL, WNL))
+def test_node_meet_matches_rows(kind):
+    """Class a meets class b iff lnode[a] & rnode[b]: every class pair at
+    n = 2..4, and seeded pairs at n = 5, against the adjacency rows."""
+    for n in (2, 3, 4):
+        g = _built(kind, n)
+        nodes = g._nodes
+        for a, la in enumerate(nodes.lnode):
+            row = sum(1 << b for b, rb in enumerate(nodes.rnode) if la & rb)
+            assert row == g._rows()[a], (kind, n, a)
+    g = _built(kind, 5)
+    nodes, rows = g._nodes, g._rows()
+    rng = random.Random(49)
+    k = len(rows)
+    for _ in range(2000):
+        a, b = rng.randrange(k), rng.randrange(k)
+        assert bool(nodes.lnode[a] & nodes.rnode[b]) == bool(rows[a] >> b & 1), (kind, a, b)
+
+
+@pytest.mark.parametrize("kind,n", [(kind, n) for kind in (VNL, WNL) for n in (3, 4)])
+def test_node_step_grows_ball(kind, n):
+    """d steps from lnode[a] give the left nodes of the ball of radius d
+    around a, by the plain BFS over the rows, up to one step past the
+    ball's last growth."""
+    g = _built(kind, n)
+    nodes, rows = g._nodes, g._rows()
+    rng = random.Random(50)
+    for a in rng.sample(range(len(rows)), min(20, len(rows))):
+        dists = _class_dists(rows, a)
+        x = nodes.lnode[a]
+        for d in range(max(v for v in dists if v < math.inf) + 2):
+            want = 0
+            for c, dc in enumerate(dists):
+                if dc <= d:
+                    want |= nodes.lnode[c]
+            assert x == want, (kind, n, a, d)
+            x = nodes.step(x)
+
+
+@pytest.mark.parametrize("kind", (VNL, WNL))
+def test_dist_builds_no_rows(kind):
+    """`dist` and `has_loop` on a pattern graph work in node space: after a
+    batch of queries, in different classes and in one, no adjacency row
+    has been built."""
+    g = build(kind, 5)
+    verts, class_of = g.vertices, g._class_of.tolist()
+    rng = random.Random(51)
+    first = {}
+    for i, c in enumerate(class_of):
+        first.setdefault(c, i)
+    got = set()
+    for _ in range(100):
+        i, j = rng.randrange(len(verts)), rng.randrange(len(verts))
+        got.add(dist(g, verts[i], verts[j]))
+        got.add(dist(g, verts[i], verts[first[class_of[i]]]))
+        has_loop(g, verts[i])
+    assert {1, 2} <= got
+    assert g._class_adj is None
+
+
+@pytest.mark.parametrize("n,reached", [(4, {2}), (5, {1, 2})])
+def test_same_class_dist_matches_adjacent(n, reached):
+    """Two members of one WNL class are at distance 1 when the edge
+    predicate joins them and else 2 (the graph is connected): each member,
+    seeded ones at n = 5, against the first member of its class.  No class
+    of several members has a loop at n = 4."""
+    g = _built(WNL, n)
+    verts, class_of = g.vertices, g._class_of.tolist()
+    first = {}
+    for i, c in enumerate(class_of):
+        first.setdefault(c, i)
+    members = range(len(verts)) if n == 4 else random.Random(52).sample(range(len(verts)), 3000)
+    got = set()
+    for i in members:
+        j = first[class_of[i]]
+        if i != j:
+            a, b = verts[i], verts[j]
+            want = 1 if adjacent(WNL, a, b) else 2
+            assert dist(g, a, b) == dist(g, b, a) == want, (n, i, j)
+            got.add(want)
     assert got == reached
 
 
@@ -528,4 +614,4 @@ def test_ortho4_adjacency_matches_naive_odot():
         i, j = rng.randrange(g.num_vertices), rng.randrange(g.num_vertices)
         a, b = g.vertices[i], g.vertices[j]
         want = naive_odot(a, b) == z and naive_odot(b, a) == z
-        assert bool(g._class_adj[i] >> j & 1) == want, (i, j)
+        assert bool(g._rows()[i] >> j & 1) == want, (i, j)
