@@ -3,9 +3,12 @@
 Two engines pin the minimum number of off-diagonal zeros:
 
 * exhaustive oracles (small orders) that walk zero patterns by
-  increasing total count and test every one: a pair by two ANDs of row
-  sets and full-family complements (`_full_family`), a self-orthogonal
-  candidate row by row, built from per-row values with fixed zero counts;
+  increasing total count and test every one: a left factor A against
+  every right factor B at once, a set of matrices being one int with a
+  bit per off-diagonal mask (`_sliced_nonfull`), so that the B with
+  A*B = Z are one row union, and each of them then for B*A = Z row by
+  row; a self-orthogonal candidate row by row, built from per-row values
+  with fixed zero counts;
 * a branch-and-bound engine that grows left factors and enumerates the
   right factor column by column under exact hitting-set bounds (column
   j of B must meet row i of A wherever a_ij = -1; orthogonality is this
@@ -99,17 +102,27 @@ def _pair_from_masks(n: int, amask: int, bmask: int) -> tuple[NormalMatrix, Norm
 THETA_EXHAUSTIVE_GUARD = 4
 
 
-def _full_family(n: int, rows: tuple[int, ...]) -> tuple[int, int]:
-    """The row set of a matrix (bit r set iff some row is r) and the
-    complement of its full family (bit p set iff the union of the rows
-    picked by p is not full).  A*B = Z iff row_set(A) & nonfull(B) == 0."""
-    full = (1 << n) - 1
-    row_set = sum(1 << r for r in set(rows))
-    # the union of pick p is that of p less its lowest bit, plus one row
-    union = [0] * (1 << n)
-    for p in range(1, 1 << n):
-        union[p] = union[p & (p - 1)] | rows[(p & -p).bit_length() - 1]
-    return row_set, sum(1 << p for p, u in enumerate(union) if u != full)
+def _sliced_nonfull(n: int) -> list[int]:
+    """The complements of the full families of every matrix of order n,
+    bit-sliced: a set of matrices is an int whose bit m stands for the
+    matrix with off-diagonal mask m.  Entry p holds the matrices whose
+    union of the rows picked by p is not full, so A*B = Z iff B lies in
+    none of the entries picked by the row values of A."""
+    slots = n * n - n
+    size = 1 << slots
+    every = (1 << size) - 1
+    # the matrices with a zero at off-diagonal slot s: runs of 2^s
+    slot_set = [
+        int(("1" * (1 << s) + "0" * (1 << s)) * (size >> (s + 1)), 2) for s in range(slots)
+    ]
+    # cells[c][i]: the matrices with a zero at (i, c)
+    cells = [
+        [every if i == c else slot_set[i * (n - 1) + c - (c > i)] for i in range(n)]
+        for c in range(n)
+    ]
+    return [
+        every ^ reduce(and_, (_row_union(p, col) for col in cells)) for p in range(1 << n)
+    ]
 
 
 def theta_exhaustive(n: int) -> ThetaCertificate:
@@ -121,22 +134,32 @@ def theta_exhaustive(n: int) -> ThetaCertificate:
         raise ValueError("n must be positive")
     t0 = time.monotonic()
     slots = n * n - n
-    by_count: list[list[tuple[int, int, int]]] = [[] for _ in range(slots + 1)]
+    full = (1 << n) - 1
+    nonfull = _sliced_nonfull(n)
+    rows = [offdiag_rows(n, mask) for mask in range(1 << slots)]
+    row_set = [sum(1 << r for r in set(rs)) for rs in rows]
+    by_count: list[list[int]] = [[] for _ in range(slots + 1)]
     for mask in range(1 << slots):
-        by_count[mask.bit_count()].append((mask, *_full_family(n, offdiag_rows(n, mask))))
+        by_count[mask.bit_count()].append(mask)
+    count_set = [sum(1 << m for m in group) for group in by_count]
 
     nodes = 0
     for total in range(2 * slots + 1):
         found: list[tuple[int, int]] = []
         for ka in range(max(0, total - slots), min(slots, total) + 1):
-            group_a, group_b = by_count[ka], by_count[total - ka]
-            nodes += len(group_a) * len(group_b)
-            for amask, rs_a, nf_a in group_a:
-                found += [
-                    (amask, bmask)
-                    for bmask, rs_b, nf_b in group_b
-                    if not (rs_a & nf_b or rs_b & nf_a)
-                ]
+            kb = total - ka
+            nodes += len(by_count[ka]) * len(by_count[kb])
+            right = count_set[kb]
+            for amask in by_count[ka]:
+                # every B with A*B = Z at once, then B*A = Z row by row
+                cand = right & ~_row_union(row_set[amask], nonfull)
+                if cand:
+                    arows = rows[amask]
+                    found += [
+                        (amask, bmask)
+                        for bmask in _bits(cand)
+                        if all(_row_union(r, arows) == full for r in rows[bmask])
+                    ]
         if found:
             found.sort()
             witnesses = [_pair_from_masks(n, a, b) for a, b in found]

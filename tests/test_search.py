@@ -26,8 +26,8 @@ from tropnorm.search import (
     COMPLETENESS_LOWER_BOUND,
     SearchInconclusive,
     _bounded_pairs,
-    _full_family,
     _mm_generic_pairs,
+    _sliced_nonfull,
     check_theorem_theta,
     enumerate_orthogonal_pairs,
     theta_bounded,
@@ -82,6 +82,79 @@ def test_theta_delta_values():
 def _naive_orthogonal(a, b) -> bool:
     zero = all_zero(a.n)
     return naive_odot(a, b) == zero and naive_odot(b, a) == zero
+
+
+def _full_family(n: int, rows: tuple[int, ...]) -> tuple[int, int]:
+    """The row set of a matrix (bit r set iff some row is r) and the
+    complement of its full family (bit p set iff the union of the rows
+    picked by p is not full).  A*B = Z iff row_set(A) & nonfull(B) == 0."""
+    full = (1 << n) - 1
+    row_set = sum(1 << r for r in set(rows))
+    # the union of pick p is that of p less its lowest bit, plus one row
+    union = [0] * (1 << n)
+    for p in range(1, 1 << n):
+        union[p] = union[p & (p - 1)] | rows[(p & -p).bit_length() - 1]
+    return row_set, sum(1 << p for p, u in enumerate(union) if u != full)
+
+
+def _two_and_scan(n: int) -> tuple[int, list[tuple[int, int]], int]:
+    """Reference exhaustive pair search, one pair at a time: the least
+    total zero count, its pairs of masks in order and the pairs tested.
+    A pair is orthogonal iff both ANDs of row set and full-family
+    complement are zero."""
+    slots = n * n - n
+    by_count = [[] for _ in range(slots + 1)]
+    for mask in range(1 << slots):
+        by_count[mask.bit_count()].append((mask, *_full_family(n, offdiag_rows(n, mask))))
+    nodes = 0
+    for total in range(2 * slots + 1):
+        found = []
+        for ka in range(max(0, total - slots), min(slots, total) + 1):
+            group_a, group_b = by_count[ka], by_count[total - ka]
+            nodes += len(group_a) * len(group_b)
+            found += [
+                (am, bm)
+                for am, rs_a, nf_a in group_a
+                for bm, rs_b, nf_b in group_b
+                if not (rs_a & nf_b or rs_b & nf_a)
+            ]
+        if found:
+            return total, sorted(found), nodes
+    raise AssertionError("unreachable: (Z, I) is always orthogonal")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_theta_exhaustive_matches_two_and_scan(n):
+    value, found, nodes = _two_and_scan(n)
+    cert = theta_exhaustive(n)
+    assert cert.value == value
+    assert [(to_offdiag_mask(a), to_offdiag_mask(b)) for a, b in cert.witnesses] == found
+    assert cert.total_witnesses == len(found)
+    assert cert.search_stats["nodes"] == nodes
+
+
+def _assert_sliced_bit(n, nonfull, m):
+    # bit m of nonfull[p] against bit p of mask m's own full-family complement
+    _, nf = _full_family(n, offdiag_rows(n, m))
+    for p, entry in enumerate(nonfull):
+        assert entry >> m & 1 == nf >> p & 1, (p, m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sliced_nonfull_every_mask(n):
+    nonfull = _sliced_nonfull(n)
+    assert len(nonfull) == 1 << n
+    assert all(entry >> (1 << (n * n - n)) == 0 for entry in nonfull)
+    for m in range(1 << (n * n - n)):
+        _assert_sliced_bit(n, nonfull, m)
+
+
+def test_sliced_nonfull_seeded_masks_n4():
+    nonfull = _sliced_nonfull(4)
+    assert all(entry >> (1 << 12) == 0 for entry in nonfull)
+    rng = random.Random(2020)
+    for m in [0, (1 << 12) - 1] + [rng.getrandbits(12) for _ in range(2_000)]:
+        _assert_sliced_bit(4, nonfull, m)
 
 
 def _full_family_orthogonal(a, b) -> bool:
