@@ -19,24 +19,29 @@ signatures.  Their edge rule is a list of (left, right) signature terms,
 and class a meets class b when left[a] shares a bit with the transposed
 right[b].  Swapping left and right maps the term list onto itself, so
 the relation is symmetric (checked in the tests, not on every build).
+ORTHO adjacency does not factor through signature bits: it has one class
+per vertex, each adjacency row the AND of 2n bitsets looked up by the
+vertex's rows and columns.
 
-A pattern graph keeps the relation in signature-node space: node
-t*n^2 + s stands for bit s of term t (n^2 nodes for VNL, 3n^2 for WNL).
-Per class c, lnode[c] holds the nodes of its left terms and rnode[c]
-those of its transposed right terms; per node x, rhas[x] is the bitset
-of the classes whose rnode has x, and grow[x] the union of lnode over
-them.  Class a meets class b iff lnode[a] & rnode[b], and row a of the
-adjacency is the OR of rhas over lnode[a].  `dist` between two classes
-builds no row: the left nodes X of the ball of radius d around a class
-give those of radius d + 1 as X with grow[x] ORed in for every x in X,
-so it grows X from lnode[a] until X meets rnode[b], each step at most
-3n^2 ORs of 3n^2-bit ints whatever the number of classes.  `has_loop`
-and `dist` inside one class build one row; `stats` builds all of them,
-once, on first use.  ORTHO adjacency does not factor through signature
-bits: it is built with one class per vertex, each adjacency row the AND
-of 2n bitsets looked up by the vertex's rows and columns, and its `dist`
-meets in the middle over the rows.  All metrics are computed on the
-class graph; the blow-up back to the full graph only needs class sizes.
+All three graphs hold one relation over nodes, `_Nodes`.  Per class c,
+lnode[c] and rnode[c] are sets of nodes; per node x, rhas[x] is the
+bitset of the classes whose rnode has x, and grow[x] the union of lnode
+over them.  Class a meets class b iff lnode[a] & rnode[b], and row a of
+the adjacency is the OR of rhas over lnode[a].  In a pattern graph node
+t*n^2 + s stands for bit s of term t (n^2 nodes for VNL, 3n^2 for WNL):
+lnode[c] holds the nodes of c's left terms, rnode[c] those of its
+transposed right terms.  ORTHO's nodes are its classes: lnode[c] is c
+alone, and rnode, rhas and grow are all the adjacency rows.
+
+`dist` builds no row: the left nodes X of the ball of radius d around a
+class give those of radius d + 1 as X with grow[x] ORed in for every x
+in X, so it grows X from lnode[a] until X meets rnode[b] (in a pattern
+graph each step is at most 3n^2 ORs of 3n^2-bit ints, whatever the
+number of classes).  The same search gives the distance between two
+members of one class, and `has_loop` is lnode[c] & rnode[c].  `stats`
+builds all the rows, once, on first use (ORTHO's come with the build).
+All metrics are computed on the class graph; the blow-up back to the
+full graph only needs class sizes.
 
 A mask contains a pattern iff each half of its slots contains that half
 of the pattern, so the signatures of all masks are the outer AND of two
@@ -186,10 +191,11 @@ class Vertices(Sequence):
 
 @dataclass
 class _Nodes:
-    """A VNL or WNL relation in signature-node space (module docstring)."""
+    """The relation of a graph over nodes (module docstring): signature
+    nodes for VNL and WNL, the classes themselves for ORTHO."""
 
-    lnode: list[int]  # class -> nodes of its left terms
-    rnode: list[int]  # class -> nodes of its transposed right terms
+    lnode: list[int]  # class -> its left nodes
+    rnode: list[int]  # class -> its right nodes
     rhas: list[int]   # node -> classes whose rnode has it
     grow: list[int]   # node -> union of lnode over rhas[node]
 
@@ -202,10 +208,13 @@ class _Nodes:
         return x | _row_union(x, self.grow)
 
     def dist(self, a: int, b: int):
-        """Distance between distinct classes a and b: the least d such that
-        the ball of radius d - 1 around a has a member adjacent to b, or
-        INFINITY once the ball stops growing.  Its left-node set grows at
-        most once per node, which bounds the loop."""
+        """Distance from a member of class a to another member of class b,
+        a and b possibly the same class: the least d such that the ball of
+        radius d - 1 around a has a member adjacent to b, or INFINITY once
+        the ball stops growing.  For a == b that is 1 on a self-adjacent
+        class, 2 when the class has another neighbour, else INFINITY.  The
+        ball's left-node set grows at most once per node, which bounds the
+        loop."""
         x, target = self.lnode[a], self.rnode[b]
         for d in range(1, len(self.grow) + 2):
             if x & target:
@@ -219,24 +228,25 @@ class _Nodes:
 
 @dataclass
 class OrthoGraph:
+    """A graph of any of the three kinds, ORTHO, VNL or WNL (the name is
+    the public export's): its vertices, the class of each vertex, the
+    class sizes and the relation over nodes."""
+
     kind: str
     n: int
     vertices: Vertices = field(repr=False)
     _class_of: np.ndarray = field(repr=False)   # vertex idx -> class
     _class_sizes: list = field(repr=False)
+    _nodes: _Nodes = field(repr=False)
     # adjacency rows, int bitsets with the self bit: ORTHO's from the
     # build, VNL's and WNL's from _nodes on the first `_rows()`
     _class_adj: list | None = field(default=None, repr=False)
-    _nodes: _Nodes | None = field(default=None, repr=False)  # VNL and WNL
     _stats: dict | None = field(default=None, repr=False)
 
     def _rows(self) -> list[int]:
         if self._class_adj is None:
             self._class_adj = [self._nodes.row(c) for c in range(len(self._class_sizes))]
         return self._class_adj
-
-    def _row(self, c: int) -> int:
-        return self._class_adj[c] if self._nodes is None else self._nodes.row(c)
 
     def vertex_index(self, a: NormalMatrix) -> int:
         if a.n != self.n:
@@ -370,12 +380,14 @@ def _build_ortho(n: int) -> OrthoGraph:
             acc &= rows_meet[c]
         adj_bits.append(acc)
 
+    # nodes are classes: lnode[c] is c alone; rnode, rhas and grow are the rows
     return OrthoGraph(
         kind=ORTHO,
         n=n,
         vertices=Vertices(n, masks),
         _class_of=np.arange(len(masks)),
         _class_sizes=[1] * len(masks),
+        _nodes=_Nodes([1 << c for c in range(len(masks))], adj_bits, adj_bits, adj_bits),
         _class_adj=adj_bits,
     )
 
@@ -468,50 +480,12 @@ def _bfs(adj: list[int], start: int):
     return layers
 
 
-def _meet(adj: list[int], a: int, b: int):
-    """Distance between distinct classes a and b: a ball grows around each,
-    the one with the smaller frontier by a layer at a time, until a new
-    layer meets the other frontier; INFINITY when a frontier empties."""
-    if adj[a] >> b & 1:
-        return 1
-    k = len(adj)
-    ends = [(1 << c, ((1 << k) - 1) ^ 1 << c) for c in (a, b)]  # (frontier, unseen)
-    layers = 0
-    while True:
-        ends.sort(key=lambda end: end[0].bit_count())
-        (frontier, unseen), (other, _) = ends
-        frontier = _layer(adj, frontier, unseen, k)
-        layers += 1
-        if frontier & other:
-            return layers
-        if not frontier:
-            return INFINITY
-        ends[0] = (frontier, unseen ^ frontier)
-
-
-def _intra_dist(row: int, c: int):
-    """Distance between two members of class c, whose adjacency row is
-    row: 1 when they are adjacent, 2 through any other class, otherwise
-    unreachable."""
-    if row >> c & 1:
-        return 1
-    if row & ~(1 << c):
-        return 2
-    return INFINITY
-
-
 def dist(g: OrthoGraph, u: NormalMatrix, v: NormalMatrix):
     iu = g.vertex_index(u)
     iv = g.vertex_index(v)
     if iu == iv:
         return 0
-    cu = int(g._class_of[iu])
-    cv = int(g._class_of[iv])
-    if cu == cv:
-        return _intra_dist(g._row(cu), cu)
-    if g._nodes is None:
-        return _meet(g._class_adj, cu, cv)
-    return g._nodes.dist(cu, cv)
+    return g._nodes.dist(int(g._class_of[iu]), int(g._class_of[iv]))
 
 
 def stats(g: OrthoGraph) -> dict:
@@ -544,7 +518,7 @@ def stats(g: OrthoGraph) -> dict:
     diam = 0
     for a in sorted(set(_class_orbits(g))):
         if sizes[a] >= 2:
-            diam = max(diam, _intra_dist(adj[a], a))
+            diam = max(diam, g._nodes.dist(a, a))
         diam = max(diam, _bfs(adj, a))
         if diam == INFINITY:
             break
@@ -652,4 +626,4 @@ def girth(g: OrthoGraph):
 
 def has_loop(g: OrthoGraph, u: NormalMatrix) -> bool:
     c = int(g._class_of[g.vertex_index(u)])
-    return bool(g._row(c) >> c & 1)
+    return bool(g._nodes.lnode[c] & g._nodes.rnode[c])

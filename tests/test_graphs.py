@@ -338,7 +338,7 @@ def _set_bits(x):
 def _class_dists(adj, start):
     """Distance from class `start` to every class by a plain top-down BFS,
     each layer the OR of the rows of the one before: the reference for
-    the layer step and the two-sided meet of `graphs`."""
+    the layer step and for `dist`."""
     dists = [math.inf] * len(adj)
     dists[start] = 0
     seen, frontier, layer = 1 << start, [start], 0
@@ -354,6 +354,14 @@ def _class_dists(adj, start):
     return dists
 
 
+def _same_class_dist(row, c):
+    """Distance between two members of class c, whose adjacency row is
+    row: 1 on its self bit, 2 through another neighbour, else unreachable."""
+    if row >> c & 1:
+        return 1
+    return 2 if row & ~(1 << c) else math.inf
+
+
 @functools.lru_cache(maxsize=None)
 def _all_sources_eccentricities(kind, n):
     """Eccentricity of every class, from a BFS out of every class: the
@@ -361,7 +369,7 @@ def _all_sources_eccentricities(kind, n):
     g = _built(kind, n)
     adj = g._rows()
     return [
-        max(max(_class_dists(adj, c)), graphs._intra_dist(adj[c], c) if size >= 2 else 0)
+        max(max(_class_dists(adj, c)), _same_class_dist(adj[c], c) if size >= 2 else 0)
         for c, size in enumerate(g._class_sizes)
     ]
 
@@ -404,7 +412,7 @@ def test_layer_matches_or_of_rows(kind, n):
 @pytest.mark.parametrize("kind,n,reached", [
     (WNL, 2, {1, math.inf}), (ORTHO, 4, {1, 2, 3}), (VNL, 5, {1, 2}),
     (WNL, 4, {1, 2}), (WNL, 5, {1, 2}), (VNL, 3, {1, 2}), (VNL, 4, {1, 2}),
-    (WNL, 3, {1, 2, 3}),
+    (WNL, 3, {1, 2, 3}), (ORTHO, 2, {1}), (ORTHO, 3, {1, 2, 3}),
 ])
 def test_dist_matches_top_down_bfs(kind, n, reached):
     """`dist` in both orders against the plain BFS, on every pair of
@@ -426,17 +434,19 @@ def test_dist_matches_top_down_bfs(kind, n, reached):
     assert got == reached
 
 
-@pytest.mark.parametrize("kind", (VNL, WNL))
+@pytest.mark.parametrize("kind", (VNL, WNL, ORTHO))
 def test_node_meet_matches_rows(kind):
-    """Class a meets class b iff lnode[a] & rnode[b]: every class pair at
-    n = 2..4, and seeded pairs at n = 5, against the adjacency rows."""
-    for n in (2, 3, 4):
+    """Class a meets class b iff lnode[a] & rnode[b]: every class pair up
+    to the largest order, and seeded pairs at it (n = 5, or 4 for ORTHO),
+    against the adjacency rows."""
+    top = 4 if kind == ORTHO else 5
+    for n in range(2, top):
         g = _built(kind, n)
         nodes = g._nodes
         for a, la in enumerate(nodes.lnode):
             row = sum(1 << b for b, rb in enumerate(nodes.rnode) if la & rb)
             assert row == g._rows()[a], (kind, n, a)
-    g = _built(kind, 5)
+    g = _built(kind, top)
     nodes, rows = g._nodes, g._rows()
     rng = random.Random(49)
     k = len(rows)
@@ -445,7 +455,9 @@ def test_node_meet_matches_rows(kind):
         assert bool(nodes.lnode[a] & nodes.rnode[b]) == bool(rows[a] >> b & 1), (kind, a, b)
 
 
-@pytest.mark.parametrize("kind,n", [(kind, n) for kind in (VNL, WNL) for n in (3, 4)])
+@pytest.mark.parametrize("kind,n", [(kind, n) for kind in (VNL, WNL) for n in (3, 4)] + [
+    (ORTHO, n) for n in (2, 3, 4)
+])
 def test_node_step_grows_ball(kind, n):
     """d steps from lnode[a] give the left nodes of the ball of radius d
     around a, by the plain BFS over the rows, up to one step past the
@@ -486,13 +498,16 @@ def test_dist_builds_no_rows(kind):
     assert g._class_adj is None
 
 
-@pytest.mark.parametrize("n,reached", [(4, {2}), (5, {1, 2})])
-def test_same_class_dist_matches_adjacent(n, reached):
-    """Two members of one WNL class are at distance 1 when the edge
+@pytest.mark.parametrize("kind,n,reached", [
+    pytest.param(WNL, 4, {2}, id="4-reached0"), pytest.param(WNL, 5, {1, 2}, id="5-reached1"),
+    (VNL, 4, {1, 2}), (VNL, 5, {1, 2}),
+])
+def test_same_class_dist_matches_adjacent(kind, n, reached):
+    """Two members of one VNL or WNL class are at distance 1 when the edge
     predicate joins them and else 2 (the graph is connected): each member,
-    seeded ones at n = 5, against the first member of its class.  No class
-    of several members has a loop at n = 4."""
-    g = _built(WNL, n)
+    seeded ones at n = 5, against the first member of its class.  No WNL
+    class of several members has a loop at n = 4."""
+    g = _built(kind, n)
     verts, class_of = g.vertices, g._class_of.tolist()
     first = {}
     for i, c in enumerate(class_of):
@@ -503,8 +518,8 @@ def test_same_class_dist_matches_adjacent(n, reached):
         j = first[class_of[i]]
         if i != j:
             a, b = verts[i], verts[j]
-            want = 1 if adjacent(WNL, a, b) else 2
-            assert dist(g, a, b) == dist(g, b, a) == want, (n, i, j)
+            want = 1 if adjacent(kind, a, b) else 2
+            assert dist(g, a, b) == dist(g, b, a) == want, (kind, n, i, j)
             got.add(want)
     assert got == reached
 

@@ -1,9 +1,11 @@
+import itertools
 import random
 import time
 from collections import Counter
 
 import pytest
 
+from burnside import orbit_counts
 from tropnorm import fixtures
 from tropnorm.core import (
     all_normal_matrices,
@@ -308,6 +310,41 @@ def test_bounded_phase_counters():
     assert stats["ba_rejects"] <= stats["leaves"]
     stats = theta_bounded(5, budget=13).search_stats
     assert _counters(stats) == (3237, 834, 354, 304, 1000, 1000)
+
+
+def _orbit_walk_counts(n):
+    """Orbits of zero sets by size, walked: each zero set not yet seen
+    opens an orbit, and its images under every relabelling, with and
+    without the transpose, are marked seen."""
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    images = [
+        {(i, j): (p[j], p[i]) if t else (p[i], p[j]) for i, j in cells}
+        for p in itertools.permutations(range(n)) for t in (False, True)
+    ]
+    seen, counts = set(), Counter()
+    for k in range(len(cells) + 1):
+        for zeros in itertools.combinations(cells, k):
+            if frozenset(zeros) not in seen:
+                counts[k] += 1
+                seen.update(frozenset(image[c] for c in zeros) for image in images)
+    return [counts[k] for k in range(len(cells) + 1)]
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_orbit_counts_match_orbit_walk(n):
+    assert orbit_counts(n, n * n - n) == _orbit_walk_counts(n)
+
+
+@pytest.mark.parametrize("n,budget,orbits", [
+    (2, 2, 2), (3, 5, 5), (4, 9, 33), (5, 13, 354), (6, 17, 7_124), (7, 16, 18_893),
+])
+def test_canonical_equals_orbit_count(n, budget, orbits):
+    """The bounded search grows one canonical left factor per orbit of zero
+    sets under S_n x C2 with at most budget // 2 zeros, so `canonical`
+    equals the Burnside count; (7, 16) runs past the n <= 6 guards."""
+    assert sum(orbit_counts(n, budget // 2)) == orbits
+    _, stats = _bounded_pairs(n, budget)
+    assert stats["canonical"] == orbits
 
 
 def _brute_force_pairs(n):
