@@ -24,54 +24,58 @@ per vertex, each adjacency row the AND of 2n bitsets looked up by the
 vertex's rows and columns.
 
 All three graphs hold one relation over nodes, `_Nodes`.  Per class c,
-lnode[c] and rnode[c] are sets of nodes; per node x, rhas[x] is the
+lnode(c) and rnode[c] are sets of nodes; per node x, rhas[x] is the
 bitset of the classes whose rnode has x, and grow[x] the union of lnode
-over them.  Class a meets class b iff lnode[a] & rnode[b], and row a of
-the adjacency is the OR of rhas over lnode[a].  In a pattern graph node
+over them.  Class a meets class b iff lnode(a) & rnode[b], and row a of
+the adjacency is the OR of rhas over lnode(a).  In a pattern graph node
 t*n^2 + s stands for bit s of term t (n^2 nodes for VNL, 3n^2 for WNL):
-lnode[c] holds the nodes of c's left terms, rnode[c] those of its
-transposed right terms.  ORTHO's nodes are its classes: lnode[c] is c
+lnode(c) holds the nodes of c's left terms, rnode[c] those of its
+transposed right terms.  ORTHO's nodes are its classes: lnode(c) is c
 alone, and rnode, rhas and grow are all the adjacency rows.
 
 `dist` builds no row: the left nodes X of the ball of radius d around a
 class give those of radius d + 1 as X with grow[x] ORed in for every x
-in X, so it grows X from lnode[a] until X meets rnode[b] (in a pattern
+in X, so it grows X from lnode(a) until X meets rnode[b] (in a pattern
 graph each step is at most 3n^2 ORs of 3n^2-bit ints, whatever the
 number of classes).  The same search gives the distance between two
-members of one class, and `has_loop` is lnode[c] & rnode[c].  `stats`
+members of one class, and `has_loop` is lnode(c) & rnode[c].  `stats`
 builds all the rows, once, on first use (ORTHO's come with the build).
 All metrics are computed on the class graph; the blow-up back to the
 full graph only needs class sizes.
 
 A mask contains a pattern iff each half of its slots contains that half
-of the pattern, so the signatures of all masks are the outer AND of two
-tables over half masks.  A class is one value of an int64 key: the VNL
+of the pattern, so its class follows from the half classes of its high
+and low h = (n^2 - n)/2 slots: the half masks grouped by the pattern
+halves they contain, 472 a side for WNL n=5.  The key of a pair of half
+classes sums, per pattern list, the AND of their signatures: the VNL
 signature, or for WNL a 2-bit level per (p, q) that counts the nested
-patterns W ⊆ W&Z(q;p) ⊆ W&Z(p;q)&Z(q;p) the mask contains.  Classes are
-numbered in the order of their keys, and the signature rows of the edge
-terms are decoded from the keys.
+patterns W ⊆ W&Z(q;p) ⊆ W&Z(p;q)&Z(q;p) the masks contain.  A pair's
+size is the product of its half counts, less one for the all-zero matrix
+(alone in its pair).  Classes are numbered in key order; one pair of each
+class gives a member and the edge terms' signature rows, and a table
+gives each pair's class (-1 for none): three reads give a mask's class.
 
 Conjugation by permutation matrices and the transpose are automorphisms
 of all three graphs, and eccentricity is invariant under automorphisms.
 So `stats` runs one BFS per orbit of classes: the row masks of one member
 of every class go through the conjugations `core.conj_generators`, which
-search shares, and the bit transpose `core._col_array`, and a union-find
-joins each class with the classes of its images (ORTHO n=4: 142 orbits of
-4,094 classes; VNL n=5: 18 of 750; WNL n=5: 107 of 11,479).
+search shares, and the bit transpose `core._col_array`; each class takes
+the least label of its images until the labels settle (ORTHO n=4: 142
+orbits of 4,094 classes; VNL n=5: 18 of 750; WNL n=5: 107 of 11,479).
 
 Vertices are keyed by their off-diagonal mask (`core.to_offdiag_mask`).
-A graph keeps only the sorted numpy array of those masks: `vertices`
-decodes a matrix on demand, and `vertex_index` is a binary search.  The
-V/W/Z patterns are the off-diagonal masks of the rows a `families.Atom`
+`vertices` sorts the vertex masks on first use and decodes a matrix on
+demand, and `vertex_index` is a binary search in them.  The V/W/Z
+patterns are the off-diagonal masks of the rows a `families.Atom`
 forces, so neither the slot order nor the patterns are written here.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import or_
 from typing import TYPE_CHECKING
 
@@ -115,23 +119,6 @@ def _patterns(n: int) -> dict[tuple[str, int, int], int]:
         for p in range(1, n + 1)
         for q in range(1, n + 1)
     }
-
-
-def _signatures(n: int, patterns: list[int], step: int = 1) -> np.ndarray:
-    """Entry m has bit step*s set iff off-diagonal mask m of order n
-    contains patterns[s]: a table over the high h slots at m >> h ANDed
-    with one over the low h slots, so the outer AND is in mask order."""
-    import numpy as np
-    h = (n * n - n) // 2
-    half = np.arange(1 << h, dtype=np.int64)
-    tables = []
-    for shift in (h, 0):
-        t = np.zeros(1 << h, dtype=np.int64)
-        for s, pat in enumerate(patterns):
-            part = (pat >> shift) & ((1 << h) - 1)
-            t |= ((half & part) == part).astype(np.int64) << step * s
-        tables.append(t)
-    return (tables[0][:, None] & tables[1][None, :]).reshape(-1)
 
 
 # -- class bitsets ---------------------------------------------------------
@@ -194,13 +181,13 @@ class _Nodes:
     """The relation of a graph over nodes (module docstring): signature
     nodes for VNL and WNL, the classes themselves for ORTHO."""
 
-    lnode: list[int]  # class -> its left nodes
+    lnode: Callable[[int], int]  # class -> its left nodes
     rnode: list[int]  # class -> its right nodes
     rhas: list[int]   # node -> classes whose rnode has it
     grow: list[int]   # node -> union of lnode over rhas[node]
 
     def row(self, c: int) -> int:
-        return _row_union(self.lnode[c], self.rhas)
+        return _row_union(self.lnode(c), self.rhas)
 
     def step(self, x: int) -> int:
         """Left nodes of the ball one edge wider than the ball whose left
@@ -215,7 +202,7 @@ class _Nodes:
         class, 2 when the class has another neighbour, else INFINITY.  The
         ball's left-node set grows at most once per node, which bounds the
         loop."""
-        x, target = self.lnode[a], self.rnode[b]
+        x, target = self.lnode(a), self.rnode[b]
         for d in range(1, len(self.grow) + 2):
             if x & target:
                 return d
@@ -229,13 +216,15 @@ class _Nodes:
 @dataclass
 class OrthoGraph:
     """A graph of any of the three kinds, ORTHO, VNL or WNL (the name is
-    the public export's): its vertices, the class of each vertex, the
-    class sizes and the relation over nodes."""
+    the public export's): the class table, the class sizes and the
+    relation over nodes."""
 
     kind: str
     n: int
-    vertices: Vertices = field(repr=False)
-    _class_of: np.ndarray = field(repr=False)   # vertex idx -> class
+    _hi: np.ndarray = field(repr=False)  # mask of the high h slots -> half class
+    _lo: np.ndarray = field(repr=False)  # mask of the low h slots -> half class
+    _table: np.ndarray = field(repr=False)  # (high, low) half class -> class, -1 for none
+    _member: np.ndarray = field(repr=False)  # class -> the mask of one member
     _class_sizes: list = field(repr=False)
     _nodes: _Nodes = field(repr=False)
     # adjacency rows, int bitsets with the self bit: ORTHO's from the
@@ -248,19 +237,31 @@ class OrthoGraph:
             self._class_adj = [self._nodes.row(c) for c in range(len(self._class_sizes))]
         return self._class_adj
 
-    def vertex_index(self, a: NormalMatrix) -> int:
+    def _class(self, m):
+        """Class of the off-diagonal mask m or mask array m, -1 off the graph."""
+        h = (self.n * self.n - self.n) // 2
+        return self._table[self._hi[m >> h], self._lo[m & ((1 << h) - 1)]]
+
+    def _vertex_class(self, a: NormalMatrix) -> int:
         if a.n != self.n:
             raise ValueError(f"order {a.n} vertex in an order {self.n} graph")
-        masks = self.vertices.masks
-        m = to_offdiag_mask(a)
-        idx = int(masks.searchsorted(m))
-        if idx == len(masks) or masks.item(idx) != m:
+        c = int(self._class(to_offdiag_mask(a)))
+        if c < 0:
             raise ValueError("matrix is not a vertex of this graph")
-        return idx
+        return c
+
+    def vertex_index(self, a: NormalMatrix) -> int:
+        self._vertex_class(a)
+        return int(self.vertices.masks.searchsorted(to_offdiag_mask(a)))
+
+    @cached_property
+    def vertices(self) -> Vertices:
+        is_vert = (self._table >= 0)[self._hi[:, None], self._lo]
+        return Vertices(self.n, is_vert.ravel().nonzero()[0])
 
     @property
     def num_vertices(self) -> int:
-        return len(self.vertices)
+        return sum(self._class_sizes)
 
 
 # -- adjacency predicates -------------------------------------------------
@@ -360,7 +361,8 @@ def build(kind: str, n: int) -> OrthoGraph:
 
 def _build_ortho(n: int) -> OrthoGraph:
     import numpy as np
-    masks = np.arange(1, (1 << (n * n - n)) - 1, dtype=np.int64)
+    h = (n * n - n) // 2
+    masks = np.arange(1, (1 << 2 * h) - 1, dtype=np.int64)
     rows = offdiag_row_array(n, masks)
     cols = _col_array(rows)
 
@@ -380,71 +382,94 @@ def _build_ortho(n: int) -> OrthoGraph:
             acc &= rows_meet[c]
         adj_bits.append(acc)
 
-    # nodes are classes: lnode[c] is c alone; rnode, rhas and grow are the rows
+    # a half class per half mask, and class m - 1 for mask m off both ends
+    table = np.append(np.arange(-1, len(masks), dtype=np.int32), -1)
+    # nodes are classes: lnode(c) is c alone; rnode, rhas and grow are the rows
     return OrthoGraph(
         kind=ORTHO,
         n=n,
-        vertices=Vertices(n, masks),
-        _class_of=np.arange(len(masks)),
+        _hi=np.arange(1 << h),
+        _lo=np.arange(1 << h),
+        _table=table.reshape(1 << h, 1 << h),
+        _member=masks,
         _class_sizes=[1] * len(masks),
-        _nodes=_Nodes([1 << c for c in range(len(masks))], adj_bits, adj_bits, adj_bits),
+        _nodes=_Nodes((1).__lshift__, adj_bits, adj_bits, adj_bits),
         _class_adj=adj_bits,
     )
 
 
 def _node_tables(terms, perm: np.ndarray) -> _Nodes:
     """Signature-node tables of the relation given by (left, right) terms,
-    perm transposing signature bits: node t*len(perm) + s is bit s of
-    term t."""
+    each a boolean matrix of classes by signature bits, perm transposing
+    signature bits: node t*len(perm) + s is bit s of term t."""
     import numpy as np
-    bits = np.arange(len(perm))
-    left = np.hstack([lt[:, None] >> bits & 1 for lt, _ in terms]) != 0
-    right = np.hstack([rt[:, None] >> perm & 1 for _, rt in terms]) != 0
+    left = np.hstack([lt for lt, _ in terms])
+    right = np.hstack([rt[:, perm] for _, rt in terms])
     has = np.ascontiguousarray(right.T)
     # grow[x] has node y iff some class has x in its rnode and y in its lnode
     lsets = _words(left.T)
     grow = np.array([(lsets & h).any(axis=1) for h in _words(has)])
     return _Nodes(
-        lnode=_pack_rows(left),
+        lnode=_pack_rows(left).__getitem__,
         rnode=_pack_rows(right),
         rhas=[_to_bits(h) for h in has],
         grow=_pack_rows(grow),
     )
 
 
+def _half_classes(n: int, pattern_lists, shift: int):
+    """Half masks of the h slots from bit `shift` grouped by the pattern
+    halves they hold: each one's class, the class sizes, each class's least
+    mask and per pattern list their signatures, bit 2s for pattern s."""
+    import numpy as np
+    h = (n * n - n) // 2
+    half = np.arange(1 << h, dtype=np.int64)
+    parts = [[(pat >> shift) & ((1 << h) - 1) for pat in pats] for pats in pattern_lists]
+    sigs = [sum(((half & part) == part).astype(np.int64) << 2 * s for s, part in enumerate(ps))
+            for ps in parts]
+    # the lists nest, so their sum loses none of them (module docstring)
+    _, first, ids, counts = np.unique(
+        sum(sigs), return_index=True, return_inverse=True, return_counts=True)
+    return ids, counts, first, [sig[first] for sig in sigs]
+
+
 def _build_pattern_graph(kind: str, n: int) -> OrthoGraph:
     import numpy as np
-    full = (1 << (n * n - n)) - 1
+    h = (n * n - n) // 2
     pattern_lists = [_vnl_patterns(n)] if kind == VNL else _wnl_patterns(n)
-    # one key per mask: the bits s of the pattern lists sum into bits 2s,
-    # 2s+1, a level that fixes all three as wzz => wzo => w
-    key = sum(_signatures(n, pats, 2) for pats in pattern_lists)
-
-    # vertex filter: some off-diagonal (p,q) level, and not the top matrix
+    hi, hi_count, hi_first, hi_sigs = _half_classes(n, pattern_lists, h)
+    lo, lo_count, lo_first, lo_sigs = _half_classes(n, pattern_lists, 0)
+    # per (high, low) pair of half classes and per list, the signature of
+    # its masks; the key sums them into a 2-bit level per (p, q)
+    sigs = [a[:, None] & b for a, b in zip(hi_sigs, lo_sigs)]
+    key = sum(sigs)
+    size = hi_count[:, None] * lo_count
+    size[hi[-1], lo[-1]] -= 1  # the all-zero matrix, alone in its pair
+    # vertex filter: some off-diagonal (p,q) level, and a member left
     offdiag_fields = sum(3 << 2 * (p * n + q) for p in range(n) for q in range(n) if p != q)
-    is_vert = (key & offdiag_fields) != 0
-    is_vert[full] = False
-    vmask = np.flatnonzero(is_vert)
-
-    # a class is a key value; signature row t has bit s where level s exceeds t
+    is_vert = ((key & offdiag_fields) != 0) & (size > 0)
     keys, class_of = np.unique(key[is_vert], return_inverse=True)
-    levels = [(keys >> 2 * s) & 3 for s in range(n * n)]
-    rows = [sum((lv > t).astype(np.int64) << s for s, lv in enumerate(levels))
-            for t in range(len(pattern_lists))]
-    sizes = np.bincount(class_of, minlength=len(keys)).tolist()
-
-    # transposing moves signature bit (p, q) to (q, p)
+    sizes = np.bincount(class_of, weights=size[is_vert]).astype(np.int64).tolist()
+    table = np.full(key.shape, -1, dtype=np.int32)
+    table[is_vert] = class_of
+    # at one pair of each class: a member, and per list the signature as
+    # bits, bit s of class c at [c, s], for the rows of the edge terms
+    pair = np.empty(len(keys), dtype=np.int64)
+    pair[class_of] = np.flatnonzero(is_vert)
+    hi_at, lo_at = np.divmod(pair, len(lo_count))
+    raw = [sig.reshape(-1)[pair].astype("<u8").view(np.uint8).reshape(-1, 8) for sig in sigs]
+    rows = [np.unpackbits(r, axis=1, bitorder="little")[:, : 2 * n * n : 2] != 0 for r in raw]
+    # transposing moves signature bit (p, q) to (q, p); the terms are
+    # (V, V) for VNL and (wzz, w), (wzo, wzo), (w, wzz) for WNL
     perm = np.array([q * n + p for p in range(n) for q in range(n)])
-    if kind == VNL:
-        terms = [(rows[0], rows[0])]
-    else:
-        w, wzo, wzz = rows
-        terms = [(wzz, w), (wzo, wzo), (w, wzz)]
+    terms = list(zip(rows[::-1], rows))
     return OrthoGraph(
         kind=kind,
         n=n,
-        vertices=Vertices(n, vmask),
-        _class_of=class_of,
+        _hi=hi,
+        _lo=lo,
+        _table=table,
+        _member=hi_first[hi_at] << h | lo_first[lo_at],
         _class_sizes=sizes,
         _nodes=_node_tables(terms, perm),
     )
@@ -481,11 +506,8 @@ def _bfs(adj: list[int], start: int):
 
 
 def dist(g: OrthoGraph, u: NormalMatrix, v: NormalMatrix):
-    iu = g.vertex_index(u)
-    iv = g.vertex_index(v)
-    if iu == iv:
-        return 0
-    return g._nodes.dist(int(g._class_of[iu]), int(g._class_of[iv]))
+    a, b = g._vertex_class(u), g._vertex_class(v)
+    return 0 if u == v else g._nodes.dist(a, b)
 
 
 def stats(g: OrthoGraph) -> dict:
@@ -564,31 +586,18 @@ def stats(g: OrthoGraph) -> dict:
 def _class_orbits(g: OrthoGraph) -> list[int]:
     """The least class of the orbit of each class under conjugation by
     permutation matrices and the transpose.  Each generator maps one
-    member of every class to a vertex, and a union-find joins the class
-    with the class of that image."""
+    member of every class to a vertex and so permutes the classes; every
+    class takes the least label of its images until the labels settle."""
     import numpy as np
-    masks = g.vertices.masks
-    # any member of every class: its images fall in the same classes
-    first = np.empty(len(g._class_sizes), dtype=np.int64)
-    first[g._class_of] = np.arange(len(masks))
-    rows = offdiag_row_array(g.n, masks[first])
+    rows = offdiag_row_array(g.n, g._member)
     images = [np.asarray(img)[rows[:, src]] for src, img in conj_generators(g.n)]
-    parent = list(range(len(first)))
-
-    def root(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for image in (*images, _col_array(rows)):
-        img = offdiag_mask(g.n, image.T)
-        at = np.searchsorted(masks, img)
-        assert (masks[at] == img).all(), "a generator maps a vertex off the graph"
-        for a, b in enumerate(g._class_of[at].tolist()):
-            a, b = root(a), root(b)
-            parent[max(a, b)] = min(a, b)
-    return [root(c) for c in range(len(parent))]
+    maps = [g._class(offdiag_mask(g.n, image.T)) for image in (*images, _col_array(rows))]
+    assert min(m.min() for m in maps) >= 0, "a generator maps a vertex off the graph"
+    # a label is a class of its orbit no greater than its own class
+    label = np.arange(len(g._member))
+    while not np.array_equal(label, new := reduce(np.minimum, [label[m] for m in maps], label)):
+        label = new[new]
+    return label.tolist()
 
 
 def _simple_girth(adj: list[int], nbits: int, cap=INFINITY):
@@ -625,5 +634,5 @@ def girth(g: OrthoGraph):
 
 
 def has_loop(g: OrthoGraph, u: NormalMatrix) -> bool:
-    c = int(g._class_of[g.vertex_index(u)])
-    return bool(g._nodes.lnode[c] & g._nodes.rnode[c])
+    c = g._vertex_class(u)
+    return bool(g._nodes.lnode(c) & g._nodes.rnode[c])

@@ -11,9 +11,11 @@ from tropnorm.core import (
     NormalMatrix,
     all_normal_matrices,
     all_zero,
+    from_offdiag_mask,
     identity,
     make_elementary,
     naive_odot,
+    to_offdiag_mask,
     transpose,
 )
 from tropnorm.graphs import (
@@ -30,6 +32,16 @@ from tropnorm.ortho import is_orthogonal
 
 # graphs shared by several tests; no test changes a graph
 _built = functools.lru_cache(maxsize=None)(build)
+
+
+def _class_of(g, a):
+    """Class of the vertex a, through the graph's class lookup."""
+    return int(g._class(to_offdiag_mask(a)))
+
+
+def _vertex_classes(g):
+    """Class of every vertex, in vertex order, through the class lookup."""
+    return g._class(g.vertices.masks).tolist()
 
 ORTHO3_STATS = {"vertices": 62, "edges": 385, "loops": 17, "girth": 3, "diameter": 3}
 VNL3_STATS = {"vertices": 24, "edges": 120, "loops": 6, "girth": 3, "diameter": 2}
@@ -154,7 +166,7 @@ def test_class_graph_matches_brute_force():
     # of its class (the graph is connected, so non-adjacent members are at 2)
     g = build(VNL, 4)
     first = {}
-    for i, c in enumerate(g._class_of.tolist()):
+    for i, c in enumerate(_vertex_classes(g)):
         if c in first:
             a, b = g.vertices[first[c]], g.vertices[i]
             assert dist(g, a, b) == (1 if adjacent(VNL, a, b) else 2)
@@ -254,8 +266,7 @@ def test_class_adjacency_matches_adjacent_n4_n5():
         assert len(edges) > 250
         assert all(adjacent(kind, a, b) for a, b in edges)
         for a, b in pairs + edges:
-            ca = int(g._class_of[g.vertex_index(a)])
-            cb = int(g._class_of[g.vertex_index(b)])
+            ca, cb = _class_of(g, a), _class_of(g, b)
             got = adjacent(kind, a, b)
             assert bool(g._rows()[ca] >> cb & 1) == got, (kind, n, a, b)
             assert adjacent(kind, b, a) == got, (kind, n, a, b)
@@ -281,7 +292,7 @@ def _is_symmetric(rows):
 
 @pytest.mark.parametrize("kind", (VNL, WNL))
 def test_pattern_class_adjacency_symmetric(kind):
-    """Row a holds the classes b with lnode[a] & rnode[b]: the relation is
+    """Row a holds the classes b with lnode(a) & rnode[b]: the relation is
     read from the left nodes only.  It must be symmetric for the rows to be
     the columns as well, and for the balls that `dist` grows in node space
     to be the balls of the undirected graph."""
@@ -313,18 +324,133 @@ def test_vnl5_wnl5_diameter_two():
 
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_signatures_match_per_mask_containment(n):
+    """The half tables: per pattern list, a half class has bit 2s set iff
+    its half masks contain that half of pattern s; the half classes are
+    the half masks of equal signatures, their sizes count them, and each
+    has its least half mask.  For every mask, the AND of its two halves'
+    signatures is its own."""
+    h = (n * n - n) // 2
     vnl = graphs._vnl_patterns(n)
     w, wzo, wzz = graphs._wnl_patterns(n)
-    for pats in (vnl, w, wzo, wzz):
-        sigs = graphs._signatures(n, pats).tolist()
-        assert len(sigs) == 1 << (n * n - n)
-        for m, sig in enumerate(sigs):
-            assert sig == sum(((m & p) == p) << s for s, p in enumerate(pats)), (m, sig)
+    for lists in ([vnl], [w, wzo, wzz]):
+        halves = []
+        for shift in (h, 0):
+            ids, counts, first, sigs = graphs._half_classes(n, lists, shift)
+            ids = ids.tolist()
+            assert len(ids) == 1 << h
+            assert counts.tolist() == [ids.count(c) for c in range(len(counts))]
+            assert first.tolist() == [ids.index(c) for c in range(len(counts))]
+            sel = ((1 << h) - 1) << shift
+            by_sig = {}
+            for x, c in enumerate(ids):
+                m = x << shift
+                want = tuple(sum((m & p & sel == p & sel) << 2 * s for s, p in enumerate(pats))
+                             for pats in lists)
+                assert tuple(sig[c] for sig in sigs) == want, (n, shift, x)
+                assert by_sig.setdefault(want, c) == c
+            assert len(by_sig) == len(counts)
+            halves.append([[sig[c] for c in ids] for sig in sigs])
+        for m in range(1 << 2 * h):
+            for pats, hi, lo in zip(lists, *halves):
+                want = sum(((m & p) == p) << 2 * s for s, p in enumerate(pats))
+                assert hi[m >> h] & lo[m & ((1 << h) - 1)] == want, (n, m)
     # the 2-bit WNL class key needs wzz => wzo => w for every (p, q)
     for lo, hi in ((w, wzo), (wzo, wzz)):
-        lo_sig = graphs._signatures(n, lo)
-        assert (graphs._signatures(n, hi) & ~lo_sig == 0).all()
         assert all(h & l == l for l, h in zip(lo, hi))
+
+
+# -- the full sweep, the oracle of the class lookup ------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep(kind, n):
+    """Class of every off-diagonal mask, -1 for a non-vertex, by a sweep
+    over all 2^(n^2-n) masks.  ORTHO's classes are its masks minus 1,
+    without the two ends.  A VNL or WNL mask's key has, per pattern list,
+    bit 2s set iff the mask contains pattern s, summed over the lists; the
+    vertices are the masks with some off-diagonal (p, q) level but the
+    all-zero matrix, and their classes the keys in increasing order."""
+    import numpy as np
+    masks = np.arange(1 << (n * n - n), dtype=np.int64)
+    if kind == ORTHO:
+        classes = masks - 1
+    else:
+        lists = [graphs._vnl_patterns(n)] if kind == VNL else graphs._wnl_patterns(n)
+        key = sum(((masks & pat) == pat).astype(np.int64) << 2 * s
+                  for pats in lists for s, pat in enumerate(pats))
+        offdiag = sum(3 << 2 * (p * n + q) for p in range(n) for q in range(n) if p != q)
+        is_vert = (key & offdiag) != 0
+        is_vert[-1] = False  # the all-zero matrix
+        classes = np.full(len(masks), -1)
+        classes[is_vert] = np.unique(key[is_vert], return_inverse=True)[1]
+    classes[-1] = -1  # the all-zero matrix
+    return classes
+
+
+SWEEP_GRAPHS = [(ORTHO, n) for n in (2, 3, 4)] + [
+    (kind, n) for kind in (VNL, WNL) for n in (2, 3, 4, 5)
+]
+
+
+@pytest.mark.parametrize("kind,n", SWEEP_GRAPHS)
+def test_class_lookup_matches_sweep(kind, n):
+    """The class of every mask by the table lookup, the class sizes, the
+    vertex sequence and the member kept for each class against the sweep;
+    each matrix at n <= 4, and 20,000 seeded ones at n = 5, through
+    `vertex_index` and `has_loop`, which refuse exactly the sweep's
+    non-vertices."""
+    import numpy as np
+    g = _built(kind, n)
+    want = _sweep(kind, n)
+    assert np.array_equal(g._class(np.arange(len(want))), want)
+    assert g._class_sizes == np.bincount(want[want >= 0]).tolist()
+    assert np.array_equal(g.vertices.masks, np.flatnonzero(want >= 0))
+    assert g.num_vertices == len(g.vertices)
+    assert np.array_equal(want[g._member], np.arange(len(g._class_sizes)))
+    picks = range(len(want)) if n <= 4 else random.Random(53).sample(range(len(want)), 20000)
+    for m in picks:
+        a = from_offdiag_mask(n, m)
+        if want[m] < 0:
+            with pytest.raises(ValueError, match="not a vertex"):
+                g.vertex_index(a)
+            with pytest.raises(ValueError, match="not a vertex"):
+                has_loop(g, a)
+        else:
+            assert g.vertices.masks[g.vertex_index(a)] == m
+            assert _class_of(g, a) == want[m]
+
+
+@pytest.mark.parametrize("kind,n", SWEEP_GRAPHS)
+def test_all_zero_matrix_refused(kind, n):
+    """The all-zero matrix is no vertex, at either end of `dist`; another
+    mask of its pair of half classes is a vertex whenever the sweep says
+    so.  (Every off-diagonal slot lies in some pattern, so at these
+    orders the all-zero matrix is alone in its pair.)"""
+    import numpy as np
+    g = _built(kind, n)
+    z, v = all_zero(n), g.vertices[0]
+    for call in (g.vertex_index, lambda a: has_loop(g, a),
+                 lambda a: dist(g, a, v), lambda a: dist(g, v, a)):
+        with pytest.raises(ValueError, match="not a vertex"):
+            call(z)
+    h = (n * n - n) // 2
+    full, low = to_offdiag_mask(z), (1 << h) - 1
+    masks = np.arange(full)
+    pair = masks[(g._hi[masks >> h] == g._hi[full >> h]) & (g._lo[masks & low] == g._lo[full & low])]
+    assert np.array_equal(g._class(pair) >= 0, _sweep(kind, n)[pair] >= 0)
+
+
+def test_vnl5_build_memory():
+    """A VNL n=5 build peaks below the size of one int64 array over its
+    2^20 masks (8 MiB): it builds no array over the masks."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        build(VNL, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 # -- orbit-reduced stats ------------------------------------------------------
@@ -419,7 +545,7 @@ def test_dist_matches_top_down_bfs(kind, n, reached):
     vertices in different classes at n <= 3, else on seeded sources with
     seeded targets each; the pairs reach every distance in `reached`."""
     g = _built(kind, n)
-    verts, class_of = g.vertices, g._class_of.tolist()
+    verts, class_of = g.vertices, _vertex_classes(g)
     rng = random.Random(46)
     k = g.num_vertices
     got = set()
@@ -436,15 +562,15 @@ def test_dist_matches_top_down_bfs(kind, n, reached):
 
 @pytest.mark.parametrize("kind", (VNL, WNL, ORTHO))
 def test_node_meet_matches_rows(kind):
-    """Class a meets class b iff lnode[a] & rnode[b]: every class pair up
+    """Class a meets class b iff lnode(a) & rnode[b]: every class pair up
     to the largest order, and seeded pairs at it (n = 5, or 4 for ORTHO),
     against the adjacency rows."""
     top = 4 if kind == ORTHO else 5
     for n in range(2, top):
         g = _built(kind, n)
         nodes = g._nodes
-        for a, la in enumerate(nodes.lnode):
-            row = sum(1 << b for b, rb in enumerate(nodes.rnode) if la & rb)
+        for a in range(len(g._class_sizes)):
+            row = sum(1 << b for b, rb in enumerate(nodes.rnode) if nodes.lnode(a) & rb)
             assert row == g._rows()[a], (kind, n, a)
     g = _built(kind, top)
     nodes, rows = g._nodes, g._rows()
@@ -452,14 +578,14 @@ def test_node_meet_matches_rows(kind):
     k = len(rows)
     for _ in range(2000):
         a, b = rng.randrange(k), rng.randrange(k)
-        assert bool(nodes.lnode[a] & nodes.rnode[b]) == bool(rows[a] >> b & 1), (kind, a, b)
+        assert bool(nodes.lnode(a) & nodes.rnode[b]) == bool(rows[a] >> b & 1), (kind, a, b)
 
 
 @pytest.mark.parametrize("kind,n", [(kind, n) for kind in (VNL, WNL) for n in (3, 4)] + [
     (ORTHO, n) for n in (2, 3, 4)
 ])
 def test_node_step_grows_ball(kind, n):
-    """d steps from lnode[a] give the left nodes of the ball of radius d
+    """d steps from lnode(a) give the left nodes of the ball of radius d
     around a, by the plain BFS over the rows, up to one step past the
     ball's last growth."""
     g = _built(kind, n)
@@ -467,12 +593,12 @@ def test_node_step_grows_ball(kind, n):
     rng = random.Random(50)
     for a in rng.sample(range(len(rows)), min(20, len(rows))):
         dists = _class_dists(rows, a)
-        x = nodes.lnode[a]
+        x = nodes.lnode(a)
         for d in range(max(v for v in dists if v < math.inf) + 2):
             want = 0
             for c, dc in enumerate(dists):
                 if dc <= d:
-                    want |= nodes.lnode[c]
+                    want |= nodes.lnode(c)
             assert x == want, (kind, n, a, d)
             x = nodes.step(x)
 
@@ -483,7 +609,7 @@ def test_dist_builds_no_rows(kind):
     batch of queries, in different classes and in one, no adjacency row
     has been built."""
     g = build(kind, 5)
-    verts, class_of = g.vertices, g._class_of.tolist()
+    verts, class_of = g.vertices, _vertex_classes(g)
     rng = random.Random(51)
     first = {}
     for i, c in enumerate(class_of):
@@ -508,7 +634,7 @@ def test_same_class_dist_matches_adjacent(kind, n, reached):
     seeded ones at n = 5, against the first member of its class.  No WNL
     class of several members has a loop at n = 4."""
     g = _built(kind, n)
-    verts, class_of = g.vertices, g._class_of.tolist()
+    verts, class_of = g.vertices, _vertex_classes(g)
     first = {}
     for i, c in enumerate(class_of):
         first.setdefault(c, i)
@@ -543,13 +669,16 @@ def test_orbit_classes_alike(kind, n):
         assert ecc[c] == ecc[root], (kind, n, c)
 
 
-def _slot_orbits(g):
-    """Reference for `graphs._class_orbits`: one member of every class is
-    mapped through the generators as permutations of the off-diagonal
-    slots, bit by bit, and a union-find joins the classes."""
+def _slot_orbits(kind, n):
+    """Reference for `graphs._class_orbits` on the sweep's classes: one
+    member of every class is mapped through the generators as
+    permutations of the off-diagonal slots, bit by bit, and a union-find
+    joins the classes."""
     import numpy as np
-    masks = g.vertices.masks
-    _, first = np.unique(g._class_of, return_index=True)
+    classes = _sweep(kind, n)
+    masks = np.flatnonzero(classes >= 0)
+    _, first = np.unique(classes[masks], return_index=True)
+    members = masks[first]
     parent = list(range(len(first)))
 
     def root(c):
@@ -557,13 +686,12 @@ def _slot_orbits(g):
             c = parent[c]
         return c
 
-    for perm in slot_generators(g.n):
-        img = np.zeros_like(masks[first])
+    for perm in slot_generators(n):
+        img = np.zeros_like(members)
         for s, t in enumerate(perm):
-            img |= ((masks[first] >> s) & 1) << t
-        at = np.searchsorted(masks, img)
-        assert (masks[at] == img).all()
-        for a, b in enumerate(g._class_of[at].tolist()):
+            img |= ((members >> s) & 1) << t
+        assert (classes[img] >= 0).all()
+        for a, b in enumerate(classes[img].tolist()):
             a, b = root(a), root(b)
             parent[max(a, b)] = min(a, b)
     return [root(c) for c in range(len(parent))]
@@ -573,8 +701,7 @@ def _slot_orbits(g):
     (kind, n) for kind in (VNL, WNL) for n in (2, 3, 4, 5)
 ])
 def test_class_orbits_match_slot_permutations(kind, n):
-    g = _built(kind, n)
-    assert graphs._class_orbits(g) == _slot_orbits(g)
+    assert graphs._class_orbits(_built(kind, n)) == _slot_orbits(kind, n)
 
 
 # -- vertices decoded on demand ------------------------------------------------
