@@ -12,26 +12,24 @@ border row one more mask, and a condition holds when its mask is full.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import MINUS_ONE, ZERO, DimensionMismatch, NormalMatrix, _bits, _cols, _row_union
+from .core import (
+    MINUS_ONE, ZERO, DimensionMismatch, NormalMatrix, _bits, _cols, _Record, _row_union)
 from .ortho import is_orthogonal
 
 
-@dataclass(frozen=True)
-class BorderVector:
+class BorderVector(_Record):
     """A vector over {0, -1}, stored by its set of zero positions (1-based)."""
 
-    n: int
-    zeros: frozenset
+    __slots__ = _fields = ("n", "zeros")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, zeros):
+        if n < 1:
             raise ValueError("vector length must be positive")
-        object.__setattr__(self, "zeros", frozenset(self.zeros))
-        for i in self.zeros:
-            if not 1 <= i <= self.n:
-                raise ValueError(f"zero position {i} out of range 1..{self.n}")
+        zeros = frozenset(zeros)
+        for i in zeros:
+            if not 1 <= i <= n:
+                raise ValueError(f"zero position {i} out of range 1..{n}")
+        self._set(n=n, zeros=zeros)
 
     @classmethod
     def from_entries(cls, entries):
@@ -63,18 +61,16 @@ def right_product_mask(w: BorderVector, b: NormalMatrix) -> int:
     return _row_union(w.mask(), b.rows)
 
 
-@dataclass(frozen=True)
-class BorderedBlocks:
+class BorderedBlocks(_Record):
     """The three free blocks of a bordered normal matrix: inner block b,
     last column v (above the corner) and last row w (left of the corner)."""
 
-    b: NormalMatrix
-    v: BorderVector
-    w: BorderVector
+    __slots__ = _fields = ("b", "v", "w")
 
-    def __post_init__(self):
-        if self.v.n != self.b.n or self.w.n != self.b.n:
+    def __init__(self, b: NormalMatrix, v: BorderVector, w: BorderVector):
+        if v.n != b.n or w.n != b.n:
             raise DimensionMismatch("border vectors must match the block order")
+        self._set(b=b, v=v, w=w)
 
 
 def border_compose(blocks: BorderedBlocks) -> NormalMatrix:

@@ -32,7 +32,6 @@ All indices in the public API are 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -67,25 +66,75 @@ class SearchInconclusive(RuntimeError):
 GRAPH_KINDS = ("ortho", "vnl", "wnl")
 
 
-@dataclass(frozen=True)
-class NormalMatrix:
+_setfield = object.__setattr__
+
+
+class _Record:
+    """Base of the package's immutable records.  A record names its fields
+    in `_fields`, sets them once in __init__ (through `_set`, or
+    `_setfield` where it is built in a hot loop), and compares, hashes and
+    prints by their values; assigning or deleting an attribute afterwards
+    raises AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            _setfield(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class NormalMatrix(_Record):
     """Square matrix over {0, -1} with zero diagonal, stored as row bitmasks.
 
     rows[i] has bit (j-1) set iff entry (i+1, j) is zero.
     """
 
-    n: int
-    rows: tuple[int, ...]
+    __slots__ = _fields = ("n", "rows")
 
-    def __post_init__(self):
-        full = _full_row(self.n)
-        if len(self.rows) != self.n:
+    def __init__(self, n: int, rows: tuple[int, ...]):
+        full = _full_row(n)
+        if len(rows) != n:
             raise ValueError("row count does not match order")
-        for i, r in enumerate(self.rows):
+        for i, r in enumerate(rows):
             if r & ~full:
                 raise ValueError(f"row {i + 1} has bits outside [1..n]")
             if not r & (1 << i):
                 raise ValueError(f"diagonal entry ({i + 1},{i + 1}) must be zero")
+        _setfield(self, "n", n)
+        _setfield(self, "rows", rows)
+
+    # __init__, == and hash written out for this field pair: the searches
+    # build matrices and the enumeration and orbit closure hash them in
+    # their inner loops
+    def __eq__(self, other):
+        if other.__class__ is NormalMatrix:
+            return self.n == other.n and self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rows))
 
     # -- construction ------------------------------------------------
 

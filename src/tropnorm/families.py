@@ -20,19 +20,21 @@ random pair, dense or not, usually costs no build at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .core import DimensionMismatch, NormalMatrix, _bits, _same_order, nu
-from .ortho import IndicatorReport
+from .core import DimensionMismatch, NormalMatrix, _Record, _bits, _same_order, nu
+
+if TYPE_CHECKING:
+    from .ortho import IndicatorReport
 
 ATOM_KINDS = ("V", "W", "Z")
 
 
-@dataclass(frozen=True)
-class Atom:
-    kind: str  # 'V', 'W' or 'Z'
-    p: int
-    q: int
+class Atom(_Record):
+    __slots__ = _fields = ("kind", "p", "q")
+
+    def __init__(self, kind: str, p: int, q: int):
+        self._set(kind=kind, p=p, q=q)  # kind: 'V', 'W' or 'Z'
 
     def __str__(self) -> str:
         return f"{self.kind}:{self.p},{self.q}"
@@ -53,12 +55,13 @@ class Atom:
         return tuple(rows)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_Record):
     """A conjunction of V/W/Z constraints over matrices of order n."""
 
-    n: int
-    atoms: tuple[Atom, ...]
+    __slots__ = _fields = ("n", "atoms")
+
+    def __init__(self, n: int, atoms: tuple[Atom, ...]):
+        self._set(n=n, atoms=atoms)
 
     @classmethod
     def parse(cls, n: int, text: str) -> "FamilySpec":
@@ -113,15 +116,13 @@ def spec_contains(spec: FamilySpec, a: NormalMatrix) -> bool:
 # -- the four-variant minimal-pair family -----------------------------
 
 
-@dataclass(frozen=True)
-class MmVariant:
-    k: int
-    m: int
-    variant: int  # 0..3
+class MmVariant(_Record):
+    __slots__ = _fields = ("k", "m", "variant")
 
-    def __post_init__(self):
-        if self.variant not in (0, 1, 2, 3):
-            raise ValueError(f"variant must be in 0..3, got {self.variant}")
+    def __init__(self, k: int, m: int, variant: int):
+        if variant not in (0, 1, 2, 3):
+            raise ValueError(f"variant must be in 0..3, got {variant}")
+        self._set(k=k, m=m, variant=variant)
 
 
 def _mm_specs(v: MmVariant, n: int) -> tuple[FamilySpec, FamilySpec]:

@@ -74,7 +74,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from operator import or_
 from typing import TYPE_CHECKING
@@ -176,15 +175,18 @@ class Vertices(Sequence):
         return from_offdiag_mask(self.n, int(self.masks[i]))
 
 
-@dataclass
 class _Nodes:
     """The relation of a graph over nodes (module docstring): signature
     nodes for VNL and WNL, the classes themselves for ORTHO."""
 
-    lnode: Callable[[int], int]  # class -> its left nodes
-    rnode: list[int]  # class -> its right nodes
-    rhas: list[int]   # node -> classes whose rnode has it
-    grow: list[int]   # node -> union of lnode over rhas[node]
+    __slots__ = ("lnode", "rnode", "rhas", "grow")
+
+    def __init__(self, lnode: Callable[[int], int], rnode: list[int], rhas: list[int],
+                 grow: list[int]):
+        self.lnode = lnode  # class -> its left nodes
+        self.rnode = rnode  # class -> its right nodes
+        self.rhas = rhas    # node -> classes whose rnode has it
+        self.grow = grow    # node -> union of lnode over rhas[node]
 
     def row(self, c: int) -> int:
         return _row_union(self.lnode(c), self.rhas)
@@ -213,24 +215,25 @@ class _Nodes:
         return INFINITY
 
 
-@dataclass
 class OrthoGraph:
     """A graph of any of the three kinds, ORTHO, VNL or WNL (the name is
     the public export's): the class table, the class sizes and the
     relation over nodes."""
 
-    kind: str
-    n: int
-    _hi: np.ndarray = field(repr=False)  # mask of the high h slots -> half class
-    _lo: np.ndarray = field(repr=False)  # mask of the low h slots -> half class
-    _table: np.ndarray = field(repr=False)  # (high, low) half class -> class, -1 for none
-    _member: np.ndarray = field(repr=False)  # class -> the mask of one member
-    _class_sizes: list = field(repr=False)
-    _nodes: _Nodes = field(repr=False)
-    # adjacency rows, int bitsets with the self bit: ORTHO's from the
-    # build, VNL's and WNL's from _nodes on the first `_rows()`
-    _class_adj: list | None = field(default=None, repr=False)
-    _stats: dict | None = field(default=None, repr=False)
+    def __init__(self, kind: str, n: int, _hi: np.ndarray, _lo: np.ndarray,
+                 _table: np.ndarray, _member: np.ndarray, _class_sizes: list,
+                 _nodes: _Nodes, _class_adj: list | None = None):
+        self.kind, self.n = kind, n
+        self._hi = _hi  # mask of the high h slots -> half class
+        self._lo = _lo  # mask of the low h slots -> half class
+        self._table = _table  # (high, low) half class -> class, -1 for none
+        self._member = _member  # class -> the mask of one member
+        self._class_sizes = _class_sizes
+        self._nodes = _nodes
+        # adjacency rows, int bitsets with the self bit: ORTHO's from the
+        # build, VNL's and WNL's from _nodes on the first `_rows()`
+        self._class_adj = _class_adj
+        self._stats: dict | None = None
 
     def _rows(self) -> list[int]:
         if self._class_adj is None:

@@ -10,17 +10,18 @@ two distinct middle indices).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import and_
 
 from .core import (
     DimensionMismatch,
     NormalMatrix,
+    _Record,
     _bits,
     _cols,
     _row_union,
     _same_order,
+    _setfield,
     all_normal_matrices,
     all_zero,
     format_matrix,
@@ -34,8 +35,7 @@ TAG_GIFT = "gift"
 TAG_NONZERO = "nonzero"
 
 
-@dataclass(frozen=True)
-class ZeroClass:
+class ZeroClass(_Record):
     """Classification of one cell of an indicator matrix.
 
     cost_witnesses: all middle indices k explaining a cost zero.
@@ -43,38 +43,42 @@ class ZeroClass:
     Exactly one of the two is populated, and only for the matching tag.
     """
 
-    tag: str
-    cost_witnesses: frozenset[int] = frozenset()
-    gift_witnesses: frozenset[tuple[int, int]] = frozenset()
+    __slots__ = _fields = ("tag", "cost_witnesses", "gift_witnesses")
+
+    def __init__(self, tag: str, cost_witnesses: frozenset[int] = frozenset(),
+                 gift_witnesses: frozenset[tuple[int, int]] = frozenset()):
+        self._set(tag=tag, cost_witnesses=cost_witnesses, gift_witnesses=gift_witnesses)
 
 
 # the one class of every nonzero cell and of every propagation cell
 _NO_WITNESS = {tag: ZeroClass(tag) for tag in (TAG_NONZERO, TAG_PROPAGATION)}
 
 
-@dataclass(frozen=True)
-class IndicatorReport:
+class IndicatorReport(_Record):
     """Indicator matrix of a pair plus the classification of its zeros:
     per row s, a mask of the columns t of each tag (a cell in none is
     nonzero).  The witness masks of a cost or gift cell, 0-based, are
     K = a_s & Bcol_t (a_sk = b_kt = 0) and M = b_s & Acol_t (b_sm = a_mt =
     0); a cost zero's witnesses are K & M, and a gift zero has K & M empty,
-    so its witnesses are all of K x M."""
+    so its witnesses are all of K x M.  The column masks acols and bcols
+    take no part in == and hash."""
 
-    a: NormalMatrix
-    b: NormalMatrix
-    left: NormalMatrix  # A * B
-    right: NormalMatrix  # B * A
-    indicator: NormalMatrix  # C
-    prop_rows: tuple[int, ...]
-    cost_rows: tuple[int, ...]
-    gift_rows: tuple[int, ...]
-    acols: tuple[int, ...] = field(compare=False, repr=False)
-    bcols: tuple[int, ...] = field(compare=False, repr=False)
-    prop_count: int = 0
-    cost_count: int = 0
-    gift_count: int = 0
-    duplicate_count: int = 0
+    # no __slots__: `classes` caches in the instance dict
+    _fields = ("a", "b", "left", "right", "indicator", "prop_rows", "cost_rows",
+               "gift_rows", "prop_count", "cost_count", "gift_count", "duplicate_count")
+
+    def __init__(self, a: NormalMatrix, b: NormalMatrix, left: NormalMatrix,
+                 right: NormalMatrix, indicator: NormalMatrix, prop_rows: tuple[int, ...],
+                 cost_rows: tuple[int, ...], gift_rows: tuple[int, ...],
+                 acols: tuple[int, ...], bcols: tuple[int, ...], prop_count: int = 0,
+                 cost_count: int = 0, gift_count: int = 0, duplicate_count: int = 0):
+        # left = A * B, right = B * A, indicator = C; one dict update, as
+        # every `indicator` call builds a report
+        vars(self).update(a=a, b=b, left=left, right=right, indicator=indicator,
+                          prop_rows=prop_rows, cost_rows=cost_rows, gift_rows=gift_rows,
+                          acols=acols, bcols=bcols, prop_count=prop_count,
+                          cost_count=cost_count, gift_count=gift_count,
+                          duplicate_count=duplicate_count)
 
     @property
     def n(self) -> int:
@@ -209,11 +213,14 @@ def indicator(a: NormalMatrix, b: NormalMatrix) -> IndicatorReport:
     )
 
 
-@dataclass(frozen=True)
-class RowType:
-    kind: str  # 'cost', 'gift' or 'other'
-    k: int | None = None
-    m: int | None = None
+class RowType(_Record):
+    __slots__ = _fields = ("kind", "k", "m")
+
+    # fields set one by one, as in NormalMatrix: one RowType per indicator row
+    def __init__(self, kind: str, k: int | None = None, m: int | None = None):
+        _setfield(self, "kind", kind)  # 'cost', 'gift' or 'other'
+        _setfield(self, "k", k)
+        _setfield(self, "m", m)
 
 
 def row_type(report: IndicatorReport, i: int) -> RowType:

@@ -30,7 +30,6 @@ kernel, the canonical form and the conjugation tables from `core`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import reduce
 from math import comb
 from operator import and_
@@ -60,17 +59,20 @@ COMPLETENESS_BOUNDED = "bounded_proof"
 COMPLETENESS_LOWER_BOUND = "lower_bound"
 
 
-@dataclass
 class ThetaCertificate:
-    n: int
-    kind: str  # 'pair' or 'self'
-    value: int
-    completeness: str
-    budget: int | None = None
-    witnesses: list = field(default_factory=list)
-    total_witnesses: int = 0
-    search_stats: dict = field(default_factory=dict)
-    notes: str = ""
+    __slots__ = ("n", "kind", "value", "completeness", "budget", "witnesses",
+                 "total_witnesses", "search_stats", "notes")
+
+    def __init__(self, n: int, kind: str, value: int, completeness: str,
+                 budget: int | None = None, witnesses: list | None = None,
+                 total_witnesses: int = 0, search_stats: dict | None = None,
+                 notes: str = ""):
+        self.n, self.kind, self.value = n, kind, value  # kind: 'pair' or 'self'
+        self.completeness, self.budget = completeness, budget
+        self.witnesses = [] if witnesses is None else witnesses
+        self.total_witnesses = total_witnesses
+        self.search_stats = {} if search_stats is None else search_stats
+        self.notes = notes
 
     def to_document(self) -> dict:
         if self.kind == "pair":

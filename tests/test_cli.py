@@ -317,7 +317,8 @@ def test_cli_import_leaves_numpy_unloaded():
     assert json.loads(out.stdout)["vertices"] == 62
 
 
-# the package and each subcommand load only the modules they run
+# the package and each subcommand load only the modules they run, and none
+# of them loads dataclasses
 _LOADED_PROBE = """
 import contextlib, io, json, sys
 argv = json.loads(sys.argv[1])
@@ -327,7 +328,8 @@ else:
     from tropnorm import cli
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(argv) == 0
-loaded = [m for m in sys.modules if m in ("tropnorm", "numpy") or m.startswith("tropnorm.")]
+loaded = [m for m in sys.modules
+          if m in ("tropnorm", "numpy", "dataclasses") or m.startswith("tropnorm.")]
 print(json.dumps(loaded))
 """
 
@@ -341,6 +343,7 @@ print(json.dumps(loaded))
         (["classify", "0-0/00-/-00", "0-0/00-/-00"], ("cli", "core", "families", "ortho")),
         (["theta", "--n", "3"], ("cli", "core", "families", "fixtures", "ortho", "search")),
         (["graph", "--kind", "ortho", "--n", "3"], ("cli", "core", "families", "graphs", "ortho")),
+        (["generic", "--n", "4", "--set", "V:1,2&Z:2,1"], ("cli", "core", "families")),
     ],
 )
 def test_subcommand_import_footprint(argv, extra):
