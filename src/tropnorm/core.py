@@ -477,8 +477,12 @@ def _conj(n: int, p: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     p(j).  The image of rows is `[img[rows[s]] for s in src]`: the zero at
     (i, j) moves to (p(i), p(j))."""
     src = tuple(sorted(range(n), key=p.__getitem__))
-    img = tuple(sum(1 << p[j] for j in _bits(r)) for r in range(1 << n))
-    return src, img
+    # one OR per row mask: r is r without its lowest bit, plus that bit
+    img = [0] * (1 << n)
+    for r in range(1, 1 << n):
+        low = r & -r
+        img[r] = img[r ^ low] | 1 << p[low.bit_length() - 1]
+    return src, tuple(img)
 
 
 @lru_cache(maxsize=None)
@@ -512,13 +516,13 @@ def _first_row_tables(n: int) -> tuple[tuple[tuple, ...], ...]:
     return tuple(tuple(map(tuple, by_mask)) for by_mask in tables)
 
 
-def is_canonical(rows: Sequence[int]) -> bool:
+def is_canonical(rows: Sequence[int], cols: Sequence[int]) -> bool:
     """Whether the row tuple is lexicographically greatest among its images
     under conjugation by permutation matrices and the transpose, the group
-    S_n x C2; each order keeps one such matrix per orbit.  Stops at the
-    first greater image."""
+    S_n x C2; each order keeps one such matrix per orbit.  `cols` are the
+    column masks of rows (`_cols(rows)`).  Stops at the first greater
+    image."""
     n = len(rows)
-    cols = _cols(rows)
     # the greatest first row of an image is 1 | ((2^(c-1) - 1) << (n-c+1))
     # for the most zeros c of a row or column: a row of c zeros whose
     # diagonal bit is relabelled 0 and whose other bits are the top c - 1

@@ -262,13 +262,19 @@ def _bounded_pairs(
     fewest zeros first, and `meets[j][r]` marks those allowed beside a row
     r of A (all if r has a zero at j, else those that meet r).  Per left
     factor, their AND over the rows of A lists the valid columns, and its
-    lowest bit gives the least zero count, whose sum over j bounds B.
+    lowest bit gives the least zero count, whose sum over j bounds B.  So
+    AB = Z holds column by column.  BA = Z is cut inside the DFS: row i of
+    BA is the union of the rows of A picked by row i of B, and once
+    columns 0..j-1 of B are placed only rows j..n-1 of A can still join
+    it, so column j must hold every row i whose union cannot become full
+    without row j of A.  A complete B is then orthogonal to A.
 
     The stats count ticks (`nodes`: extensions tested plus DFS nodes), the
     extensions tested (`left_factors`), the canonical left factors searched,
-    those cut by the column bound, DFS leaves with sigma(B) >= sigma(A),
-    and the leaves rejected because BA is not all zero.  A negative cap or
-    a NaN time limit raises ValueError.
+    those cut by the column bound, DFS leaves (complete orthogonal right
+    factors with sigma(B) >= sigma(A)), and the column candidates the BA
+    cut drops (`ba_rejects`).  A negative cap or a NaN time limit raises
+    ValueError.
     """
     if node_limit < 0:
         raise ValueError(f"node limit {node_limit} is negative")
@@ -295,7 +301,7 @@ def _bounded_pairs(
             (h for h in range(1 << n) if not h >> j & 1),
             key=lambda h: (h.bit_count(), h),
         )
-        cands.append([(h.bit_count(), tuple(_bits(h))) for h in masks])
+        cands.append([(h.bit_count(), h, tuple(_bits(h))) for h in masks])
         meets.append([
             sum(1 << t for t, h in enumerate(masks) if r >> j & 1 or h & r)
             for r in range(1 << n)
@@ -313,57 +319,72 @@ def _bounded_pairs(
             return
         valid_cols = [[cands[j][t] for t in _bits(ok)] for j, ok in enumerate(oks)]
         suffix = [sum(col_min[j:]) for j in range(n + 1)]
+        # fut[j]: the union of rows j..n-1 of A, all that columns j..n-1
+        # of B can still add to a row of BA
+        fut = [0] * (n + 1)
+        for j in reversed(range(n)):
+            fut[j] = fut[j + 1] | arows[j]
 
         # DFS over columns of B
-        brow_partial = [1 << i for i in range(n)]  # diagonal always zero
+        bcols = [0] * n
 
-        def descend(j: int, used: int):
+        def descend(j: int, used: int, acc: list[int]):
+            # acc[i]: row i of BA over the columns of B placed so far, and
+            # acc[i] | fut[j] is full for every i
             tick()
             if j == n:
                 if used < a_off:
                     return  # found from (B, A), whose left factor has fewer zeros
+                # AB = Z and BA = Z hold by construction
                 stats["leaves"] += 1
-                # AB = Z holds by column construction; check BA = Z
-                for br in brow_partial:
-                    if _row_union(br, arows) != full:
-                        stats["ba_rejects"] += 1
-                        return
-                bmask = offdiag_mask(n, brow_partial)
+                bmask = offdiag_mask(n, _cols(bcols))
                 reduced.append((a_off + used, offdiag_mask(n, arows), bmask))
                 return
             rest = suffix[j + 1]
-            jbit = 1 << j
-            for sz, idx in valid_cols[j]:
+            later = fut[j + 1]
+            # the rows of BA that only column j can still fill
+            need = 0
+            for i, a in enumerate(acc):
+                if a | later != full:
+                    need |= 1 << i
+            aj = arows[j]
+            for sz, h, idx in valid_cols[j]:
                 if used + sz + rest > b_budget:
                     break
-                # set column j bits into the partial rows
+                if h & need != need:
+                    stats["ba_rejects"] += 1
+                    continue
+                bcols[j] = h
+                nacc = acc[:]
                 for i in idx:
-                    brow_partial[i] |= jbit
-                descend(j + 1, used + sz)
-                for i in idx:
-                    brow_partial[i] ^= jbit
+                    nacc[i] |= aj
+                descend(j + 1, used + sz, nacc)
 
-        descend(0, 0)
+        descend(0, 0, list(arows))
 
-    # off-diagonal cells by significance, as (row, column bit); deleting
-    # the least significant cell of a canonical set leaves a canonical set
-    cells = [(i, 1 << j) for i in range(n) for j in reversed(range(n)) if j != i]
+    # off-diagonal cells by significance, as (row, row bit, column, column
+    # bit); deleting the least significant cell of a canonical set leaves a
+    # canonical set
+    cells = [(i, 1 << i, j, 1 << j) for i in range(n) for j in reversed(range(n)) if j != i]
 
-    def grow(arows: list[int], a_off: int, start: int) -> None:
+    def grow(arows: list[int], acols: list[int], a_off: int, start: int) -> None:
         stats["canonical"] += 1
         search_left(tuple(arows), a_off)
         if a_off == max_sigma // 2:
             return
         for k in range(start, len(cells)):
-            i, jbit = cells[k]
+            i, ibit, j, jbit = cells[k]
             tick()
             stats["left_factors"] += 1
             arows[i] |= jbit
-            if is_canonical(arows):
-                grow(arows, a_off + 1, k + 1)
+            acols[j] |= ibit
+            if is_canonical(arows, acols):
+                grow(arows, acols, a_off + 1, k + 1)
             arows[i] ^= jbit
+            acols[j] ^= ibit
 
-    grow([1 << i for i in range(n)], 0, 0)
+    diagonal = [1 << i for i in range(n)]
+    grow(diagonal, diagonal[:], 0, 0)
 
     # close the pairs found under the group: write out the orbit of each
     # pair not reached yet, every conjugation of both factors and of both

@@ -276,10 +276,10 @@ def test_resource_cap_exit(capsys):
         "1000",
     )
     assert code == 3
-    # listing every pair of order 6 with at most 18 zeros takes about 1.5 s
-    # on a 2-CPU host, seven times the limit
+    # the search of every pair of order 6 with at most 18 zeros takes about
+    # 0.45 s on a 2-CPU host, nine times the limit
     code, doc, err = run(
-        capsys, "enumerate", "--n", "6", "--max-sigma", "18", "--time-limit", "0.2"
+        capsys, "enumerate", "--n", "6", "--max-sigma", "18", "--time-limit", "0.05"
     )
     assert (code, doc) == (3, None)
     assert "time limit" in err

@@ -232,6 +232,18 @@ def test_permute_conjugate_matches_relabelling():
         permute_conjugate(identity(3), 0, 2)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_conj_tables_match_per_bit_images(n):
+    # every permutation, in order, against the image of each row mask
+    # built bit by bit: bit j moves to p(j), and row t comes from p^-1(t)
+    want = []
+    for p in permutations(range(n)):
+        src = tuple(p.index(t) for t in range(n))
+        img = tuple(sum(1 << p[j] for j in range(n) if r >> j & 1) for r in range(1 << n))
+        want.append((src, img))
+    assert list(_conj_tables(n)) == want
+
+
 def _orbit(m):
     """Every P A P^-1 and P A^T P^-1, from the definition."""
     out = set()
@@ -299,7 +311,7 @@ def test_canonical_one_per_orbit():
             seen |= orbit
             orbits -= 1
             # exactly the lex-greatest row tuple of the orbit is canonical
-            canonical = [x for x in orbit if is_canonical(x.rows)]
+            canonical = [x for x in orbit if is_canonical(x.rows, _cols(x.rows))]
             assert canonical == [max(orbit, key=lambda x: x.rows)]
             # and the two conjugations of `conj_generators` with the
             # transpose reach the whole orbit
@@ -317,8 +329,9 @@ def test_canonical_matches_full_walk_in_bounded_search(monkeypatch):
     # every row tuple that the orderly generation of theta(5, 14) tests
     tested = []
 
-    def recording(rows):
-        got = is_canonical(rows)
+    def recording(rows, cols):
+        assert list(cols) == _cols(rows)
+        got = is_canonical(rows, cols)
         tested.append((tuple(rows), got))
         return got
 
@@ -349,9 +362,9 @@ def test_canonical_matches_full_walk_on_first_row_forms(n, sets):
         forms = [max(images), *(_first_row_form(rows, rng) for _ in range(6))]
         forms += rng.sample(images, 4)
         forms += [tuple(_cols(x)) for x in forms]
-        assert is_canonical(forms[0])
+        assert is_canonical(forms[0], _cols(forms[0]))
         for x in forms:
-            got = is_canonical(x)
+            got = is_canonical(x, _cols(x))
             assert got == _is_canonical_full_walk(x), x
             outcomes[got, x[0] == forms[0][0]] += 1
     # both outcomes are reached past the first-row test

@@ -8,6 +8,7 @@ import pytest
 from burnside import orbit_counts
 from tropnorm import fixtures
 from tropnorm.core import (
+    _cols,
     all_normal_matrices,
     all_zero,
     from_offdiag_mask,
@@ -287,29 +288,50 @@ def test_bounded_rejects_invalid_caps():
     assert list(enumerate_orthogonal_pairs(3, 0, node_limit=0, time_limit=0.0)) == []
 
 
-def test_bounded_time_limit_at_order_6():
-    # the clock is read on every tick; listing every pair with at most 18
-    # zeros takes about 1.5 s on a 2-CPU host, seven times the limit
+def test_bounded_time_limit_at_order_7():
+    # the clock is read on every tick; the search of every pair of order 7
+    # with at most 21 zeros takes about 7 s on a 2-CPU host, 35 times the
+    # limit
     t0 = time.monotonic()
     with pytest.raises(SearchInconclusive, match="time limit"):
-        list(enumerate_orthogonal_pairs(6, 18, time_limit=0.2))
+        _bounded_pairs(7, 21, time_limit=0.2)
     assert time.monotonic() - t0 < 10
 
 
 def test_bounded_phase_counters():
     stats = theta_bounded(4, budget=9).search_stats
     # (nodes, left_factors, canonical, col_cut, leaves, ba_rejects)
-    assert _counters(stats) == (500, 89, 33, 20, 207, 162)
+    assert _counters(stats) == (223, 89, 33, 20, 45, 74)
     # the canonical left factors searched: one per orbit of S_4 x C2 with
     # at most 9 // 2 zeros
     assert stats["canonical"] == sum(
-        1 for m in all_normal_matrices(4) if nu(m) - 4 <= 9 // 2 and is_canonical(m.rows)
+        1 for m in all_normal_matrices(4)
+        if nu(m) - 4 <= 9 // 2 and is_canonical(m.rows, _cols(m.rows))
     )
     assert stats["left_factors"] < stats["nodes"]
     assert stats["col_cut"] <= stats["canonical"]
-    assert stats["ba_rejects"] <= stats["leaves"]
     stats = theta_bounded(5, budget=13).search_stats
-    assert _counters(stats) == (3237, 834, 354, 304, 1000, 1000)
+    assert _counters(stats) == (947, 834, 354, 304, 0, 150)
+
+
+@pytest.mark.parametrize("n, max_sigma, leaves", [(4, 9, 45), (4, 10, 244), (5, 14, 58)])
+def test_bounded_leaves_are_orthogonal_right_factors(n, max_sigma, leaves):
+    # a leaf is a complete right factor B with sigma(B) >= sigma(A), and
+    # B*A = Z holds there by construction: the leaves are exactly the
+    # orthogonal pairs (A, B) with A canonical and sigma(A) <= sigma(B)
+    triples, stats = _bounded_pairs(n, max_sigma)
+    assert stats["leaves"] == leaves
+    pairs = {(a, b) for _, a, b in triples}
+    reps = [
+        (a, b) for _, a, b in triples
+        if a.bit_count() <= b.bit_count()
+        and is_canonical(offdiag_rows(n, a), _cols(offdiag_rows(n, a)))
+    ]
+    assert len(reps) == leaves
+    for a, b in reps:
+        assert (b, a) in pairs
+        am, bm = from_offdiag_mask(n, a), from_offdiag_mask(n, b)
+        assert naive_odot(am, bm) == naive_odot(bm, am) == all_zero(n)
 
 
 def _orbit_walk_counts(n):
