@@ -25,7 +25,8 @@ modules call it instead of re-deriving them:
   holds it for every permutation, `conj_generators` for the
   transposition (1 2) and the n-cycle, which with the transpose generate
   the group, and `is_canonical` picks the lex-greatest matrix of each
-  orbit through the table entries that can give it its first row.
+  orbit through the table entries that can give it its first row;
+  `_slot_images` holds each off-diagonal slot's image under every element.
 
 All indices in the public API are 1-based.
 """
@@ -497,6 +498,17 @@ def conj_generators(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ..
     (mod n); with the transpose they generate S_n x C2."""
     swap = (*reversed(range(min(n, 2))), *range(2, n))
     return _conj(n, swap), _conj(n, [(i + 1) % n for i in range(n)])
+
+
+@lru_cache(maxsize=None)
+def _slot_images(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per off-diagonal slot, in mask order, the bit its zero moves to under
+    every element of S_n x C2: each permutation p, in `permutations` order,
+    sends (i, j) to (p(i), p(j)), then to (p(j), p(i)) for the transpose."""
+    bit = {ij: 1 << s for s, ij in enumerate((i, j) for i in range(n) for j in range(n) if j != i)}
+    perms = list(permutations(range(n)))
+    return tuple(tuple([bit[p[i], p[j]] for p in perms] + [bit[p[j], p[i]] for p in perms])
+                 for i, j in bit)
 
 
 @lru_cache(maxsize=None)

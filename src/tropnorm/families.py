@@ -75,8 +75,9 @@ class FamilySpec(_Record):
                 kind, rest = part.split(":")
                 p_s, q_s = rest.split(",")
                 atom = Atom(kind.strip().upper(), int(p_s), int(q_s))
-            except ValueError as exc:
-                raise ValueError(f"bad atom {part!r}: {exc}") from exc
+            except ValueError:
+                raise ValueError(
+                    f"bad atom {part!r}: expected KIND:p,q with integer p and q") from None
             if atom.kind not in ATOM_KINDS:
                 raise ValueError(f"unknown atom kind {atom.kind!r} in {part!r}")
             atoms.append(atom)

@@ -24,23 +24,24 @@ fits the budget, and no witness is attached).  Resource caps abort with a
 distinguishable error instead of a silent truncation.
 
 Both walk off-diagonal masks and take the mask codec, the row-union
-kernel, the canonical form and the conjugation tables from `core`.
+kernel, the canonical form and the slot images of the group from `core`.
 """
 
 from __future__ import annotations
 
 import time
-from functools import reduce
+from functools import cache, partial, reduce
+from itertools import repeat
 from math import comb
-from operator import and_
+from operator import and_, or_
 
 from .core import (
     NormalMatrix,
     SearchInconclusive,
     _bits,
     _cols,
-    _conj_tables,
     _row_union,
+    _slot_images,
     format_matrix,
     from_offdiag_mask,
     is_canonical,
@@ -254,8 +255,8 @@ def _bounded_pairs(
     1978): a canonical one is extended only by cells less significant
     than its least one (row ascending, then column descending) and an
     extension is kept only if canonical, which reaches every canonical
-    set.  The pairs found are closed under the group and the swap by
-    writing out their orbits through `core._conj_tables`.
+    set.  The pairs found are closed under the group and the swap on
+    masks, one orbit at a time, through `core._slot_images`.
 
     The right factor is enumerated column by column from candidate bitsets
     built once per call: column j of B takes the masks without bit j,
@@ -386,21 +387,20 @@ def _bounded_pairs(
     diagonal = [1 << i for i in range(n)]
     grow(diagonal, diagonal[:], 0, 0)
 
-    # close the pairs found under the group: write out the orbit of each
-    # pair not reached yet, every conjugation of both factors and of both
-    # transposes, each also swapped
-    tables = _conj_tables(n)
+    # close the pairs found under the group and the swap, one orbit at a
+    # time: a mask's images under every element are the ORs of its slots'
+    # image tuples.  The table is built on the first pair found.
     found = set()
     for sig, am, bm in reduced:
         if (sig, am, bm) in found:
             continue
-        ar, br = offdiag_rows(n, am), offdiag_rows(n, bm)
-        for a, b in ((ar, br), (_cols(ar), _cols(br))):
-            for src, img in tables:
-                ima = offdiag_mask(n, [img[a[s]] for s in src])
-                imb = offdiag_mask(n, [img[b[s]] for s in src])
-                found.add((sig, ima, imb))
-                found.add((sig, imb, ima))
+        images = _slot_images(n)
+        ia, ib = [
+            list(reduce(partial(map, or_), [images[s] for s in _bits(m)], (0,) * len(images[0])))
+            for m in (am, bm)
+        ]
+        found.update(zip(repeat(sig), ia, ib))
+        found.update(zip(repeat(sig), ib, ia))
     stats["elapsed_s"] = time.monotonic() - t0
     return sorted(found), stats
 
@@ -420,8 +420,9 @@ def enumerate_orthogonal_pairs(
     if max_sigma > 4 * n - 6:
         raise ValueError(f"max_sigma {max_sigma} exceeds the 4n-6 guard")
     triples, _ = _bounded_pairs(n, max_sigma, node_limit, time_limit)
+    decode = cache(partial(from_offdiag_mask, n))
     for _, amask, bmask in triples:
-        yield _pair_from_masks(n, amask, bmask)
+        yield decode(amask), decode(bmask)
 
 
 def theta_bounded(

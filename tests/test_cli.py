@@ -152,6 +152,16 @@ def test_usage_errors(capsys):
     assert run(capsys, "reduce", "00-/-0-/--0", "--i", "1")[0] == 2
 
 
+@pytest.mark.parametrize("atom", ["V:1", "V:a,b", "V1,2"])
+def test_generic_malformed_atom(capsys, atom):
+    # the message names the atom and the expected form, not Python's
+    # unpacking or int() text
+    code, doc, err = run(capsys, "generic", "--n", "3", "--set", atom)
+    assert (code, doc) == (2, None)
+    assert f"bad atom {atom!r}: expected KIND:p,q with integer p and q" in err
+    assert "unpack" not in err and "int()" not in err
+
+
 def test_missing_matrix_file(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, doc, err = run(capsys, "indicator", "nofile.txt", "0-/-0")

@@ -13,6 +13,7 @@ from tropnorm.core import (
     _col_array,
     _cols,
     _conj_tables,
+    _slot_images,
     all_normal_matrices,
     all_zero,
     conj_generators,
@@ -242,6 +243,31 @@ def test_conj_tables_match_per_bit_images(n):
         img = tuple(sum(1 << p[j] for j in range(n) if r >> j & 1) for r in range(1 << n))
         want.append((src, img))
     assert list(_conj_tables(n)) == want
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_slot_images_match_permutation_loop(n):
+    # per slot, the slot its zero moves to under each element, from the
+    # cells: p moves (i, j) to (p(i), p(j)), and the transpose first moves
+    # it to (j, i); every p in order, then every p after the transpose
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    perms = list(permutations(range(n)))
+    want = tuple(
+        tuple(1 << cells.index((p[a], p[b])) for (a, b) in ((i, j), (j, i)) for p in perms)
+        for i, j in cells
+    )
+    assert _slot_images(n) == want
+    # and the ORs of a mask's slot tuples are its orbit under the group
+    rng = random.Random(n)
+    gens = slot_generators(n)
+    for mask in [0, (1 << n * n - n) - 1] + [rng.getrandbits(n * n - n) for _ in range(20)]:
+        images = [0] * len(want[0])
+        for s in range(n * n - n):
+            if mask >> s & 1:
+                images = [x | y for x, y in zip(images, want[s])]
+        orbit = {to_offdiag_mask(m) for m in _orbit(from_offdiag_mask(n, mask))}
+        assert set(images) == orbit
+        assert all(slot_image(mask, g) in orbit for g in gens)
 
 
 def _orbit(m):

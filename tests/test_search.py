@@ -9,12 +9,15 @@ from burnside import orbit_counts
 from tropnorm import fixtures
 from tropnorm.core import (
     _cols,
+    _conj_tables,
+    _slot_images,
     all_normal_matrices,
     all_zero,
     from_offdiag_mask,
     is_canonical,
     naive_odot,
     nu,
+    offdiag_mask,
     offdiag_rows,
     permute_conjugate,
     sigma,
@@ -30,6 +33,7 @@ from tropnorm.search import (
     SearchInconclusive,
     _bounded_pairs,
     _mm_generic_pairs,
+    _pair_from_masks,
     _sliced_nonfull,
     check_theorem_theta,
     enumerate_orthogonal_pairs,
@@ -436,6 +440,55 @@ def test_enumerate_n4_counts_and_closure():
         assert (transpose(b), transpose(a)) in found
         for i in range(1, 4):
             assert (permute_conjugate(a, i, i + 1), permute_conjugate(b, i, i + 1)) in found
+
+
+def _closure_on_rows(n, reps):
+    """Reference orbit closure, written out on rows: every conjugation
+    through `core._conj_tables` of both factors and of both transposes,
+    re-encoded to masks, each also swapped."""
+    found = set()
+    for sig, am, bm in reps:
+        ar, br = offdiag_rows(n, am), offdiag_rows(n, bm)
+        for a, b in ((ar, br), (_cols(ar), _cols(br))):
+            for src, img in _conj_tables(n):
+                ima = offdiag_mask(n, [img[a[s]] for s in src])
+                imb = offdiag_mask(n, [img[b[s]] for s in src])
+                found |= {(sig, ima, imb), (sig, imb, ima)}
+    return found
+
+
+@pytest.mark.parametrize("n, max_sigma", [(4, 10), (5, 14), (6, 18)])
+def test_closure_matches_row_write_out(n, max_sigma):
+    # the pairs the engine finds before closing them: canonical left
+    # factor with no more zeros than the right one; their closure on rows
+    # is the engine's closure on masks
+    triples, stats = _bounded_pairs(n, max_sigma)
+    reps = [
+        (sig, am, bm) for sig, am, bm in triples
+        if 2 * am.bit_count() <= sig
+        and is_canonical(rows := offdiag_rows(n, am), _cols(rows))
+    ]
+    assert len(reps) == stats["leaves"]
+    assert _closure_on_rows(n, reps) == set(triples)
+
+
+def test_slot_table_built_only_when_pairs_are_found():
+    _slot_images.cache_clear()
+    cert = theta_bounded(5, 13)
+    assert cert.total_witnesses == 1 and cert.completeness == COMPLETENESS_BOUNDED
+    assert _slot_images.cache_info().currsize == 0
+    assert theta_bounded(4, 9).value == 8
+    assert _slot_images.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("n, max_sigma", [(3, 6), (4, 10)])
+def test_enumerate_decodes_each_triple(n, max_sigma):
+    pairs = list(enumerate_orthogonal_pairs(n, max_sigma))
+    triples, _ = _bounded_pairs(n, max_sigma)
+    assert pairs == [_pair_from_masks(n, a, b) for _, a, b in triples]
+    # one matrix per distinct mask, shared by every pair that holds it
+    masks = {m for _, a, b in triples for m in (a, b)}
+    assert len({id(m) for p in pairs for m in p}) == len(masks)
 
 
 def test_bounded_guards():
