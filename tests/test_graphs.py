@@ -489,14 +489,21 @@ def _same_class_dist(row, c):
 
 
 @functools.lru_cache(maxsize=None)
+def _class_eccentricities(kind, n):
+    """The farthest class from every class, by a plain BFS out of each."""
+    adj = _built(kind, n)._rows()
+    return [max(_class_dists(adj, c)) for c in range(len(adj))]
+
+
+@functools.lru_cache(maxsize=None)
 def _all_sources_eccentricities(kind, n):
     """Eccentricity of every class, from a BFS out of every class: the
     unreduced loop that `stats` runs once per orbit."""
     g = _built(kind, n)
     adj = g._rows()
     return [
-        max(max(_class_dists(adj, c)), _same_class_dist(adj[c], c) if size >= 2 else 0)
-        for c, size in enumerate(g._class_sizes)
+        max(ecc, _same_class_dist(adj[c], c) if size >= 2 else 0)
+        for c, (ecc, size) in enumerate(zip(_class_eccentricities(kind, n), g._class_sizes))
     ]
 
 
@@ -510,29 +517,86 @@ def test_stats_matches_all_sources_eccentricity(kind, n):
     assert (s["diameter"], s["connected"]) == (diam, diam < math.inf)
 
 
-@pytest.mark.parametrize("kind,n", [(ORTHO, 4), (WNL, 4)])
-def test_layer_matches_or_of_rows(kind, n):
-    """One layer step against the OR of the frontier's rows restricted to
-    the unseen classes, on seeded disjoint frontier and unseen sets from
-    sparse to dense frontiers, so that both directions run."""
-    adj = _built(kind, n)._rows()
+def _coatom_masks(n):
+    """The n(n-1) masks with exactly one -1 off-diagonal cell."""
+    full = (1 << n * n - n) - 1
+    return [full ^ 1 << s for s in range(n * n - n)]
+
+
+def _hubs(g):
+    """Bitset of the classes of the co-atoms, one mask at a time."""
+    return sum({1 << int(g._class(m)) for m in _coatom_masks(g.n)})
+
+
+# the eccentricities the classes of each graph reach
+ECC_REACHED = {
+    (ORTHO, 2): {1}, (ORTHO, 3): {2, 3}, (ORTHO, 4): {2, 3},
+    (VNL, 2): {1}, (VNL, 3): {2}, (VNL, 4): {2}, (VNL, 5): {2},
+    (WNL, 2): {math.inf}, (WNL, 3): {2, 3}, (WNL, 4): {2}, (WNL, 5): {2},
+}
+
+
+@pytest.mark.parametrize("kind,n", ECC_REACHED)
+def test_ecc_matches_class_dists(kind, n):
+    """The co-atom ball's eccentricity against the plain BFS: every class
+    at n <= 4, seeded classes at n = 5; the classes reach every
+    eccentricity in ECC_REACHED."""
+    g = _built(kind, n)
+    adj, hubs = g._rows(), _hubs(g)
     k = len(adj)
-    rng = random.Random(47)
-    top_down = set()
-    for p in (0.01, 0.1, 0.5, 0.9):
-        for _ in range(5):
-            frontier = unseen = 0
-            for c in range(k):
-                if rng.random() < p:
-                    frontier |= 1 << c
-                elif rng.random() < 0.5:
-                    unseen |= 1 << c
-            reach = 0
-            for c in _set_bits(frontier):
-                reach |= adj[c]
-            assert graphs._layer(adj, frontier, unseen, k) == reach & unseen, (kind, n, p)
-            top_down.add(frontier.bit_count() <= unseen.bit_count())
-    assert top_down == {True, False}
+    got = set()
+    for a in range(k) if n <= 4 else random.Random(53).sample(range(k), 12):
+        want = _class_eccentricities(kind, n)[a] if n <= 4 else max(_class_dists(adj, a))
+        assert graphs._ecc(adj, a, hubs) == want, (kind, n, a)
+        got.add(want)
+    assert got == ECC_REACHED[kind, n]
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_coatoms_are_vertices(n):
+    for kind in (ORTHO, VNL, WNL):
+        for m in _coatom_masks(n):
+            assert graphs._is_vertex(kind, from_offdiag_mask(n, m)), (kind, n, m)
+
+
+@pytest.mark.parametrize("kind,n", SMALL_GRAPHS + [(VNL, 5), (WNL, 5)])
+def test_rows_below_coatom_rows(kind, n):
+    """Adjacency is monotone in the zeros: each class's row lies inside the
+    row of the co-atom class above each of its members, for every class
+    at n <= 4 and seeded classes at n = 5, 40 members each."""
+    g = _built(kind, n)
+    adj, coatoms = g._rows(), _coatom_masks(n)
+    masks, classes = g.vertices.masks.tolist(), _vertex_classes(g)
+    members = {}
+    for m, c in zip(masks, classes):
+        members.setdefault(c, []).append(m)
+    picked = range(len(adj)) if n <= 4 else random.Random(54).sample(range(len(adj)), 30)
+    rng = random.Random(55)
+    for c in picked:
+        for m in members[c] if n <= 4 else rng.sample(members[c], min(40, len(members[c]))):
+            for up in coatoms:
+                if up | m == up:
+                    assert adj[c] & ~adj[int(g._class(up))] == 0, (kind, n, c, m, up)
+
+
+@pytest.mark.parametrize("kind", (ORTHO, VNL, WNL))
+def test_adjacent_monotone_in_zeros(kind):
+    """The lemma on the edge predicate itself: when a is adjacent to b, so
+    is every vertex with the zeros of a and one more, on seeded pairs at
+    n = 4."""
+    n, rng = 4, random.Random(56)
+    verts = _built(kind, n).vertices
+    edges = 0
+    for _ in range(300):
+        a, b = verts[rng.randrange(len(verts))], verts[rng.randrange(len(verts))]
+        if adjacent(kind, a, b):
+            edges += 1
+            m = to_offdiag_mask(a)
+            for s in range(n * n - n):
+                up = from_offdiag_mask(n, m | 1 << s)
+                if graphs._is_vertex(kind, up):
+                    assert adjacent(kind, up, b), (kind, a, b, s)
+    assert edges >= 20, edges
 
 
 @pytest.mark.parametrize("kind,n,reached", [
@@ -660,13 +724,18 @@ def test_orbit_counts(kind, n, orbits):
 @pytest.mark.parametrize("kind,n", SMALL_GRAPHS)
 def test_orbit_classes_alike(kind, n):
     # conjugation and the transpose are automorphisms: the classes of one
-    # orbit have one size and one eccentricity
+    # orbit have one size, one eccentricity, one loop flag and one
+    # size-weighted degree
     g = _built(kind, n)
+    adj, sizes = g._rows(), g._class_sizes
     ecc = _all_sources_eccentricities(kind, n)
+    degree = [sum(sizes[b] for b in _set_bits(row)) for row in adj]
     for c, root in enumerate(graphs._class_orbits(g)):
         assert root <= c
-        assert g._class_sizes[c] == g._class_sizes[root], (kind, n, c)
+        assert sizes[c] == sizes[root], (kind, n, c)
         assert ecc[c] == ecc[root], (kind, n, c)
+        assert adj[c] >> c & 1 == adj[root] >> root & 1, (kind, n, c)
+        assert degree[c] == degree[root], (kind, n, c)
 
 
 def _slot_orbits(kind, n):
