@@ -26,22 +26,22 @@ vertex's rows and columns.
 All three graphs hold one relation over nodes, `_Nodes`.  Per class c,
 lnode(c) and rnode[c] are sets of nodes; per node x, rhas[x] is the
 bitset of the classes whose rnode has x, and grow[x] the union of lnode
-over them.  Class a meets class b iff lnode(a) & rnode[b], and row a of
-the adjacency is the OR of rhas over lnode(a).  In a pattern graph node
+over them.  Class a meets class b iff lnode(a) & rnode[b], and the
+classes adjacent to a class set F, `reach(F)`, are the OR of rhas over
+the union of lnode over F.  In a pattern graph node
 t*n^2 + s stands for bit s of term t (n^2 nodes for VNL, 3n^2 for WNL):
 lnode(c) holds the nodes of c's left terms, rnode[c] those of its
 transposed right terms.  ORTHO's nodes are its classes: lnode(c) is c
 alone, and rnode, rhas and grow are all the adjacency rows.
 
-`dist` builds no row: the left nodes X of the ball of radius d around a
-class give those of radius d + 1 as X with grow[x] ORed in for every x
-in X, so it grows X from lnode(a) until X meets rnode[b] (in a pattern
-graph each step is at most 3n^2 ORs of 3n^2-bit ints, whatever the
-number of classes).  The same search gives the distance between two
-members of one class, and `has_loop` is lnode(c) & rnode[c].  `stats`
-builds all the rows, once, on first use (ORTHO's come with the build).
-All metrics are computed on the class graph; the blow-up back to the
-full graph only needs class sizes.
+`dist` and `stats` build no adjacency rows.  The left nodes X of the
+ball of radius d around a class give those of radius d + 1 as X with
+grow[x] ORed in for every x in X, so `dist` grows X from lnode(a) until
+X meets rnode[b] (in a pattern graph each step is at most 3n^2 ORs of
+3n^2-bit ints, whatever the number of classes), as it does between two
+members of one class.  Class c has a loop iff lnode(c) & rnode[c].  All
+metrics are computed on the class graph; the blow-up only needs class
+sizes.
 
 A mask contains a pattern iff each half of its slots contains that half
 of the pattern, so its class follows from the half classes of its high
@@ -58,15 +58,17 @@ gives each pair's class (-1 for none): three reads give a mask's class.
 Conjugation by permutation matrices and the transpose are automorphisms
 of all three graphs: they keep a class's size, loop and eccentricity and
 its neighbours' sizes.  So `stats` takes one class per orbit, weighted
-by the orbit's class count in the edge and loop sums: the row masks of
+by the orbit's class count in the edge and loop sums, and starts every
+girth test there (`_simple_girth`): the row masks of
 one member of every class go through `core.conj_generators`, which
 search shares, and the bit transpose `core._col_array`; each class takes
 the least label of its images until the labels settle (ORTHO n=4: 142
 orbits of 4,094 classes; VNL n=5: 18 of 750; WNL n=5: 107 of 11,479).
 The edge rules are monotone in the zeros, and every vertex lies under a
 co-atom, a vertex with one -1 cell.  So past radius 0 the ball around a,
-less a, is an up-set with the neighbours of its co-atom classes: each
-step of `_ecc` ORs the rows of a and of those, n(n-1) + 1 at most.
+less a, is an up-set with the neighbours of its co-atom classes: `_ecc`
+keeps the left nodes of a and of the co-atom classes in the ball, and
+each step is the OR of rhas over them.
 
 Vertices are keyed by their off-diagonal mask (`core.to_offdiag_mask`).
 `vertices` sorts the vertex masks on first use and decodes a matrix on
@@ -87,6 +89,7 @@ from typing import TYPE_CHECKING
 from .core import (
     GRAPH_KINDS,
     NormalMatrix,
+    _bits,
     _col_array,
     _row_union,
     conj_generators,
@@ -194,8 +197,13 @@ class _Nodes:
         self.rhas = rhas    # node -> classes whose rnode has it
         self.grow = grow    # node -> union of lnode over rhas[node]
 
-    def row(self, c: int) -> int:
-        return _row_union(self.lnode(c), self.rhas)
+    def reach(self, f: int) -> int:
+        """Classes adjacent to some class of the class set f: the OR of rhas
+        over the union of lnode over f."""
+        return _row_union(reduce(or_, map(self.lnode, _bits(f)), 0), self.rhas)
+
+    def loop(self, c: int) -> bool:
+        return bool(self.lnode(c) & self.rnode[c])
 
     def step(self, x: int) -> int:
         """Left nodes of the ball one edge wider than the ball whose left
@@ -228,7 +236,7 @@ class OrthoGraph:
 
     def __init__(self, kind: str, n: int, _hi: np.ndarray, _lo: np.ndarray,
                  _table: np.ndarray, _member: np.ndarray, _class_sizes: list,
-                 _nodes: _Nodes, _class_adj: list | None = None):
+                 _nodes: _Nodes):
         self.kind, self.n = kind, n
         self._hi = _hi  # mask of the high h slots -> half class
         self._lo = _lo  # mask of the low h slots -> half class
@@ -236,15 +244,7 @@ class OrthoGraph:
         self._member = _member  # class -> the mask of one member
         self._class_sizes = _class_sizes
         self._nodes = _nodes
-        # adjacency rows, int bitsets with the self bit: ORTHO's from the
-        # build, VNL's and WNL's from _nodes on the first `_rows()`
-        self._class_adj = _class_adj
         self._stats: dict | None = None
-
-    def _rows(self) -> list[int]:
-        if self._class_adj is None:
-            self._class_adj = [self._nodes.row(c) for c in range(len(self._class_sizes))]
-        return self._class_adj
 
     def _class(self, m):
         """Class of the off-diagonal mask m or mask array m, -1 off the graph."""
@@ -403,7 +403,6 @@ def _build_ortho(n: int) -> OrthoGraph:
         _member=masks,
         _class_sizes=[1] * len(masks),
         _nodes=_Nodes((1).__lshift__, adj_bits, adj_bits, adj_bits),
-        _class_adj=adj_bits,
     )
 
 
@@ -487,16 +486,19 @@ def _build_pattern_graph(kind: str, n: int) -> OrthoGraph:
 # -- metrics ----------------------------------------------------------------
 
 
-def _ecc(adj: list[int], a: int, hubs: int):
-    """Eccentricity of class a, INFINITY when some class is unreachable.
-    The ball less a is an up-set, so its neighbours are those of its
-    classes in `hubs`, the co-atom classes (module docstring)."""
-    full = (1 << len(adj)) - 1
-    ball, pick, d = 1 << a, hubs | 1 << a, 0
+def _ecc(nodes: _Nodes, k: int, a: int, hubs: int):
+    """Eccentricity of class a among k classes, INFINITY when some class is
+    unreachable.  The ball less a is an up-set, so its neighbours are those
+    of its classes in `hubs`, the co-atom classes (module docstring): x
+    holds the left nodes of a and of the hub classes in the ball."""
+    full = (1 << k) - 1
+    ball, x, d = 1 << a, nodes.lnode(a), 0
     while ball != full:
-        grown = ball | _row_union(ball & pick, adj)
+        grown = ball | _row_union(x, nodes.rhas)
         if grown == ball:
             return INFINITY
+        for c in _bits(grown & hubs & ~ball):
+            x |= nodes.lnode(c)
         ball, d = grown, d + 1
     return d
 
@@ -510,13 +512,15 @@ def stats(g: OrthoGraph) -> dict:
     import numpy as np
     if g._stats is not None:
         return g._stats
-    sizes = g._class_sizes
-    adj = g._rows()
+    nodes, sizes = g._nodes, g._class_sizes
     k = len(sizes)
-    self_adj = [bool(adj[c] & (1 << c)) for c in range(k)]
-    others = [adj[c] & ~(1 << c) for c in range(k)]
     # classes per orbit, keyed by the orbit's least class
     orbits = Counter(_class_orbits(g))
+    roots = sorted(orbits)
+
+    @lru_cache(maxsize=None)
+    def others(c: int) -> int:  # the classes adjacent to c, less c
+        return nodes.reach(1 << c) & ~(1 << c)
 
     # size_bits[p] holds the classes whose size has bit p set, so the
     # total size of a set of classes is a sum of shifted popcounts
@@ -526,11 +530,11 @@ def stats(g: OrthoGraph) -> dict:
     edges = loops = 0
     ends = 0  # edges between two classes, counted from both ends
     for a, weight in orbits.items():
-        if self_adj[a]:
+        if nodes.loop(a):
             loops += weight * sizes[a]
             edges += weight * (sizes[a] * (sizes[a] - 1) // 2)
         ends += weight * sizes[a] * sum(
-            (others[a] & m).bit_count() << p for p, m in enumerate(size_bits)
+            (others(a) & m).bit_count() << p for p, m in enumerate(size_bits)
         )
     edges += ends // 2
 
@@ -540,37 +544,24 @@ def stats(g: OrthoGraph) -> dict:
     assert min(hub_classes) >= 0, "a co-atom is not a vertex"
     hubs = reduce(or_, [1 << c for c in hub_classes])
     diam = 0
-    for a in sorted(orbits):
+    for a in roots:
         if sizes[a] >= 2:
-            diam = max(diam, g._nodes.dist(a, a))
-        diam = max(diam, _ecc(adj, a, hubs))
+            diam = max(diam, nodes.dist(a, a))
+        diam = max(diam, _ecc(nodes, k, a, hubs))
         if diam == INFINITY:
             break
     connected = diam < INFINITY
 
-    # a triangle inside a class, or through two members and another class
-    girth = INFINITY
-    for a in range(k):
-        if self_adj[a] and (sizes[a] >= 3 or (sizes[a] >= 2 and others[a])):
-            girth = 3
-            break
-    # a triangle through three classes
-    if girth > 3:
-        for a in range(k):
-            if any(b > a and others[a] & others[b] for b in _members(others[a], k)):
-                girth = 3
-                break
-    # a 4-cycle through two members of a class and two neighbouring vertices
-    if girth > 4:
-        for a in range(k):
-            deg = others[a].bit_count()
-            if sizes[a] >= 2 and (
-                deg >= 2 or (deg == 1 and sizes[others[a].bit_length() - 1] >= 2)
-            ):
-                girth = 4
-                break
-    if girth > 4:
-        girth = min(girth, _simple_girth(others, k, cap=girth))
+    # every cycle test runs from the orbit representatives (`_simple_girth`)
+    if any(nodes.loop(a) and (sizes[a] >= 3 or (sizes[a] >= 2 and others(a))) for a in roots):
+        girth = 3  # a triangle inside a class, or through two members and another class
+    elif any(others(a) & others(b) for a in roots for b in _members(others(a), k)):
+        girth = 3  # a triangle through three classes
+    elif any(sizes[a] >= 2 and sum(sizes[b] for b in _members(others(a), k)) >= 2
+             for a in roots):
+        girth = 4  # two members of a class and two vertices adjacent to it
+    else:
+        girth = _simple_girth(others, k, roots)
 
     g._stats = {
         "kind": g.kind,
@@ -602,10 +593,15 @@ def _class_orbits(g: OrthoGraph) -> list[int]:
     return label.tolist()
 
 
-def _simple_girth(adj: list[int], nbits: int, cap=INFINITY):
-    """Girth of a simple graph given as bitset rows (no self bits)."""
-    best = cap
-    for root in range(nbits):
+def _simple_girth(row: Callable[[int], int], k: int, roots) -> int | float:
+    """Girth of a simple graph on k vertices, row(x) the bitset of x's
+    neighbours (no self bit), by a breadth-first search from each root:
+    exact when some shortest cycle passes through a root, as a search from
+    a vertex of a shortest cycle returns its length.  On a class graph an
+    automorphism carries a shortest cycle through any class to one through
+    its orbit's representative, so the representatives suffice."""
+    best = INFINITY
+    for root in roots:
         dist = {root: 0}
         parent = {root: -1}
         frontier = [root]
@@ -614,7 +610,7 @@ def _simple_girth(adj: list[int], nbits: int, cap=INFINITY):
             for x in frontier:
                 if 2 * dist[x] >= best - 1:
                     break
-                for y in _members(adj[x], nbits):
+                for y in _members(row(x), k):
                     if y not in dist:
                         dist[y] = dist[x] + 1
                         parent[y] = x
@@ -636,5 +632,4 @@ def girth(g: OrthoGraph):
 
 
 def has_loop(g: OrthoGraph, u: NormalMatrix) -> bool:
-    c = g._vertex_class(u)
-    return bool(g._nodes.lnode(c) & g._nodes.rnode[c])
+    return g._nodes.loop(g._vertex_class(u))

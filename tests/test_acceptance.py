@@ -8,8 +8,6 @@ import itertools
 import random
 import time
 
-import pytest
-
 from conftest import rand_normal
 from tropnorm import fixtures
 from tropnorm.border import (
@@ -77,7 +75,6 @@ def test_criterion_01_theta_table_exhaustive():
     _ok(1, "minimum pair zero counts 2/6/8 at n=2/3/4")
 
 
-@pytest.mark.slow
 def test_criterion_02_theta5_bounded_closure():
     cert = theta_bounded(5, budget=13, time_limit=3600)
     assert cert.completeness == COMPLETENESS_BOUNDED
@@ -170,7 +167,6 @@ def test_criterion_07_self_orthogonal_extremals():
     _ok(7, "self-orthogonal minima 3 (with circulant) and 8 (five minimizers)")
 
 
-@pytest.mark.slow
 def test_criterion_08_graph_metrics():
     assert girth(build(ORTHO, 3)) == 3
     assert girth(build(VNL, 3)) == 3

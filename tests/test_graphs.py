@@ -1,6 +1,8 @@
+import copy
 import functools
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from tropnorm import fixtures, graphs
 from tropnorm.core import (
     NormalMatrix,
     all_normal_matrices,
+    _row_union,
     all_zero,
     from_offdiag_mask,
     identity,
@@ -32,6 +35,15 @@ from tropnorm.ortho import is_orthogonal
 
 # graphs shared by several tests; no test changes a graph
 _built = functools.lru_cache(maxsize=None)(build)
+
+
+@functools.lru_cache(maxsize=None)
+def _rows(g):
+    """Adjacency row of every class of a shared graph, with the self bit:
+    the OR of rhas over the class's left nodes, read from the node tables
+    (`test_node_meet_matches_rows` checks `reach` against the meet)."""
+    nodes = g._nodes
+    return [_row_union(nodes.lnode(c), nodes.rhas) for c in range(len(g._class_sizes))]
 
 
 def _class_of(g, a):
@@ -268,7 +280,7 @@ def test_class_adjacency_matches_adjacent_n4_n5():
         for a, b in pairs + edges:
             ca, cb = _class_of(g, a), _class_of(g, b)
             got = adjacent(kind, a, b)
-            assert bool(g._rows()[ca] >> cb & 1) == got, (kind, n, a, b)
+            assert bool(_rows(g)[ca] >> cb & 1) == got, (kind, n, a, b)
             assert adjacent(kind, b, a) == got, (kind, n, a, b)
             if got:
                 assert is_orthogonal(a, b)
@@ -297,7 +309,7 @@ def test_pattern_class_adjacency_symmetric(kind):
     the columns as well, and for the balls that `dist` grows in node space
     to be the balls of the undirected graph."""
     for n in range(2, 6):
-        assert _is_symmetric(_built(kind, n)._rows()), (kind, n)
+        assert _is_symmetric(_rows(_built(kind, n))), (kind, n)
     assert not _is_symmetric([0b10, 0b00])
 
 
@@ -491,7 +503,7 @@ def _same_class_dist(row, c):
 @functools.lru_cache(maxsize=None)
 def _class_eccentricities(kind, n):
     """The farthest class from every class, by a plain BFS out of each."""
-    adj = _built(kind, n)._rows()
+    adj = _rows(_built(kind, n))
     return [max(_class_dists(adj, c)) for c in range(len(adj))]
 
 
@@ -500,7 +512,7 @@ def _all_sources_eccentricities(kind, n):
     """Eccentricity of every class, from a BFS out of every class: the
     unreduced loop that `stats` runs once per orbit."""
     g = _built(kind, n)
-    adj = g._rows()
+    adj = _rows(g)
     return [
         max(ecc, _same_class_dist(adj[c], c) if size >= 2 else 0)
         for c, (ecc, size) in enumerate(zip(_class_eccentricities(kind, n), g._class_sizes))
@@ -542,12 +554,12 @@ def test_ecc_matches_class_dists(kind, n):
     at n <= 4, seeded classes at n = 5; the classes reach every
     eccentricity in ECC_REACHED."""
     g = _built(kind, n)
-    adj, hubs = g._rows(), _hubs(g)
+    adj, hubs = _rows(g), _hubs(g)
     k = len(adj)
     got = set()
     for a in range(k) if n <= 4 else random.Random(53).sample(range(k), 12):
         want = _class_eccentricities(kind, n)[a] if n <= 4 else max(_class_dists(adj, a))
-        assert graphs._ecc(adj, a, hubs) == want, (kind, n, a)
+        assert graphs._ecc(g._nodes, k, a, hubs) == want, (kind, n, a)
         got.add(want)
     assert got == ECC_REACHED[kind, n]
 
@@ -565,7 +577,7 @@ def test_rows_below_coatom_rows(kind, n):
     row of the co-atom class above each of its members, for every class
     at n <= 4 and seeded classes at n = 5, 40 members each."""
     g = _built(kind, n)
-    adj, coatoms = g._rows(), _coatom_masks(n)
+    adj, coatoms = _rows(g), _coatom_masks(n)
     masks, classes = g.vertices.masks.tolist(), _vertex_classes(g)
     members = {}
     for m, c in zip(masks, classes):
@@ -614,7 +626,7 @@ def test_dist_matches_top_down_bfs(kind, n, reached):
     k = g.num_vertices
     got = set()
     for i in range(k) if n <= 3 else rng.sample(range(k), 6):
-        dists = _class_dists(g._rows(), class_of[i])
+        dists = _class_dists(_rows(g), class_of[i])
         for j in range(k) if n <= 3 else rng.sample(range(k), 60):
             if class_of[i] != class_of[j]:
                 want = dists[class_of[j]]
@@ -626,23 +638,22 @@ def test_dist_matches_top_down_bfs(kind, n, reached):
 
 @pytest.mark.parametrize("kind", (VNL, WNL, ORTHO))
 def test_node_meet_matches_rows(kind):
-    """Class a meets class b iff lnode(a) & rnode[b]: every class pair up
-    to the largest order, and seeded pairs at it (n = 5, or 4 for ORTHO),
-    against the adjacency rows."""
+    """`reach(1 << a)` holds the classes b with lnode(a) & rnode[b], the
+    definition of class adjacency: every class below the largest order
+    and seeded classes at it (n = 5, or 4 for ORTHO).  `reach(F)` of a
+    seeded set F of several classes is the OR of its classes' reaches."""
     top = 4 if kind == ORTHO else 5
-    for n in range(2, top):
-        g = _built(kind, n)
-        nodes = g._nodes
-        for a in range(len(g._class_sizes)):
-            row = sum(1 << b for b, rb in enumerate(nodes.rnode) if nodes.lnode(a) & rb)
-            assert row == g._rows()[a], (kind, n, a)
-    g = _built(kind, top)
-    nodes, rows = g._nodes, g._rows()
     rng = random.Random(49)
-    k = len(rows)
-    for _ in range(2000):
-        a, b = rng.randrange(k), rng.randrange(k)
-        assert bool(nodes.lnode(a) & nodes.rnode[b]) == bool(rows[a] >> b & 1), (kind, a, b)
+    for n in range(2, top + 1):
+        nodes = _built(kind, n)._nodes
+        k = len(nodes.rnode)
+        for a in range(k) if n < top else rng.sample(range(k), 40):
+            row = sum(1 << b for b, rb in enumerate(nodes.rnode) if nodes.lnode(a) & rb)
+            assert nodes.reach(1 << a) == row, (kind, n, a)
+        for _ in range(20):
+            f = rng.sample(range(k), rng.randint(2, min(k, 6)))
+            want = functools.reduce(operator.or_, [nodes.reach(1 << c) for c in f])
+            assert nodes.reach(sum(1 << c for c in f)) == want, (kind, n, f)
 
 
 @pytest.mark.parametrize("kind,n", [(kind, n) for kind in (VNL, WNL) for n in (3, 4)] + [
@@ -653,7 +664,7 @@ def test_node_step_grows_ball(kind, n):
     around a, by the plain BFS over the rows, up to one step past the
     ball's last growth."""
     g = _built(kind, n)
-    nodes, rows = g._nodes, g._rows()
+    nodes, rows = g._nodes, _rows(g)
     rng = random.Random(50)
     for a in rng.sample(range(len(rows)), min(20, len(rows))):
         dists = _class_dists(rows, a)
@@ -667,12 +678,27 @@ def test_node_step_grows_ball(kind, n):
             x = nodes.step(x)
 
 
+def _spy(g):
+    """A copy of a shared graph, without its stats, whose `lnode` records
+    each class it is passed in the returned set."""
+    nodes, seen = g._nodes, set()
+
+    def lnode(c):
+        seen.add(c)
+        return nodes.lnode(c)
+
+    spy = copy.copy(g)
+    spy._nodes = graphs._Nodes(lnode, nodes.rnode, nodes.rhas, nodes.grow)
+    spy._stats = None
+    return spy, seen
+
+
 @pytest.mark.parametrize("kind", (VNL, WNL))
 def test_dist_builds_no_rows(kind):
-    """`dist` and `has_loop` on a pattern graph work in node space: after a
-    batch of queries, in different classes and in one, no adjacency row
-    has been built."""
-    g = build(kind, 5)
+    """`dist` and `has_loop` on a pattern graph work in node space: each
+    query, in different classes or in one, passes `lnode` only the classes
+    of its endpoints."""
+    g, seen = _spy(_built(kind, 5))
     verts, class_of = g.vertices, _vertex_classes(g)
     rng = random.Random(51)
     first = {}
@@ -681,11 +707,30 @@ def test_dist_builds_no_rows(kind):
     got = set()
     for _ in range(100):
         i, j = rng.randrange(len(verts)), rng.randrange(len(verts))
-        got.add(dist(g, verts[i], verts[j]))
-        got.add(dist(g, verts[i], verts[first[class_of[i]]]))
+        for b in (j, first[class_of[i]]):
+            seen.clear()
+            got.add(dist(g, verts[i], verts[b]))
+            assert seen <= {class_of[i], class_of[b]}, (kind, i, b, seen)
+        seen.clear()
         has_loop(g, verts[i])
+        assert seen == {class_of[i]}
     assert {1, 2} <= got
-    assert g._class_adj is None
+
+
+@pytest.mark.parametrize("kind,n,touched,extra", [
+    (ORTHO, 4, 154, 1), (VNL, 3, 10, 2), (VNL, 5, 37, 0), (WNL, 4, 41, 1), (WNL, 5, 126, 0),
+])
+def test_stats_reads_orbit_representatives_and_hubs(kind, n, touched, extra):
+    """`stats` passes `lnode` only orbit representatives, co-atom classes
+    and the neighbours of representatives that the three-class triangle
+    search visits before its first hit: `touched` classes in all, `extra`
+    of the last kind."""
+    g, seen = _spy(_built(kind, n))
+    assert stats(g) == stats(_built(kind, n))
+    reps = set(graphs._class_orbits(g))
+    others = seen - reps - set(_set_bits(_hubs(g)))
+    assert (len(seen), len(others)) == (touched, extra), (kind, n, len(seen), others)
+    assert all(any(_rows(g)[a] >> c & 1 for a in reps) for c in others), others
 
 
 @pytest.mark.parametrize("kind,n,reached", [
@@ -727,7 +772,7 @@ def test_orbit_classes_alike(kind, n):
     # orbit have one size, one eccentricity, one loop flag and one
     # size-weighted degree
     g = _built(kind, n)
-    adj, sizes = g._rows(), g._class_sizes
+    adj, sizes = _rows(g), g._class_sizes
     ecc = _all_sources_eccentricities(kind, n)
     degree = [sum(sizes[b] for b in _set_bits(row)) for row in adj]
     for c, root in enumerate(graphs._class_orbits(g)):
@@ -736,6 +781,82 @@ def test_orbit_classes_alike(kind, n):
         assert ecc[c] == ecc[root], (kind, n, c)
         assert adj[c] >> c & 1 == adj[root] >> root & 1, (kind, n, c)
         assert degree[c] == degree[root], (kind, n, c)
+
+
+def _bfs_girth(others, k):
+    """Girth of a simple graph given as bitset rows without self bits, by
+    a breadth-first search from every vertex."""
+    best = math.inf
+    for root in range(k):
+        dist, parent, frontier = {root: 0}, {root: -1}, [root]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in _set_bits(others[x]):
+                    if y not in dist:
+                        dist[y], parent[y] = dist[x] + 1, x
+                        nxt.append(y)
+                    elif y != parent[x]:
+                        best = min(best, dist[x] + dist[y] + 1)
+            frontier = nxt
+    return best
+
+
+def _all_class_girth(g):
+    """Girth by the tests `stats` ran over every class before it ran them
+    from the orbit representatives only."""
+    adj, sizes = _rows(g), g._class_sizes
+    k = len(sizes)
+    others = [adj[c] & ~(1 << c) for c in range(k)]
+    # a triangle inside a class, or through two members and another class
+    for a in range(k):
+        if adj[a] >> a & 1 and (sizes[a] >= 3 or (sizes[a] >= 2 and others[a])):
+            return 3
+    # a triangle through three classes
+    for a in range(k):
+        if any(b > a and others[a] & others[b] for b in _set_bits(others[a])):
+            return 3
+    # a 4-cycle through two members of a class and two neighbouring vertices
+    for a in range(k):
+        deg = others[a].bit_count()
+        if sizes[a] >= 2 and (deg >= 2 or (deg == 1 and sizes[others[a].bit_length() - 1] >= 2)):
+            return 4
+    return _bfs_girth(others, k)
+
+
+@pytest.mark.parametrize("kind,n", SMALL_GRAPHS + [(VNL, 5), (WNL, 5)])
+def test_stats_girth_matches_all_classes(kind, n):
+    assert stats(_built(kind, n))["girth"] == _all_class_girth(_built(kind, n))
+
+
+def _graph_rows(k, edges):
+    """Bitset rows of the simple graph on 0..k-1 with the given edges."""
+    rows = [0] * k
+    for x, y in edges:
+        rows[x] |= 1 << y
+        rows[y] |= 1 << x
+    return rows
+
+
+SIMPLE_GRAPHS = {
+    "petersen": (10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)], 5),
+    "c7": (7, [(i, (i + 1) % 7) for i in range(7)], 7),
+    "k33": (6, [(i, j) for i in range(3) for j in range(3, 6)], 4),
+    "tree": (7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (5, 6)], math.inf),
+}
+
+
+@pytest.mark.parametrize("name", SIMPLE_GRAPHS)
+def test_simple_girth_from_one_root(name):
+    """On a vertex-transitive graph every vertex lies on a shortest cycle,
+    so the search from root 0 alone gives the girth of the search from
+    every root; a tree has none from any root."""
+    k, edges, want = SIMPLE_GRAPHS[name]
+    rows = _graph_rows(k, edges)
+    assert _bfs_girth(rows, k) == want
+    assert graphs._simple_girth(rows.__getitem__, k, [0]) == want
+    assert graphs._simple_girth(rows.__getitem__, k, range(k)) == want
 
 
 def _slot_orbits(kind, n):
@@ -825,4 +946,4 @@ def test_ortho4_adjacency_matches_naive_odot():
         i, j = rng.randrange(g.num_vertices), rng.randrange(g.num_vertices)
         a, b = g.vertices[i], g.vertices[j]
         want = naive_odot(a, b) == z and naive_odot(b, a) == z
-        assert bool(g._rows()[i] >> j & 1) == want, (i, j)
+        assert bool(_rows(g)[i] >> j & 1) == want, (i, j)

@@ -256,7 +256,6 @@ def test_bounded_proof_below_true_value():
         assert sigma(a, b) == 6
 
 
-@pytest.mark.slow
 def test_theta_5_closure():
     cert = theta_bounded(5, budget=13)
     assert cert.completeness == COMPLETENESS_BOUNDED
@@ -558,7 +557,6 @@ def test_check_theorem_small_orders():
         assert (res["theta"], res["minimal_pairs"], res["outside_family"]) == counts
 
 
-@pytest.mark.slow
 def test_check_theorem_large_orders():
     for n in (7, 8, 9, 10):
         res = check_theorem_theta(n)
