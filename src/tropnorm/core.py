@@ -20,13 +20,13 @@ modules call it instead of re-deriving them:
 * set-bit iteration `_bits` and the bit transpose `_cols`, with
   `_col_array` its form on a numpy array of row masks;
 * the symmetry group S_n x C2 of conjugation by permutation matrices
-  and the transpose, in one form: `_conj` gives conjugation by a
-  permutation as a (source rows, row-mask image) pair, `_conj_tables`
-  holds it for every permutation, `conj_generators` for the
-  transposition (1 2) and the n-cycle, which with the transpose generate
-  the group, and `is_canonical` picks the lex-greatest matrix of each
-  orbit through the table entries that can give it its first row;
-  `_slot_images` holds each off-diagonal slot's image under every element.
+  and the transpose, in two forms.  On row masks, `_conj` gives
+  conjugation by a permutation as a (source rows, row-mask image) pair:
+  `conj_generators` holds it for the transposition (1 2) and the
+  n-cycle, which with the transpose generate the group, and
+  `is_canonical` picks the lex-greatest matrix of each orbit through the
+  permutations that can give it its first row.  On off-diagonal masks,
+  `_slot_images` holds each slot's image under every element.
 
 All indices in the public API are 1-based.
 """
@@ -486,13 +486,6 @@ def _conj(n: int, p: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return src, tuple(img)
 
 
-@lru_cache(maxsize=None)
-def _conj_tables(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """`_conj` of every permutation of 0..n-1, the identity first.  The
-    tables of order n hold n! * (n + 2^n) entries."""
-    return tuple(_conj(n, p) for p in permutations(range(n)))
-
-
 def conj_generators(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """`_conj` of the transposition (1 2) and of the n-cycle i -> i+1
     (mod n); with the transpose they generate S_n x C2."""
@@ -513,13 +506,14 @@ def _slot_images(n: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _first_row_tables(n: int) -> tuple[tuple[tuple, ...], ...]:
-    """Per source row s and row mask r holding bit s: the `_conj_tables`
-    entries whose permutation sends row s to row 0 and the other bits of
-    r to the top |r| - 1 bits, so that the image of a row r at s is the
-    greatest first row of its zero count, in `_conj_tables` order (the
-    identity first).  Each permutation lands under n keys, one per |r|."""
+    """Per source row s and row mask r holding bit s: `_conj` of the
+    permutations that send row s to row 0 and the other bits of r to the
+    top |r| - 1 bits, so that the image of a row r at s is the greatest
+    first row of its zero count, in `permutations` order (the identity
+    first).  Each permutation lands under n keys, one per |r|."""
     tables = [[[] for _ in range(1 << n)] for _ in range(n)]
-    for src, img in _conj_tables(n):
+    for p in permutations(range(n)):
+        src, img = _conj(n, p)
         r = 1 << src[0]
         tables[src[0]][r].append((src, img))
         for t in reversed(range(1, n)):

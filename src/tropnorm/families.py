@@ -20,12 +20,7 @@ random pair, dense or not, usually costs no build at all.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from .core import DimensionMismatch, NormalMatrix, _Record, _bits, _same_order, nu
-
-if TYPE_CHECKING:
-    from .ortho import IndicatorReport
+from .core import DimensionMismatch, NormalMatrix, _Record, _same_order, nu
 
 ATOM_KINDS = ("V", "W", "Z")
 
@@ -179,36 +174,3 @@ def mm_classify(a: NormalMatrix, b: NormalMatrix) -> MmVariant | None:
                 if mm_pair(v, n) == (a, b):
                     return v
     return None
-
-
-def mm_characterize(report: IndicatorReport) -> tuple[int, int] | None:
-    """Recover (k, m) from an indicator report alone: all off-diagonal cells
-    outside {k, m} are gift zeros witnessed by (k, m), the (k, m) and (m, k)
-    cells are propagation zeros, and the pair has no duplicates."""
-    if report.a == report.b or report.duplicate_count != 0:
-        return None
-    n = report.n
-    for k in range(n):
-        for m in range(n):
-            if k != m and _characterize_at(report, k, m):
-                return (k + 1, m + 1)
-    return None
-
-
-def _characterize_at(report: IndicatorReport, k: int, m: int) -> bool:
-    """The conditions at the 0-based (k, m), read from the masks: (k, m) and
-    (m, k) are propagation bits, and every off-diagonal cell outside rows
-    and columns k and m is a gift bit whose K holds k and whose M holds m."""
-    kbit, mbit = 1 << k, 1 << m
-    if not (report.prop_rows[k] & mbit and report.prop_rows[m] & kbit):
-        return False
-    others = ((1 << report.n) - 1) & ~(kbit | mbit)
-    for s in _bits(others):
-        row = others & ~(1 << s)
-        if report.gift_rows[s] & row != row:
-            return False
-        for t in _bits(row):
-            ks, ms = report.witness_masks(s, t)
-            if not (ks & kbit and ms & mbit):
-                return False
-    return True

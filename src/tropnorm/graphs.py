@@ -59,16 +59,19 @@ Conjugation by permutation matrices and the transpose are automorphisms
 of all three graphs: they keep a class's size, loop and eccentricity and
 its neighbours' sizes.  So `stats` takes one class per orbit, weighted
 by the orbit's class count in the edge and loop sums, and starts every
-girth test there (`_simple_girth`): the row masks of
-one member of every class go through `core.conj_generators`, which
-search shares, and the bit transpose `core._col_array`; each class takes
-the least label of its images until the labels settle (ORTHO n=4: 142
-orbits of 4,094 classes; VNL n=5: 18 of 750; WNL n=5: 107 of 11,479).
-The edge rules are monotone in the zeros, and every vertex lies under a
-co-atom, a vertex with one -1 cell.  So past radius 0 the ball around a,
-less a, is an up-set with the neighbours of its co-atom classes: `_ecc`
-keeps the left nodes of a and of the co-atom classes in the ball, and
-each step is the OR of rhas over them.
+girth test there (`_simple_girth`): the row masks of one member of every
+class go through `core.conj_generators`, the row-mask form of the group
+behind `core.is_canonical` (search closes its pairs through the other
+form, `core._slot_images`), and the bit transpose `core._col_array`;
+each class takes the least label of its images until the labels settle
+(ORTHO n=4: 142 orbits of 4,094 classes; VNL n=5: 18 of 750; WNL n=5:
+107 of 11,479).  The edge rules are monotone in the zeros, and every
+vertex lies under a co-atom, a vertex with one -1 cell.  So past radius
+0 the ball around a, less a, is an up-set with the neighbours of its
+co-atom classes: `_ecc` keeps the left nodes of a and of the co-atom
+classes in the ball, and each step past the first is the OR of rhas over
+them; the first step adds a's neighbours, which the edge sums have
+already taken.
 
 Vertices are keyed by their off-diagonal mask (`core.to_offdiag_mask`).
 `vertices` sorts the vertex masks on first use and decodes a matrix on
@@ -486,15 +489,17 @@ def _build_pattern_graph(kind: str, n: int) -> OrthoGraph:
 # -- metrics ----------------------------------------------------------------
 
 
-def _ecc(nodes: _Nodes, k: int, a: int, hubs: int):
+def _ecc(nodes: _Nodes, k: int, a: int, near: int, hubs: int):
     """Eccentricity of class a among k classes, INFINITY when some class is
-    unreachable.  The ball less a is an up-set, so its neighbours are those
-    of its classes in `hubs`, the co-atom classes (module docstring): x
-    holds the left nodes of a and of the hub classes in the ball."""
+    unreachable; `near` holds the classes adjacent to a, less a, which
+    make the first step.  The ball less a is an up-set, so its neighbours
+    are those of its classes in `hubs`, the co-atom classes (module
+    docstring): x holds the left nodes of a and of the hub classes in the
+    ball."""
     full = (1 << k) - 1
     ball, x, d = 1 << a, nodes.lnode(a), 0
     while ball != full:
-        grown = ball | _row_union(x, nodes.rhas)
+        grown = ball | (_row_union(x, nodes.rhas) if d else near)
         if grown == ball:
             return INFINITY
         for c in _bits(grown & hubs & ~ball):
@@ -545,9 +550,9 @@ def stats(g: OrthoGraph) -> dict:
     hubs = reduce(or_, [1 << c for c in hub_classes])
     diam = 0
     for a in roots:
-        if sizes[a] >= 2:
-            diam = max(diam, nodes.dist(a, a))
-        diam = max(diam, _ecc(nodes, k, a, hubs))
+        if sizes[a] >= 2:  # two members of a: adjacent, a common neighbour, or neither
+            diam = max(diam, 1 if nodes.loop(a) else 2 if others(a) else INFINITY)
+        diam = max(diam, _ecc(nodes, k, a, others(a), hubs))
         if diam == INFINITY:
             break
     connected = diam < INFINITY
@@ -629,7 +634,3 @@ def diameter(g: OrthoGraph):
 
 def girth(g: OrthoGraph):
     return stats(g)["girth"]
-
-
-def has_loop(g: OrthoGraph, u: NormalMatrix) -> bool:
-    return g._nodes.loop(g._vertex_class(u))

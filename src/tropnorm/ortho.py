@@ -14,7 +14,6 @@ from functools import cached_property
 from operator import and_
 
 from .core import (
-    DimensionMismatch,
     NormalMatrix,
     _Record,
     _bits,
@@ -87,14 +86,6 @@ class IndicatorReport(_Record):
     def witness_masks(self, s: int, t: int) -> tuple[int, int]:
         """(K, M) of the 0-based cell (s, t)."""
         return self.a.rows[s] & self.bcols[t], self.b.rows[s] & self.acols[t]
-
-    def row_class_counts(self, i: int) -> dict[str, int]:
-        if not 1 <= i <= self.n:
-            raise IndexError(f"row {i} out of range for n={self.n}")
-        masks = (self.prop_rows[i - 1], self.cost_rows[i - 1], self.gift_rows[i - 1])
-        counts = dict(zip((TAG_PROPAGATION, TAG_COST, TAG_GIFT), (r.bit_count() for r in masks)))
-        counts[TAG_NONZERO] = self.n - 1 - sum(counts.values())
-        return counts
 
     def _cells(self):
         """(s, t, tag, witnesses) per off-diagonal cell in (s, t) order,
@@ -254,59 +245,13 @@ def row_type(report: IndicatorReport, i: int) -> RowType:
 ORTH_SET_GUARD = 5
 
 
-def orth_set(a: NormalMatrix, candidates=None) -> set[NormalMatrix]:
-    """Exact enumeration of the matrices orthogonal to A.
-
-    candidates: an iterable of normal matrices, or None for the full set of
-    normal matrices of the same order (refused above order 5 instead of
-    silently truncating).
-    """
-    if candidates is None:
-        if a.n > ORTH_SET_GUARD:
-            raise ValueError(
-                f"enumerating all normal matrices of order {a.n} is refused "
-                f"(guard: n <= {ORTH_SET_GUARD})"
-            )
-        candidates = all_normal_matrices(a.n)
-    out = set()
-    for b in candidates:
-        if b.n != a.n:
-            raise DimensionMismatch(f"candidate order {b.n} != {a.n}")
-        if is_orthogonal(a, b):
-            out.add(b)
-    return out
-
-
-# -- fixtures from the easy sufficient conditions ---------------------
-
-
-def majority_zero_pair(a: NormalMatrix, b: NormalMatrix) -> bool:
-    """Hypothesis check: every row and column of both matrices has strictly
-    more than n/2 zeros.  Pairs satisfying it are always orthogonal."""
-    half = _same_order(a, b) / 2
-    return all(r.bit_count() > half for m in (a, b) for r in (*m.rows, *_cols(m.rows)))
-
-
-def residue_pair(n: int) -> tuple[NormalMatrix, NormalMatrix]:
-    """The residue-pattern pair: a_ij = 0 iff i = j or i + j = 2 mod 3;
-    b_ij = 0 iff i + j even.  Requires n >= 4.
-
-    The pair is orthogonal for n = 4 and every n >= 6.  At n = 5 the fifth
-    column of A has zeros only in odd rows {3, 5}, so (BA)_{2,5} != 0 and
-    the pair is not orthogonal."""
-    if n < 4:
-        raise ValueError(f"residue pair needs n >= 4, got {n}")
-    cells = range(1, n + 1)
-    a = NormalMatrix(n, tuple(sum(1 << (j - 1) for j in cells if i == j or (i + j) % 3 == 2)
-                              for i in cells))
-    b = NormalMatrix(n, tuple(sum(1 << (j - 1) for j in cells if (i + j) % 2 == 0) for i in cells))
-    return a, b
-
-
-def row_majority_counterexample(n: int) -> NormalMatrix:
-    """All entries zero except column n off the diagonal.  Every row has n-1
-    zeros (a strict majority) yet the matrix is not self-orthogonal: the
-    column condition of the majority test cannot be dropped."""
-    cells = range(1, n + 1)
-    return NormalMatrix(n, tuple(sum(1 << (j - 1) for j in cells if j != n or i == n)
-                                 for i in cells))
+def orth_set(a: NormalMatrix) -> set[NormalMatrix]:
+    """Exact enumeration of the matrices orthogonal to A, all normal
+    matrices of its order tested (refused above order 5 instead of
+    silently truncating)."""
+    if a.n > ORTH_SET_GUARD:
+        raise ValueError(
+            f"enumerating all normal matrices of order {a.n} is refused "
+            f"(guard: n <= {ORTH_SET_GUARD})"
+        )
+    return {b for b in all_normal_matrices(a.n) if is_orthogonal(a, b)}

@@ -47,11 +47,11 @@ from .core import (
     is_canonical,
     offdiag_mask,
     offdiag_rows,
+    parse_matrix,
     sigma,
 )
 from .families import MmVariant, mm_classify, mm_pair
 from .ortho import indicator, is_orthogonal
-from . import fixtures
 
 WITNESS_CAP = 10_000
 
@@ -501,6 +501,17 @@ def _mm_generic_pairs(n: int) -> list[tuple[NormalMatrix, NormalMatrix]]:
     return out
 
 
+# a minimal orthogonal pair outside the four-variant family at each order
+# n = 3..6, as (A, B) with rows separated by '/'
+_OUTSIDERS = {
+    3: ("0--/-0-/--0", "000/000/000"),
+    4: ("0--0/-00-/-00-/0--0", "0-0-/-0-0/0-0-/-0-0"),
+    5: ("0--0-/-00-0/-00-0/0--0-/-00-0", "0-0--/-0-0-/0-0--/-0-00/---00"),
+    6: ("0--0--/-0--0-/--0--0/0--0--/-0--0-/--0--0",
+        "0---00/-0-0-0/--000-/-000--/0-0-0-/00---0"),
+}
+
+
 def check_theorem_theta(n: int) -> dict:
     """Machine-check of the minimal-pair characterization.
 
@@ -529,7 +540,8 @@ def check_theorem_theta(n: int) -> dict:
         }
     if 3 <= n <= 6:
         outsiders = {p for p in minimal if mm_classify(*p) is None}
-        stored_found = fixtures.minimal_pair_outside_family(n) in outsiders
+        stored = tuple(parse_matrix(m.replace("/", "\n")) for m in _OUTSIDERS[n])
+        stored_found = stored in outsiders
         return {
             "n": n,
             "mode": "counterexample",

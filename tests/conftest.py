@@ -1,4 +1,6 @@
 import random
+from functools import lru_cache
+from itertools import permutations
 
 from tropnorm.core import NormalMatrix, from_offdiag_mask
 
@@ -46,3 +48,19 @@ def slot_image(mask: int, perm) -> int:
         out |= 1 << perm[low.bit_length() - 1]
         mask ^= low
     return out
+
+
+@lru_cache(maxsize=None)
+def conjugations(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Conjugation P A P^-1 by every permutation p of 0..n-1, in
+    `permutations` order, written out without `core`: per p, the source
+    row p^-1(t) of each row t, and the image of every row mask with each
+    bit j moved to p(j), built a bit at a time (the masks holding bit j
+    are those below 2^j with bit p(j) added)."""
+    out = []
+    for p in permutations(range(n)):
+        img = [0]
+        for j in range(n):
+            img += [x | 1 << p[j] for x in img]
+        out.append((tuple(p.index(t) for t in range(n)), tuple(img)))
+    return tuple(out)

@@ -351,7 +351,7 @@ print(json.dumps(loaded))
         (["mul", "0-/-0", "0-/-0"], ("cli", "core")),
         (["border", "split", "0--/-00/0-0"], ("border", "cli", "core", "ortho")),
         (["classify", "0-0/00-/-00", "0-0/00-/-00"], ("cli", "core", "families", "ortho")),
-        (["theta", "--n", "3"], ("cli", "core", "families", "fixtures", "ortho", "search")),
+        (["theta", "--n", "3"], ("cli", "core", "families", "ortho", "search")),
         (["graph", "--kind", "ortho", "--n", "3"], ("cli", "core", "families", "graphs", "ortho")),
         (["generic", "--n", "4", "--set", "V:1,2&Z:2,1"], ("cli", "core", "families")),
     ],

@@ -4,7 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
-from conftest import rand_normal, slot_generators, slot_image
+from conftest import conjugations, rand_normal, slot_generators, slot_image
 from tropnorm import search
 from tropnorm.core import (
     DimensionMismatch,
@@ -12,7 +12,7 @@ from tropnorm.core import (
     NormalMatrix,
     _col_array,
     _cols,
-    _conj_tables,
+    _conj,
     _slot_images,
     all_normal_matrices,
     all_zero,
@@ -242,7 +242,9 @@ def test_conj_tables_match_per_bit_images(n):
         src = tuple(p.index(t) for t in range(n))
         img = tuple(sum(1 << p[j] for j in range(n) if r >> j & 1) for r in range(1 << n))
         want.append((src, img))
-    assert list(_conj_tables(n)) == want
+    assert [_conj(n, p) for p in permutations(range(n))] == want
+    # the tables behind the reference walks of the tests
+    assert list(conjugations(n)) == want
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -287,7 +289,7 @@ def _is_canonical_full_walk(rows):
     c = max(map(int.bit_count, (*rows, *cols)))
     if rows[0] != 1 | ((1 << c - 1) - 1) << n - c + 1:
         return False
-    tables = _conj_tables(n)
+    tables = conjugations(n)
     for base, perms in ((rows, tables[1:]), (cols, tables)):
         for src, img in perms:
             for t, s in enumerate(src):
@@ -304,7 +306,7 @@ def _images(rows):
     return [
         tuple(img[base[s]] for s in src)
         for base in (tuple(rows), tuple(_cols(rows)))
-        for src, img in _conj_tables(len(rows))
+        for src, img in conjugations(len(rows))
     ]
 
 

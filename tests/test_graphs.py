@@ -8,7 +8,8 @@ import random
 import pytest
 
 from conftest import atom_zeros, rand_normal, slot_generators
-from tropnorm import fixtures, graphs
+import fixtures
+from tropnorm import graphs
 from tropnorm.core import (
     NormalMatrix,
     all_normal_matrices,
@@ -28,7 +29,6 @@ from tropnorm.graphs import (
     adjacent,
     build,
     dist,
-    has_loop,
     stats,
 )
 from tropnorm.ortho import is_orthogonal
@@ -49,6 +49,13 @@ def _rows(g):
 def _class_of(g, a):
     """Class of the vertex a, through the graph's class lookup."""
     return int(g._class(to_offdiag_mask(a)))
+
+
+def _has_loop(g, a):
+    """Whether the vertex a has a loop: its class meets itself
+    (`_Nodes.loop`), the class found by `_vertex_class`, which refuses a
+    non-vertex."""
+    return g._nodes.loop(g._vertex_class(a))
 
 
 def _vertex_classes(g):
@@ -92,7 +99,7 @@ def test_ortho_adjacency_is_orthogonality():
         a, b = rng.choice(verts), rng.choice(verts)
         assert adjacent(ORTHO, a, b) == is_orthogonal(a, b)
     for a in verts:
-        assert has_loop(g, a) == is_orthogonal(a, a)
+        assert _has_loop(g, a) == is_orthogonal(a, a)
 
 
 def test_u_pair_not_adjacent_at_3():
@@ -167,7 +174,7 @@ def test_class_graph_matches_brute_force():
         for key, val in want.items():
             assert s[key] == val, (kind, n, key, s[key], val)
         for i, a in enumerate(g.vertices):
-            assert has_loop(g, a) == loops[i]
+            assert _has_loop(g, a) == loops[i]
             for j, b in enumerate(g.vertices):
                 assert dist(g, a, b) == dists[i][j], (kind, n, i, j)
         if n == 2:
@@ -409,7 +416,7 @@ def test_class_lookup_matches_sweep(kind, n):
     """The class of every mask by the table lookup, the class sizes, the
     vertex sequence and the member kept for each class against the sweep;
     each matrix at n <= 4, and 20,000 seeded ones at n = 5, through
-    `vertex_index` and `has_loop`, which refuse exactly the sweep's
+    `vertex_index` and `_vertex_class`, which refuse exactly the sweep's
     non-vertices."""
     import numpy as np
     g = _built(kind, n)
@@ -426,7 +433,7 @@ def test_class_lookup_matches_sweep(kind, n):
             with pytest.raises(ValueError, match="not a vertex"):
                 g.vertex_index(a)
             with pytest.raises(ValueError, match="not a vertex"):
-                has_loop(g, a)
+                _has_loop(g, a)
         else:
             assert g.vertices.masks[g.vertex_index(a)] == m
             assert _class_of(g, a) == want[m]
@@ -441,7 +448,7 @@ def test_all_zero_matrix_refused(kind, n):
     import numpy as np
     g = _built(kind, n)
     z, v = all_zero(n), g.vertices[0]
-    for call in (g.vertex_index, lambda a: has_loop(g, a),
+    for call in (g.vertex_index, lambda a: _has_loop(g, a),
                  lambda a: dist(g, a, v), lambda a: dist(g, v, a)):
         with pytest.raises(ValueError, match="not a vertex"):
             call(z)
@@ -559,9 +566,22 @@ def test_ecc_matches_class_dists(kind, n):
     got = set()
     for a in range(k) if n <= 4 else random.Random(53).sample(range(k), 12):
         want = _class_eccentricities(kind, n)[a] if n <= 4 else max(_class_dists(adj, a))
-        assert graphs._ecc(g._nodes, k, a, hubs) == want, (kind, n, a)
+        assert graphs._ecc(g._nodes, k, a, adj[a] & ~(1 << a), hubs) == want, (kind, n, a)
         got.add(want)
     assert got == ECC_REACHED[kind, n]
+
+
+@pytest.mark.parametrize("kind,n", [(VNL, 3), (VNL, 4), (WNL, 4)])
+def test_stats_diameter_takes_self_distance(kind, n, monkeypatch):
+    """With every class eccentricity read as 0, the diameter `stats`
+    reports is the greatest distance between two members of one class:
+    `dist` from a class to itself over the classes of two or more members
+    (2 at these orders; the graph is built afresh, as `stats` caches)."""
+    g = build(kind, n)
+    sizes = g._class_sizes
+    want = max(g._nodes.dist(a, a) for a in range(len(sizes)) if sizes[a] >= 2)
+    monkeypatch.setattr(graphs, "_ecc", lambda *args: 0)
+    assert stats(g)["diameter"] == want == 2
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
@@ -695,7 +715,7 @@ def _spy(g):
 
 @pytest.mark.parametrize("kind", (VNL, WNL))
 def test_dist_builds_no_rows(kind):
-    """`dist` and `has_loop` on a pattern graph work in node space: each
+    """`dist` and the loop test on a pattern graph work in node space: each
     query, in different classes or in one, passes `lnode` only the classes
     of its endpoints."""
     g, seen = _spy(_built(kind, 5))
@@ -712,7 +732,7 @@ def test_dist_builds_no_rows(kind):
             got.add(dist(g, verts[i], verts[b]))
             assert seen <= {class_of[i], class_of[b]}, (kind, i, b, seen)
         seen.clear()
-        has_loop(g, verts[i])
+        _has_loop(g, verts[i])
         assert seen == {class_of[i]}
     assert {1, 2} <= got
 

@@ -6,10 +6,10 @@ from collections import Counter
 import pytest
 
 from burnside import orbit_counts
-from tropnorm import fixtures
+from conftest import conjugations
+import fixtures
 from tropnorm.core import (
     _cols,
-    _conj_tables,
     _slot_images,
     all_normal_matrices,
     all_zero,
@@ -443,13 +443,13 @@ def test_enumerate_n4_counts_and_closure():
 
 def _closure_on_rows(n, reps):
     """Reference orbit closure, written out on rows: every conjugation
-    through `core._conj_tables` of both factors and of both transposes,
+    (`conftest.conjugations`) of both factors and of both transposes,
     re-encoded to masks, each also swapped."""
     found = set()
     for sig, am, bm in reps:
         ar, br = offdiag_rows(n, am), offdiag_rows(n, bm)
         for a, b in ((ar, br), (_cols(ar), _cols(br))):
-            for src, img in _conj_tables(n):
+            for src, img in conjugations(n):
                 ima = offdiag_mask(n, [img[a[s]] for s in src])
                 imb = offdiag_mask(n, [img[b[s]] for s in src])
                 found |= {(sig, ima, imb), (sig, imb, ima)}
