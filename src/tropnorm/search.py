@@ -260,21 +260,31 @@ def _bounded_pairs(
 
     The right factor is enumerated column by column from candidate bitsets
     built once per call: column j of B takes the masks without bit j,
-    fewest zeros first, and `meets[j][r]` marks those allowed beside a row
-    r of A (all if r has a zero at j, else those that meet r).  Per left
-    factor, their AND over the rows of A lists the valid columns, and its
-    lowest bit gives the least zero count, whose sum over j bounds B.  So
-    AB = Z holds column by column.  BA = Z is cut inside the DFS: row i of
-    BA is the union of the rows of A picked by row i of B, and once
-    columns 0..j-1 of B are placed only rows j..n-1 of A can still join
-    it, so column j must hold every row i whose union cannot become full
-    without row j of A.  A complete B is then orthogonal to A.
+    fewest zeros first, and `meets[r][j]` marks those allowed beside a row
+    r of A (all if r has a zero at j, else those that meet r), built with
+    one OR per row mask.  Per left factor, their AND over the rows of A
+    lists the valid columns, and its lowest bit gives the least zero
+    count, whose sum over j bounds B (`column_bound`).  So AB = Z holds
+    column by column.  BA = Z is cut inside the DFS: row i of BA is the
+    union of the rows of A picked by row i of B, and once columns 0..j-1
+    of B are placed only rows j..n-1 of A can still join it, so column j
+    must hold every row i whose union cannot become full without row j of
+    A.  A complete B is then orthogonal to A.
+
+    A left factor with max_sigma // 2 zeros, the last level, has no
+    children, so an extension to it takes the column bound before the
+    canonicity test: one that fails it is only counted (`pre_cut`), and
+    a survivor hands its bound to the search of its right factors.
 
     The stats count ticks (`nodes`: extensions tested plus DFS nodes), the
     extensions tested (`left_factors`), the canonical left factors searched,
     those cut by the column bound, DFS leaves (complete orthogonal right
-    factors with sigma(B) >= sigma(A)), and the column candidates the BA
-    cut drops (`ba_rejects`).  A negative cap or a NaN time limit raises
+    factors with sigma(B) >= sigma(A)), the column candidates the BA cut
+    drops (`ba_rejects`), the last-level extensions cut before the
+    canonicity test (`pre_cut`), and the canonical left factors by zero
+    count (`canonical_by_zeros`).  Below the last level these are one per
+    orbit; at the last level only those within the column bound are
+    counted in `canonical`.  A negative cap or a NaN time limit raises
     ValueError.
     """
     if node_limit < 0:
@@ -282,8 +292,11 @@ def _bounded_pairs(
     if not time_limit >= 0:
         raise ValueError(f"time limit {time_limit} is negative or NaN")
     t0 = time.monotonic()
-    keys = ("nodes", "elapsed_s", "left_factors", "canonical", "col_cut", "leaves", "ba_rejects")
+    keys = ("nodes", "elapsed_s", "left_factors", "canonical", "col_cut", "leaves", "ba_rejects",
+            "pre_cut")
     stats = dict.fromkeys(keys, 0)
+    last = max_sigma // 2
+    by_zeros = stats["canonical_by_zeros"] = [0] * (last + 1)
 
     def tick() -> None:
         stats["nodes"] += 1
@@ -296,28 +309,41 @@ def _bounded_pairs(
     full = (1 << n) - 1
 
     # per column j: the candidates as (zero count, row indices), and `meets`
-    cands, meets = [], []
+    cands, by_col = [], []
     for j in range(n):
         masks = sorted(
             (h for h in range(1 << n) if not h >> j & 1),
             key=lambda h: (h.bit_count(), h),
         )
         cands.append([(h.bit_count(), h, tuple(_bits(h))) for h in masks])
-        meets.append([
-            sum(1 << t for t, h in enumerate(masks) if r >> j & 1 or h & r)
-            for r in range(1 << n)
-        ])
+        # hit[b]: the candidates with a zero in row b; one OR per row mask,
+        # r being r without its lowest bit, plus that bit
+        hit = [sum(1 << t for t, h in enumerate(masks) if h >> b & 1) for b in range(n)]
+        every = (1 << len(masks)) - 1
+        m = [0] * (1 << n)
+        for r in range(1, 1 << n):
+            low = r & -r
+            m[r] = every if r >> j & 1 else m[r ^ low] | hit[low.bit_length() - 1]
+        by_col.append(m)
+    # meets[r][j], so that a left factor's bitsets are one AND per row
+    meets = list(zip(*by_col))
+
+    def column_bound(arows, a_off: int) -> tuple[list[int], list[int]] | None:
+        """The valid candidates of each column of B and the least zero
+        count among them, or None when those counts exceed B's budget."""
+        oks = list(reduce(partial(map, and_), map(meets.__getitem__, arows)))
+        # the lowest allowed candidate is the cheapest column j can take
+        col_min = [cands[j][(ok & -ok).bit_length() - 1][0] for j, ok in enumerate(oks)]
+        return None if sum(col_min) > max_sigma - a_off else (oks, col_min)
 
     reduced: list[tuple[int, int, int]] = []
 
-    def search_left(arows: tuple[int, ...], a_off: int) -> None:
-        b_budget = max_sigma - a_off
-        oks = [reduce(and_, map(m.__getitem__, arows)) for m in meets]
-        # the lowest allowed candidate is the cheapest column j can take
-        col_min = [cands[j][(ok & -ok).bit_length() - 1][0] for j, ok in enumerate(oks)]
-        if sum(col_min) > b_budget:
+    def search_left(arows: tuple[int, ...], a_off: int, bound) -> None:
+        if bound is None:
             stats["col_cut"] += 1
             return
+        oks, col_min = bound
+        b_budget = max_sigma - a_off
         valid_cols = [[cands[j][t] for t in _bits(ok)] for j, ok in enumerate(oks)]
         suffix = [sum(col_min[j:]) for j in range(n + 1)]
         # fut[j]: the union of rows j..n-1 of A, all that columns j..n-1
@@ -368,10 +394,11 @@ def _bounded_pairs(
     # canonical set
     cells = [(i, 1 << i, j, 1 << j) for i in range(n) for j in reversed(range(n)) if j != i]
 
-    def grow(arows: list[int], acols: list[int], a_off: int, start: int) -> None:
+    def grow(arows: list[int], acols: list[int], a_off: int, start: int, bound=None) -> None:
         stats["canonical"] += 1
-        search_left(tuple(arows), a_off)
-        if a_off == max_sigma // 2:
+        by_zeros[a_off] += 1
+        search_left(tuple(arows), a_off, bound or column_bound(arows, a_off))
+        if a_off == last:
             return
         for k in range(start, len(cells)):
             i, ibit, j, jbit = cells[k]
@@ -379,8 +406,14 @@ def _bounded_pairs(
             stats["left_factors"] += 1
             arows[i] |= jbit
             acols[j] |= ibit
-            if is_canonical(arows, acols):
-                grow(arows, acols, a_off + 1, k + 1)
+            if a_off + 1 < last:
+                if is_canonical(arows, acols):
+                    grow(arows, acols, a_off + 1, k + 1)
+            # a last-level extension has no children: bound it first
+            elif (child := column_bound(arows, last)) is None:
+                stats["pre_cut"] += 1
+            elif is_canonical(arows, acols):
+                grow(arows, acols, last, k + 1, child)
             arows[i] ^= jbit
             acols[j] ^= ibit
 
@@ -413,8 +446,8 @@ def enumerate_orthogonal_pairs(
 ):
     """Yield every orthogonal pair with at most max_sigma off-diagonal zeros
     exactly once, ordered by (sigma, left mask, right mask)."""
-    if not 2 <= n <= 6:
-        raise ValueError("pair enumeration supports 2 <= n <= 6")
+    if not 2 <= n <= 7:
+        raise ValueError("pair enumeration supports 2 <= n <= 7")
     if max_sigma < 0:
         raise ValueError(f"max_sigma {max_sigma} is negative")
     if max_sigma > 4 * n - 6:
@@ -438,8 +471,8 @@ def theta_bounded(
     the generic minimal-family pair realizes it and the certificate is a
     bounded proof of the minimum; otherwise no witness is attached and the
     certificate only claims a lower bound."""
-    if not 2 <= n <= 6:
-        raise ValueError("bounded search supports 2 <= n <= 6")
+    if not 2 <= n <= 7:
+        raise ValueError("bounded search supports 2 <= n <= 7")
     if budget < 0:
         raise ValueError(f"budget {budget} is negative")
     if budget > 4 * n - 7:

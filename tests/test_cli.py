@@ -198,7 +198,7 @@ def test_search_argument_errors(capsys):
     assert "negative" in err
     code, doc, err = run(capsys, "enumerate", "--n", "1", "--max-sigma", "0")
     assert (code, doc) == (2, None)
-    assert "2 <= n <= 6" in err and "4n-6" not in err
+    assert "2 <= n <= 7" in err and "4n-6" not in err
     for kind, n in (("vnl", "0"), ("wnl", "1"), ("ortho", "-1")):
         code, doc, err = run(capsys, "graph", "--kind", kind, "--n", n)
         assert (code, doc) == (2, None)
@@ -287,7 +287,7 @@ def test_resource_cap_exit(capsys):
     )
     assert code == 3
     # the search of every pair of order 6 with at most 18 zeros takes about
-    # 0.45 s on a 2-CPU host, nine times the limit
+    # 0.35 s on a 2-CPU host, seven times the limit
     code, doc, err = run(
         capsys, "enumerate", "--n", "6", "--max-sigma", "18", "--time-limit", "0.05"
     )

@@ -266,7 +266,8 @@ def test_theta_5_closure():
         assert sigma(a, b) == 14
 
 
-STATS_KEYS = ["nodes", "elapsed_s", "left_factors", "canonical", "col_cut", "leaves", "ba_rejects"]
+STATS_KEYS = ["nodes", "elapsed_s", "left_factors", "canonical", "col_cut", "leaves", "ba_rejects",
+              "pre_cut", "canonical_by_zeros"]
 
 
 def _counters(stats):
@@ -277,8 +278,12 @@ def _counters(stats):
 def test_bounded_resource_cap():
     with pytest.raises(SearchInconclusive) as exc:
         theta_bounded(6, budget=10, node_limit=100)
-    # the tick past the cap raises before its extension is counted
-    assert _counters(exc.value.stats) == (101, 100, 42, 42, 0, 0)
+    # the tick past the cap raises before its extension is counted; of
+    # the 100 extensions tested, 90 reach the last level and fail the
+    # column bound there
+    stats = exc.value.stats
+    assert _counters(stats) == (101, 100, 8, 8, 0, 0, 90, [1, 1, 1, 1, 4, 0])
+    assert sum(stats["canonical_by_zeros"]) == stats["canonical"]
 
 
 def test_bounded_rejects_invalid_caps():
@@ -293,7 +298,7 @@ def test_bounded_rejects_invalid_caps():
 
 def test_bounded_time_limit_at_order_7():
     # the clock is read on every tick; the search of every pair of order 7
-    # with at most 21 zeros takes about 7 s on a 2-CPU host, 35 times the
+    # with at most 21 zeros takes about 5 s on a 2-CPU host, 25 times the
     # limit
     t0 = time.monotonic()
     with pytest.raises(SearchInconclusive, match="time limit"):
@@ -303,18 +308,21 @@ def test_bounded_time_limit_at_order_7():
 
 def test_bounded_phase_counters():
     stats = theta_bounded(4, budget=9).search_stats
-    # (nodes, left_factors, canonical, col_cut, leaves, ba_rejects)
-    assert _counters(stats) == (223, 89, 33, 20, 45, 74)
-    # the canonical left factors searched: one per orbit of S_4 x C2 with
-    # at most 9 // 2 zeros
-    assert stats["canonical"] == sum(
-        1 for m in all_normal_matrices(4)
-        if nu(m) - 4 <= 9 // 2 and is_canonical(m.rows, _cols(m.rows))
+    # (nodes, left_factors, canonical, col_cut, leaves, ba_rejects,
+    # pre_cut, canonical_by_zeros)
+    assert _counters(stats) == (223, 89, 22, 9, 45, 74, 23, [1, 1, 4, 9, 7])
+    # below the last level, 9 // 2 zeros, the canonical left factors
+    # searched are one per orbit of S_4 x C2, level by level
+    below = Counter(
+        nu(m) - 4 for m in all_normal_matrices(4)
+        if nu(m) - 4 < 9 // 2 and is_canonical(m.rows, _cols(m.rows))
     )
+    assert stats["canonical_by_zeros"][:-1] == [below[k] for k in range(9 // 2)]
+    assert sum(stats["canonical_by_zeros"]) == stats["canonical"]
     assert stats["left_factors"] < stats["nodes"]
     assert stats["col_cut"] <= stats["canonical"]
     stats = theta_bounded(5, budget=13).search_stats
-    assert _counters(stats) == (947, 834, 354, 304, 0, 150)
+    assert _counters(stats) == (947, 834, 171, 121, 0, 150, 342, [1, 1, 4, 11, 38, 89, 27])
 
 
 @pytest.mark.parametrize("n, max_sigma, leaves", [(4, 9, 45), (4, 10, 244), (5, 14, 58)])
@@ -365,11 +373,16 @@ def test_orbit_counts_match_orbit_walk(n):
 ])
 def test_canonical_equals_orbit_count(n, budget, orbits):
     """The bounded search grows one canonical left factor per orbit of zero
-    sets under S_n x C2 with at most budget // 2 zeros, so `canonical`
-    equals the Burnside count; (7, 16) runs past the n <= 6 guards."""
-    assert sum(orbit_counts(n, budget // 2)) == orbits
+    sets under S_n x C2 on every level below the last, which the column
+    bound cuts before the canonicity test, so each such level of
+    `canonical_by_zeros` equals the Burnside count.  At budget + 2 every
+    level up to budget // 2 lies below the last."""
+    counts = orbit_counts(n, budget // 2)
+    assert sum(counts) == orbits
+    _, stats = _bounded_pairs(n, budget + 2)
+    assert stats["canonical_by_zeros"][:budget // 2 + 1] == counts
     _, stats = _bounded_pairs(n, budget)
-    assert stats["canonical"] == orbits
+    assert stats["canonical_by_zeros"][:-1] == counts[:-1]
 
 
 def _brute_force_pairs(n):
@@ -492,7 +505,7 @@ def test_enumerate_decodes_each_triple(n, max_sigma):
 
 def test_bounded_guards():
     with pytest.raises(ValueError):
-        theta_bounded(7, budget=5)
+        theta_bounded(8, budget=5)
     with pytest.raises(ValueError):
         theta_bounded(4, budget=12)  # budget above 4n - 7
 
@@ -518,7 +531,7 @@ def test_enumerate_contains_family_pairs():
     for variant in range(4):
         assert mm_pair(MmVariant(1, 2, variant), 4) in pairs
     with pytest.raises(ValueError):
-        list(enumerate_orthogonal_pairs(7, max_sigma=4))
+        list(enumerate_orthogonal_pairs(8, max_sigma=4))
     with pytest.raises(ValueError):
         list(enumerate_orthogonal_pairs(4, max_sigma=11))
 
@@ -575,9 +588,9 @@ def test_search_argument_checks():
     with pytest.raises(ValueError, match="negative"):
         list(enumerate_orthogonal_pairs(3, -1))
     # the order is checked before the 4n-6 guard
-    with pytest.raises(ValueError, match="2 <= n <= 6"):
+    with pytest.raises(ValueError, match="2 <= n <= 7"):
         list(enumerate_orthogonal_pairs(1, 0))
-    with pytest.raises(ValueError, match="2 <= n <= 6"):
+    with pytest.raises(ValueError, match="2 <= n <= 7"):
         theta_bounded(1, 0)
     # no pair fits and no witness at budget + 1: only a lower bound
     cert = theta_bounded(3, 0)
