@@ -15,6 +15,8 @@ modules call it instead of re-deriving them:
   (one bit per off-diagonal cell, row-major) to row masks through
   per-order lookup tables, `offdiag_row_array` decodes a numpy array of
   masks, and `offdiag_mask` encodes ints or, elementwise, int64 arrays;
+  `_sliced_cells` gives, per cell, the set of masks with a zero there as
+  one int with a bit per mask;
 * the row-union kernel `_row_union`: the union of the rows picked by the
   set bits of a mask, which is one row of a tropical product;
 * set-bit iteration `_bits` and the bit transpose `_cols`, with
@@ -470,6 +472,23 @@ def offdiag_mask(n: int, rows: Sequence[int]) -> int:
     for i, r in enumerate(rows):
         m |= ((r & ((1 << i) - 1)) | (r >> (i + 1) << i)) << (i * stride)
     return m
+
+
+def _sliced_cells(n: int) -> list[list[int]]:
+    """The matrices of order n with a zero at each cell, bit-sliced: a set
+    of matrices is an int whose bit m stands for the matrix with
+    off-diagonal mask m.  Entry [i][j] holds the matrices with a zero at
+    (i, j), every matrix when i == j."""
+    slots = n * n - n
+    size = 1 << slots
+    # the matrices with a zero at off-diagonal slot s: runs of 2^s
+    slot_set = [
+        int(("1" * (1 << s) + "0" * (1 << s)) * (size >> (s + 1)), 2) for s in range(slots)
+    ]
+    return [
+        [(1 << size) - 1 if i == j else slot_set[i * (n - 1) + j - (j > i)] for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def _conj(n: int, p: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -21,7 +21,9 @@ right[b].  Swapping left and right maps the term list onto itself, so
 the relation is symmetric (checked in the tests, not on every build).
 ORTHO adjacency does not factor through signature bits: it has one class
 per vertex, each adjacency row the AND of 2n bitsets looked up by the
-vertex's rows and columns.
+vertex's rows and columns.  The build makes only those 2^(n+1) bitsets,
+from the per-cell mask sets of `core._sliced_cells`, and a row is built
+when it is first read.
 
 All three graphs hold one relation over nodes, `_Nodes`.  Per class c,
 lnode(c) and rnode[c] are sets of nodes; per node x, rhas[x] is the
@@ -32,14 +34,16 @@ the union of lnode over F.  In a pattern graph node
 t*n^2 + s stands for bit s of term t (n^2 nodes for VNL, 3n^2 for WNL):
 lnode(c) holds the nodes of c's left terms, rnode[c] those of its
 transposed right terms.  ORTHO's nodes are its classes: lnode(c) is c
-alone, and rnode, rhas and grow are all the adjacency rows.
+alone, and rnode, rhas and grow are all one `_OrthoRows`, whose row c
+is built on first read and kept (`stats` of ORTHO n=4 builds 154 of the
+4,094 rows).
 
-`dist` and `stats` build no adjacency rows.  The left nodes X of the
-ball of radius d around a class give those of radius d + 1 as X with
-grow[x] ORed in for every x in X, so `dist` grows X from lnode(a) until
-X meets rnode[b] (in a pattern graph each step is at most 3n^2 ORs of
-3n^2-bit ints, whatever the number of classes), as it does between two
-members of one class.  Class c has a loop iff lnode(c) & rnode[c].  All
+`dist` and `stats` build no adjacency rows of a pattern graph.  The left
+nodes X of the ball of radius d around a class give those of radius
+d + 1 as X with grow[x] ORed in for every x in X, so `dist` grows X from
+lnode(a) until X meets rnode[b] (in a pattern graph each step is at most
+3n^2 ORs of 3n^2-bit ints, whatever the number of classes), as it does
+between two members of one class.  Class c has a loop iff lnode(c) & rnode[c].  All
 metrics are computed on the class graph; the blow-up only needs class
 sizes.
 
@@ -86,7 +90,7 @@ import math
 from collections import Counter
 from collections.abc import Callable, Sequence
 from functools import cached_property, lru_cache, reduce
-from operator import or_
+from operator import and_, or_
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -94,11 +98,14 @@ from .core import (
     NormalMatrix,
     _bits,
     _col_array,
+    _cols,
     _row_union,
+    _sliced_cells,
     conj_generators,
     from_offdiag_mask,
     offdiag_mask,
     offdiag_row_array,
+    offdiag_rows,
     to_offdiag_mask,
 )
 from .families import ATOM_KINDS, Atom
@@ -193,8 +200,8 @@ class _Nodes:
 
     __slots__ = ("lnode", "rnode", "rhas", "grow")
 
-    def __init__(self, lnode: Callable[[int], int], rnode: list[int], rhas: list[int],
-                 grow: list[int]):
+    def __init__(self, lnode: Callable[[int], int], rnode: Sequence[int],
+                 rhas: Sequence[int], grow: Sequence[int]):
         self.lnode = lnode  # class -> its left nodes
         self.rnode = rnode  # class -> its right nodes
         self.rhas = rhas    # node -> classes whose rnode has it
@@ -218,18 +225,39 @@ class _Nodes:
         a and b possibly the same class: the least d such that the ball of
         radius d - 1 around a has a member adjacent to b, or INFINITY once
         the ball stops growing.  For a == b that is 1 on a self-adjacent
-        class, 2 when the class has another neighbour, else INFINITY.  The
-        ball's left-node set grows at most once per node, which bounds the
-        loop."""
-        x, target = self.lnode(a), self.rnode[b]
-        for d in range(1, len(self.grow) + 2):
-            if x & target:
-                return d
+        class, 2 when the class has another neighbour, else INFINITY."""
+        x, target, d = self.lnode(a), self.rnode[b], 1
+        while not x & target:
             grown = self.step(x)
             if grown == x:
-                break
-            x = grown
-        return INFINITY
+                return INFINITY
+            x, d = grown, d + 1
+        return d
+
+
+class _OrthoRows:
+    """The adjacency rows of ORTHO's k classes, each built on first read
+    and kept: row c is the AND of cols_meet over the rows of mask c + 1
+    and of rows_meet over its columns (`_build_ortho`)."""
+
+    __slots__ = ("n", "cols_meet", "rows_meet", "built")
+
+    def __init__(self, n: int, k: int, cols_meet: list[int], rows_meet: list[int]):
+        self.n = n
+        self.cols_meet, self.rows_meet = cols_meet, rows_meet
+        self.built: list[int | None] = [None] * k
+
+    def __len__(self) -> int:
+        return len(self.built)
+
+    def __getitem__(self, c: int) -> int:
+        row = self.built[c]  # IndexError past the last class
+        if row is None:
+            vrows = offdiag_rows(self.n, c % len(self.built) + 1)
+            row = reduce(and_, [self.cols_meet[r] for r in vrows]
+                         + [self.rows_meet[col] for col in _cols(vrows)])
+            self.built[c] = row
+        return row
 
 
 class OrthoGraph:
@@ -374,28 +402,22 @@ def build(kind: str, n: int) -> OrthoGraph:
 def _build_ortho(n: int) -> OrthoGraph:
     import numpy as np
     h = (n * n - n) // 2
-    masks = np.arange(1, (1 << 2 * h) - 1, dtype=np.int64)
-    rows = offdiag_row_array(n, masks)
-    cols = _col_array(rows)
-
+    k = (1 << 2 * h) - 2
     # A (.) B is all zero iff every row of A meets every column of B.  For
-    # each n-bit value r: the vertices each of whose columns meets r, and
-    # those each of whose rows meets r
-    cols_meet = [_to_bits(((cols & r) != 0).all(axis=1)) for r in range(1 << n)]
-    rows_meet = [_to_bits(((rows & r) != 0).all(axis=1)) for r in range(1 << n)]
+    # each n-bit value r: the classes each of whose columns meets r
+    # (cols_meet), and those each of whose rows meets r (rows_meet), from
+    # the per-cell mask sets; class m - 1 stands for mask m, so the shift
+    # drops mask 0 and the full mask
+    cells = _sliced_cells(n)
+    classes = (1 << k) - 1
 
-    # one class per vertex; a self-orthogonal vertex keeps its own bit
-    adj_bits: list[int] = []
-    for vrows, vcols in zip(rows.tolist(), cols.tolist()):
-        acc = -1
-        for r in vrows:  # A (.) B with this vertex as A
-            acc &= cols_meet[r]
-        for c in vcols:  # B (.) A with this vertex as A
-            acc &= rows_meet[c]
-        adj_bits.append(acc)
+    def meet(lines) -> list[int]:
+        return [reduce(and_, [_row_union(r, line) for line in lines]) >> 1 & classes
+                for r in range(1 << n)]
 
+    rows = _OrthoRows(n, k, meet(list(zip(*cells))), meet(cells))
     # a half class per half mask, and class m - 1 for mask m off both ends
-    table = np.append(np.arange(-1, len(masks), dtype=np.int32), -1)
+    table = np.append(np.arange(-1, k, dtype=np.int32), -1)
     # nodes are classes: lnode(c) is c alone; rnode, rhas and grow are the rows
     return OrthoGraph(
         kind=ORTHO,
@@ -403,9 +425,9 @@ def _build_ortho(n: int) -> OrthoGraph:
         _hi=np.arange(1 << h),
         _lo=np.arange(1 << h),
         _table=table.reshape(1 << h, 1 << h),
-        _member=masks,
-        _class_sizes=[1] * len(masks),
-        _nodes=_Nodes((1).__lshift__, adj_bits, adj_bits, adj_bits),
+        _member=np.arange(1, k + 1, dtype=np.int64),
+        _class_sizes=[1] * k,
+        _nodes=_Nodes((1).__lshift__, rows, rows, rows),
     )
 
 

@@ -41,6 +41,7 @@ from .core import (
     _bits,
     _cols,
     _row_union,
+    _sliced_cells,
     _slot_images,
     format_matrix,
     from_offdiag_mask,
@@ -107,24 +108,14 @@ THETA_EXHAUSTIVE_GUARD = 4
 
 def _sliced_nonfull(n: int) -> list[int]:
     """The complements of the full families of every matrix of order n,
-    bit-sliced: a set of matrices is an int whose bit m stands for the
-    matrix with off-diagonal mask m.  Entry p holds the matrices whose
+    bit-sliced as in `_sliced_cells`.  Entry p holds the matrices whose
     union of the rows picked by p is not full, so A*B = Z iff B lies in
     none of the entries picked by the row values of A."""
-    slots = n * n - n
-    size = 1 << slots
-    every = (1 << size) - 1
-    # the matrices with a zero at off-diagonal slot s: runs of 2^s
-    slot_set = [
-        int(("1" * (1 << s) + "0" * (1 << s)) * (size >> (s + 1)), 2) for s in range(slots)
-    ]
-    # cells[c][i]: the matrices with a zero at (i, c)
-    cells = [
-        [every if i == c else slot_set[i * (n - 1) + c - (c > i)] for i in range(n)]
-        for c in range(n)
-    ]
+    cells = _sliced_cells(n)
+    every = cells[0][0]
+    # column c of cells: per row i, the matrices with a zero at (i, c)
     return [
-        every ^ reduce(and_, (_row_union(p, col) for col in cells)) for p in range(1 << n)
+        every ^ reduce(and_, (_row_union(p, col) for col in zip(*cells))) for p in range(1 << n)
     ]
 
 

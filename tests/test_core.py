@@ -13,6 +13,7 @@ from tropnorm.core import (
     _col_array,
     _cols,
     _conj,
+    _sliced_cells,
     _slot_images,
     all_normal_matrices,
     all_zero,
@@ -503,6 +504,19 @@ def test_col_array_matches_cols(n):
     masks = np.arange(1, (1 << (n * n - n)) - 1, dtype=np.int64)
     want = [_cols(offdiag_rows(n, m)) for m in masks.tolist()]
     assert _col_array(offdiag_row_array(n, masks)).tolist() == want
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_sliced_cells_match_rows(n):
+    """Bit m of cell (i, j) is entry (i, j) of mask m's row masks, for
+    every mask; no bit lies past the last mask."""
+    cells = _sliced_cells(n)
+    size = 1 << (n * n - n)
+    assert all(cell >> size == 0 for line in cells for cell in line)
+    for m in range(size):
+        rows = offdiag_rows(n, m)
+        got = [[cell >> m & 1 for cell in line] for line in cells]
+        assert got == [[r >> j & 1 for j in range(n)] for r in rows], m
 
 
 def test_all_normal_matrices():

@@ -13,12 +13,14 @@ from tropnorm import graphs
 from tropnorm.core import (
     NormalMatrix,
     all_normal_matrices,
+    _col_array,
     _row_union,
     all_zero,
     from_offdiag_mask,
     identity,
     make_elementary,
     naive_odot,
+    offdiag_row_array,
     to_offdiag_mask,
     transpose,
 )
@@ -582,6 +584,13 @@ def test_stats_diameter_takes_self_distance(kind, n, monkeypatch):
     want = max(g._nodes.dist(a, a) for a in range(len(sizes)) if sizes[a] >= 2)
     monkeypatch.setattr(graphs, "_ecc", lambda *args: 0)
     assert stats(g)["diameter"] == want == 2
+    # the other two values of the same-class term, on fresh graphs: every
+    # class self-adjacent gives 1, no class adjacent to any gives INFINITY
+    monkeypatch.setattr(graphs._Nodes, "loop", lambda self, c: True)
+    assert stats(build(kind, n))["diameter"] == 1
+    monkeypatch.setattr(graphs._Nodes, "loop", lambda self, c: False)
+    monkeypatch.setattr(graphs._Nodes, "reach", lambda self, f: f)
+    assert stats(build(kind, n))["diameter"] == math.inf
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
@@ -967,3 +976,49 @@ def test_ortho4_adjacency_matches_naive_odot():
         a, b = g.vertices[i], g.vertices[j]
         want = naive_odot(a, b) == z and naive_odot(b, a) == z
         assert bool(_rows(g)[i] >> j & 1) == want, (i, j)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_ortho_rows_built_on_read(n):
+    """ORTHO's rows are one sequence of the class count, none built by the
+    build; a read builds one row, a negative index reads from the end, and
+    past the last class raises IndexError, which ends an enumeration."""
+    g = build(ORTHO, n)
+    rows, k = g._nodes.rhas, len(g._class_sizes)
+    assert g._nodes.rnode is rows is g._nodes.grow
+    assert len(rows) == k == 2 ** (n * n - n) - 2
+    assert rows.built == [None] * k
+    with pytest.raises(IndexError):
+        rows[k]
+    assert rows[-1] == rows[k - 1] == _rows(_built(ORTHO, n))[k - 1]
+    assert sum(r is not None for r in rows.built) == 1
+    assert len(list(rows)) == k
+
+
+@pytest.mark.parametrize("n,read", [(2, 2), (3, 17), (4, 154)])
+def test_ortho_stats_builds_rows_it_reads(n, read):
+    """`stats` builds only the rows it reads: the orbit representatives,
+    the co-atom classes and the first neighbour the girth tests visit
+    (`test_stats_reads_orbit_representatives_and_hubs`)."""
+    g = build(ORTHO, n)
+    assert stats(g) == stats(_built(ORTHO, n))
+    assert sum(r is not None for r in g._nodes.rhas.built) == read
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_ortho_rows_match_numpy_meet_sets(n):
+    """The bit-sliced meet sets against their definition on every vertex:
+    bit c of cols_meet[r] (rows_meet[r]) says every column (row) of class
+    c's vertex meets r.  Every row, enumerated, is the AND of the defined
+    meet sets over its vertex's rows and columns."""
+    import numpy as np
+    masks = np.arange(1, 2 ** (n * n - n) - 1, dtype=np.int64)
+    vrows = offdiag_row_array(n, masks)
+    vcols = _col_array(vrows)
+    cols_meet = [graphs._to_bits(((vcols & r) != 0).all(axis=1)) for r in range(1 << n)]
+    rows_meet = [graphs._to_bits(((vrows & r) != 0).all(axis=1)) for r in range(1 << n)]
+    rows = build(ORTHO, n)._nodes.rhas
+    assert (rows.cols_meet, rows.rows_meet) == (cols_meet, rows_meet)
+    want = [functools.reduce(operator.and_, [cols_meet[r] for r in vr] + [rows_meet[c] for c in vc])
+            for vr, vc in zip(vrows.tolist(), vcols.tolist())]
+    assert list(rows) == want
