@@ -15,10 +15,11 @@ modules call it instead of re-deriving them:
   (one bit per off-diagonal cell, row-major) to row masks through
   per-order lookup tables, `offdiag_row_array` decodes a numpy array of
   masks, and `offdiag_mask` encodes ints or, elementwise, int64 arrays;
-  `_sliced_cells` gives, per cell, the set of masks with a zero there as
-  one int with a bit per mask;
+  `_sliced_meets` gives, per n-bit value r, the set of matrices each of
+  whose columns (rows) meets r, as one int with a bit per mask;
 * the row-union kernel `_row_union`: the union of the rows picked by the
-  set bits of a mask, which is one row of a tropical product;
+  set bits of a mask, which is one row of a tropical product, and
+  `_union_table`, its value for every mask at one OR each;
 * set-bit iteration `_bits` and the bit transpose `_cols`, with
   `_col_array` its form on a numpy array of row masks;
 * the symmetry group S_n x C2 of conjugation by permutation matrices
@@ -35,8 +36,9 @@ All indices in the public API are 1-based.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations
+from operator import and_
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
@@ -474,21 +476,38 @@ def offdiag_mask(n: int, rows: Sequence[int]) -> int:
     return m
 
 
-def _sliced_cells(n: int) -> list[list[int]]:
-    """The matrices of order n with a zero at each cell, bit-sliced: a set
-    of matrices is an int whose bit m stands for the matrix with
-    off-diagonal mask m.  Entry [i][j] holds the matrices with a zero at
-    (i, j), every matrix when i == j."""
+def _union_table(parts: Sequence[int]) -> list[int]:
+    """`_row_union(r, parts)` for every r below 2^len(parts), one OR per
+    entry: r is r without its lowest bit, plus that bit's part."""
+    table = [0] * (1 << len(parts))
+    for r in range(1, len(table)):
+        low = r & -r
+        table[r] = table[r ^ low] | parts[low.bit_length() - 1]
+    return table
+
+
+def _sliced_meets(n: int) -> tuple[list[int], list[int]]:
+    """Per n-bit value r, the matrices of order n each of whose columns
+    meets r (cols_meet[r]) and those each of whose rows meets r
+    (rows_meet[r]), bit-sliced: a set of matrices is an int whose bit m
+    stands for the matrix with off-diagonal mask m.  A*B = Z iff every
+    row of A meets every column of B."""
     slots = n * n - n
     size = 1 << slots
     # the matrices with a zero at off-diagonal slot s: runs of 2^s
     slot_set = [
         int(("1" * (1 << s) + "0" * (1 << s)) * (size >> (s + 1)), 2) for s in range(slots)
     ]
-    return [
+    # cells[i][j]: the matrices with a zero at (i, j), every one if i == j
+    cells = [
         [(1 << size) - 1 if i == j else slot_set[i * (n - 1) + j - (j > i)] for j in range(n)]
         for i in range(n)
     ]
+
+    def meet(lines) -> list[int]:
+        return [reduce(and_, per_line) for per_line in zip(*map(_union_table, lines))]
+
+    return meet(zip(*cells)), meet(cells)
 
 
 def _conj(n: int, p: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -497,12 +516,7 @@ def _conj(n: int, p: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     p(j).  The image of rows is `[img[rows[s]] for s in src]`: the zero at
     (i, j) moves to (p(i), p(j))."""
     src = tuple(sorted(range(n), key=p.__getitem__))
-    # one OR per row mask: r is r without its lowest bit, plus that bit
-    img = [0] * (1 << n)
-    for r in range(1, 1 << n):
-        low = r & -r
-        img[r] = img[r ^ low] | 1 << p[low.bit_length() - 1]
-    return src, tuple(img)
+    return src, tuple(_union_table([1 << t for t in p]))
 
 
 def conj_generators(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:

@@ -22,8 +22,8 @@ the relation is symmetric (checked in the tests, not on every build).
 ORTHO adjacency does not factor through signature bits: it has one class
 per vertex, each adjacency row the AND of 2n bitsets looked up by the
 vertex's rows and columns.  The build makes only those 2^(n+1) bitsets,
-from the per-cell mask sets of `core._sliced_cells`, and a row is built
-when it is first read.
+the meet sets of `core._sliced_meets` in class numbering, and a row is
+built when it is first read.
 
 All three graphs hold one relation over nodes, `_Nodes`.  Per class c,
 lnode(c) and rnode[c] are sets of nodes; per node x, rhas[x] is the
@@ -100,7 +100,7 @@ from .core import (
     _col_array,
     _cols,
     _row_union,
-    _sliced_cells,
+    _sliced_meets,
     conj_generators,
     from_offdiag_mask,
     offdiag_mask,
@@ -403,19 +403,11 @@ def _build_ortho(n: int) -> OrthoGraph:
     import numpy as np
     h = (n * n - n) // 2
     k = (1 << 2 * h) - 2
-    # A (.) B is all zero iff every row of A meets every column of B.  For
-    # each n-bit value r: the classes each of whose columns meets r
-    # (cols_meet), and those each of whose rows meets r (rows_meet), from
-    # the per-cell mask sets; class m - 1 stands for mask m, so the shift
-    # drops mask 0 and the full mask
-    cells = _sliced_cells(n)
+    # the bit-sliced meet sets of `core._sliced_meets` as class sets:
+    # class m - 1 stands for mask m, so the shift drops mask 0 and the
+    # full mask
     classes = (1 << k) - 1
-
-    def meet(lines) -> list[int]:
-        return [reduce(and_, [_row_union(r, line) for line in lines]) >> 1 & classes
-                for r in range(1 << n)]
-
-    rows = _OrthoRows(n, k, meet(list(zip(*cells))), meet(cells))
+    rows = _OrthoRows(n, k, *([m >> 1 & classes for m in meets] for meets in _sliced_meets(n)))
     # a half class per half mask, and class m - 1 for mask m off both ends
     table = np.append(np.arange(-1, k, dtype=np.int32), -1)
     # nodes are classes: lnode(c) is c alone; rnode, rhas and grow are the rows

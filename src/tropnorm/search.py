@@ -5,10 +5,10 @@ Two engines pin the minimum number of off-diagonal zeros:
 * exhaustive oracles (small orders) that walk zero patterns by
   increasing total count and test every one: a left factor A against
   every right factor B at once, a set of matrices being one int with a
-  bit per off-diagonal mask (`_sliced_nonfull`), so that the B with
-  A*B = Z are one row union, and each of them then for B*A = Z row by
-  row; a self-orthogonal candidate row by row, built from per-row values
-  with fixed zero counts;
+  bit per off-diagonal mask (`core._sliced_meets`), so that the B with
+  A*B = Z are one AND over the rows of A, and those of them with
+  B*A = Z one more AND over its columns; a self-orthogonal candidate row
+  by row, built from per-row values with fixed zero counts;
 * a branch-and-bound engine that grows left factors and enumerates the
   right factor column by column under exact hitting-set bounds (column
   j of B must meet row i of A wherever a_ij = -1; orthogonality is this
@@ -41,8 +41,9 @@ from .core import (
     _bits,
     _cols,
     _row_union,
-    _sliced_cells,
+    _sliced_meets,
     _slot_images,
+    _union_table,
     format_matrix,
     from_offdiag_mask,
     is_canonical,
@@ -106,19 +107,6 @@ def _pair_from_masks(n: int, amask: int, bmask: int) -> tuple[NormalMatrix, Norm
 THETA_EXHAUSTIVE_GUARD = 4
 
 
-def _sliced_nonfull(n: int) -> list[int]:
-    """The complements of the full families of every matrix of order n,
-    bit-sliced as in `_sliced_cells`.  Entry p holds the matrices whose
-    union of the rows picked by p is not full, so A*B = Z iff B lies in
-    none of the entries picked by the row values of A."""
-    cells = _sliced_cells(n)
-    every = cells[0][0]
-    # column c of cells: per row i, the matrices with a zero at (i, c)
-    return [
-        every ^ reduce(and_, (_row_union(p, col) for col in zip(*cells))) for p in range(1 << n)
-    ]
-
-
 def theta_exhaustive(n: int) -> ThetaCertificate:
     """Exact minimum of off-diagonal zeros over all mutually orthogonal
     ordered pairs, with every minimal pair enumerated.  Guarded at n <= 4."""
@@ -128,10 +116,8 @@ def theta_exhaustive(n: int) -> ThetaCertificate:
         raise ValueError("n must be positive")
     t0 = time.monotonic()
     slots = n * n - n
-    full = (1 << n) - 1
-    nonfull = _sliced_nonfull(n)
+    cols_meet, rows_meet = _sliced_meets(n)
     rows = [offdiag_rows(n, mask) for mask in range(1 << slots)]
-    row_set = [sum(1 << r for r in set(rs)) for rs in rows]
     by_count: list[list[int]] = [[] for _ in range(slots + 1)]
     for mask in range(1 << slots):
         by_count[mask.bit_count()].append(mask)
@@ -145,24 +131,21 @@ def theta_exhaustive(n: int) -> ThetaCertificate:
             nodes += len(by_count[ka]) * len(by_count[kb])
             right = count_set[kb]
             for amask in by_count[ka]:
-                # every B with A*B = Z at once, then B*A = Z row by row
-                cand = right & ~_row_union(row_set[amask], nonfull)
+                # every B with A*B = Z at once (each row of A meets each
+                # column of B), then of those every B with B*A = Z
+                arows = rows[amask]
+                cand = reduce(and_, map(cols_meet.__getitem__, arows), right)
                 if cand:
-                    arows = rows[amask]
-                    found += [
-                        (amask, bmask)
-                        for bmask in _bits(cand)
-                        if all(_row_union(r, arows) == full for r in rows[bmask])
-                    ]
+                    cand = reduce(and_, map(rows_meet.__getitem__, _cols(arows)), cand)
+                    found += zip(repeat(amask), _bits(cand))
         if found:
             found.sort()
-            witnesses = [_pair_from_masks(n, a, b) for a, b in found]
             return ThetaCertificate(
                 n=n,
                 kind="pair",
                 value=total,
                 completeness=COMPLETENESS_EXHAUSTIVE,
-                witnesses=witnesses[:WITNESS_CAP],
+                witnesses=[_pair_from_masks(n, a, b) for a, b in found[:WITNESS_CAP]],
                 total_witnesses=len(found),
                 search_stats={"nodes": nodes, "elapsed_s": time.monotonic() - t0},
             )
@@ -213,13 +196,12 @@ def theta_delta_exhaustive(n: int) -> ThetaCertificate:
         place(0, k)
         if found:
             found.sort()
-            witnesses = [from_offdiag_mask(n, m) for m in found]
             return ThetaCertificate(
                 n=n,
                 kind="self",
                 value=k,
                 completeness=COMPLETENESS_EXHAUSTIVE,
-                witnesses=witnesses[:WITNESS_CAP],
+                witnesses=[from_offdiag_mask(n, m) for m in found[:WITNESS_CAP]],
                 total_witnesses=len(found),
                 search_stats={"nodes": nodes, "elapsed_s": time.monotonic() - t0},
             )
@@ -252,15 +234,16 @@ def _bounded_pairs(
     The right factor is enumerated column by column from candidate bitsets
     built once per call: column j of B takes the masks without bit j,
     fewest zeros first, and `meets[r][j]` marks those allowed beside a row
-    r of A (all if r has a zero at j, else those that meet r), built with
-    one OR per row mask.  Per left factor, their AND over the rows of A
-    lists the valid columns, and its lowest bit gives the least zero
-    count, whose sum over j bounds B (`column_bound`).  So AB = Z holds
-    column by column.  BA = Z is cut inside the DFS: row i of BA is the
-    union of the rows of A picked by row i of B, and once columns 0..j-1
-    of B are placed only rows j..n-1 of A can still join it, so column j
-    must hold every row i whose union cannot become full without row j of
-    A.  A complete B is then orthogonal to A.
+    r of A (all if r has a zero at j, else those that meet r), built by
+    `core._union_table` with one OR per row mask.  Per left factor, their
+    AND over the rows of A lists the valid columns, and its lowest bit
+    gives the least zero count, whose sum over j bounds B
+    (`column_bound`).  So AB = Z holds column by column.  BA = Z is cut
+    inside the DFS: row i of BA is the union of the rows of A picked by
+    row i of B, and once columns 0..j-1 of B are placed only rows
+    j..n-1 of A can still join it, so column j must hold every row i
+    whose union cannot become full without row j of A.  A complete B is
+    then orthogonal to A.
 
     A left factor with max_sigma // 2 zeros, the last level, has no
     children, so an extension to it takes the column bound before the
@@ -307,15 +290,13 @@ def _bounded_pairs(
             key=lambda h: (h.bit_count(), h),
         )
         cands.append([(h.bit_count(), h, tuple(_bits(h))) for h in masks])
-        # hit[b]: the candidates with a zero in row b; one OR per row mask,
-        # r being r without its lowest bit, plus that bit
-        hit = [sum(1 << t for t, h in enumerate(masks) if h >> b & 1) for b in range(n)]
+        # per row b: the candidates with a zero in row b, and all of them
+        # for b = j, as B's zero at (j, j) meets every r holding bit j
         every = (1 << len(masks)) - 1
-        m = [0] * (1 << n)
-        for r in range(1, 1 << n):
-            low = r & -r
-            m[r] = every if r >> j & 1 else m[r ^ low] | hit[low.bit_length() - 1]
-        by_col.append(m)
+        by_col.append(_union_table(
+            [every if b == j else sum(1 << t for t, h in enumerate(masks) if h >> b & 1)
+             for b in range(n)]
+        ))
     # meets[r][j], so that a left factor's bitsets are one AND per row
     meets = list(zip(*by_col))
 

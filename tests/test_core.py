@@ -13,8 +13,10 @@ from tropnorm.core import (
     _col_array,
     _cols,
     _conj,
-    _sliced_cells,
+    _row_union,
+    _sliced_meets,
     _slot_images,
+    _union_table,
     all_normal_matrices,
     all_zero,
     conj_generators,
@@ -507,16 +509,28 @@ def test_col_array_matches_cols(n):
 
 
 @pytest.mark.parametrize("n", range(1, 5))
-def test_sliced_cells_match_rows(n):
-    """Bit m of cell (i, j) is entry (i, j) of mask m's row masks, for
-    every mask; no bit lies past the last mask."""
-    cells = _sliced_cells(n)
+def test_sliced_meets_match_definition(n):
+    """Bit m of cols_meet[r] (rows_meet[r]) says every column (row) of
+    mask m's matrix meets r, for every mask, 0 and the full one included,
+    and every r; no bit lies past the last mask."""
+    cols_meet, rows_meet = _sliced_meets(n)
     size = 1 << (n * n - n)
-    assert all(cell >> size == 0 for line in cells for cell in line)
+    assert len(cols_meet) == len(rows_meet) == 1 << n
+    assert all(s >> size == 0 for s in cols_meet + rows_meet)
     for m in range(size):
         rows = offdiag_rows(n, m)
-        got = [[cell >> m & 1 for cell in line] for line in cells]
-        assert got == [[r >> j & 1 for j in range(n)] for r in rows], m
+        cols = _cols(rows)
+        for r in range(1 << n):
+            assert cols_meet[r] >> m & 1 == all(c & r for c in cols), (m, r)
+            assert rows_meet[r] >> m & 1 == all(x & r for x in rows), (m, r)
+
+
+def test_union_table_matches_row_union():
+    rng = random.Random(31)
+    for length in range(7):
+        for _ in range(5):
+            parts = [rng.getrandbits(40) for _ in range(length)]
+            assert _union_table(parts) == [_row_union(r, parts) for r in range(1 << length)]
 
 
 def test_all_normal_matrices():

@@ -10,6 +10,7 @@ from conftest import conjugations
 import fixtures
 from tropnorm.core import (
     _cols,
+    _sliced_meets,
     _slot_images,
     all_normal_matrices,
     all_zero,
@@ -34,7 +35,6 @@ from tropnorm.search import (
     _bounded_pairs,
     _mm_generic_pairs,
     _pair_from_masks,
-    _sliced_nonfull,
     check_theorem_theta,
     enumerate_orthogonal_pairs,
     theta_bounded,
@@ -138,6 +138,14 @@ def test_theta_exhaustive_matches_two_and_scan(n):
     assert [(to_offdiag_mask(a), to_offdiag_mask(b)) for a, b in cert.witnesses] == found
     assert cert.total_witnesses == len(found)
     assert cert.search_stats["nodes"] == nodes
+
+
+def _sliced_nonfull(n):
+    # the bit-sliced non-full family theta_exhaustive reads: bit m of
+    # entry p is set iff the rows of mask m picked by p do not cover every
+    # column, the complement of cols_meet[p]
+    everything = (1 << (1 << (n * n - n))) - 1
+    return [everything ^ s for s in _sliced_meets(n)[0]]
 
 
 def _assert_sliced_bit(n, nonfull, m):
