@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 
 from .core import (
     GRAPH_KINDS,
+    WITNESS_CAP,
     MatrixFormatError,
     NormalMatrix,
     SearchInconclusive,
@@ -36,8 +37,6 @@ EXIT_OK = 0
 EXIT_PROPERTY = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-WITNESS_PRINT_CAP = 10_000
 
 
 class PropertyFailure(Exception):
@@ -146,8 +145,8 @@ def _cmd_orth_set(args) -> int:
         "command": "orth-set",
         "a": format_matrix(a),
         "count": len(out),
-        "matrices": [format_matrix(m) for m in out[:WITNESS_PRINT_CAP]],
-        "truncated": len(out) > WITNESS_PRINT_CAP,
+        "matrices": [format_matrix(m) for m in out[:WITNESS_CAP]],
+        "truncated": len(out) > WITNESS_CAP,
     }
     _emit(doc, f"{len(out)} matrices orthogonal to the input")
     return EXIT_OK
@@ -247,9 +246,9 @@ def _cmd_enumerate(args) -> int:
         "count": len(pairs),
         "pairs": [
             {"a": format_matrix(a), "b": format_matrix(b)}
-            for a, b in pairs[:WITNESS_PRINT_CAP]
+            for a, b in pairs[:WITNESS_CAP]
         ],
-        "truncated": len(pairs) > WITNESS_PRINT_CAP,
+        "truncated": len(pairs) > WITNESS_CAP,
     }
     _emit(doc, f"{len(pairs)} orthogonal pairs with sigma <= {args.max_sigma}")
     return EXIT_OK

@@ -13,23 +13,22 @@ modules call it instead of re-deriving them:
 
 * the off-diagonal mask codec: `offdiag_rows` decodes an n(n-1)-bit mask
   (one bit per off-diagonal cell, row-major) to row masks through
-  per-order lookup tables, `offdiag_row_array` decodes a numpy array of
-  masks, and `offdiag_mask` encodes ints or, elementwise, int64 arrays;
+  per-order lookup tables, and `offdiag_mask` encodes them;
   `_sliced_meets` gives, per n-bit value r, the set of matrices each of
   whose columns (rows) meets r, as one int with a bit per mask;
 * the row-union kernel `_row_union`: the union of the rows picked by the
   set bits of a mask, which is one row of a tropical product, and
   `_union_table`, its value for every mask at one OR each;
-* set-bit iteration `_bits` and the bit transpose `_cols`, with
-  `_col_array` its form on a numpy array of row masks;
+* set-bit iteration `_bits` and the bit transpose `_cols`;
 * the symmetry group S_n x C2 of conjugation by permutation matrices
-  and the transpose, in two forms.  On row masks, `_conj` gives
-  conjugation by a permutation as a (source rows, row-mask image) pair:
-  `conj_generators` holds it for the transposition (1 2) and the
-  n-cycle, which with the transpose generate the group, and
-  `is_canonical` picks the lex-greatest matrix of each orbit through the
-  permutations that can give it its first row.  On off-diagonal masks,
-  `_slot_images` holds each slot's image under every element.
+  and the transpose, in two forms with one job each.  For orbits,
+  `_slot_images` holds each off-diagonal slot's image under every
+  element: the search closes its pairs through it, and `graphs` reads
+  the columns of the transposition (1 2), the n-cycle and the transpose,
+  which generate the group.  For canonicity, `_conj` gives conjugation
+  by a permutation on row masks as a (source rows, row-mask image) pair,
+  and `is_canonical` picks the lex-greatest matrix of each orbit through
+  the permutations that can give it its first row (`_first_row_tables`).
 
 All indices in the public API are 1-based.
 """
@@ -39,10 +38,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from itertools import permutations
 from operator import and_
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Iterable, Iterator, Sequence
 
 ZERO = 0
 MINUS_ONE = -1
@@ -67,8 +63,13 @@ class SearchInconclusive(RuntimeError):
 
 
 # the relation graphs of `graphs`, named here so that the CLI parser can
-# offer them without importing the graph builders (and numpy)
+# offer them without importing the graph builders
 GRAPH_KINDS = ("ortho", "vnl", "wnl")
+
+# the most matrices or pairs a document lists, in search certificates and
+# in the CLI's lists; named here so that the CLI imports `search` only to
+# search
+WITNESS_CAP = 10_000
 
 
 _setfield = object.__setattr__
@@ -241,13 +242,6 @@ def _cols(rows: Sequence[int]) -> list[int]:
             cols[low.bit_length() - 1] |= bit
             r ^= low
     return cols
-
-
-def _col_array(rows: np.ndarray) -> np.ndarray:
-    """`_cols` of each row of an int64 array of row masks, one matrix a row."""
-    import numpy as np
-    bits = np.arange(rows.shape[1])
-    return sum(((rows[:, [i]] >> bits) & 1) << i for i in bits.tolist())
 
 
 # -- distinguished matrices -----------------------------------------
@@ -455,20 +449,8 @@ def offdiag_rows(n: int, mask: int) -> tuple[int, ...]:
     return tuple([row[(mask >> shift) & field] for shift, row in _offdiag_tables(n)])
 
 
-def offdiag_row_array(n: int, masks: np.ndarray) -> np.ndarray:
-    """`offdiag_rows` of every entry of an int64 array of masks, as an
-    array with one column per row."""
-    import numpy as np
-    field = (1 << (n - 1)) - 1
-    return np.stack(
-        [np.asarray(row)[(masks >> shift) & field] for shift, row in _offdiag_tables(n)],
-        axis=1,
-    )
-
-
 def offdiag_mask(n: int, rows: Sequence[int]) -> int:
-    """Inverse of offdiag_rows: the off-diagonal mask of the row masks, or
-    elementwise of int64 arrays of them (`offdiag_row_array(...).T`)."""
+    """Inverse of offdiag_rows: the off-diagonal mask of the row masks."""
     stride = n - 1
     m = 0
     for i, r in enumerate(rows):
@@ -517,13 +499,6 @@ def _conj(n: int, p: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     (i, j) moves to (p(i), p(j))."""
     src = tuple(sorted(range(n), key=p.__getitem__))
     return src, tuple(_union_table([1 << t for t in p]))
-
-
-def conj_generators(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """`_conj` of the transposition (1 2) and of the n-cycle i -> i+1
-    (mod n); with the transpose they generate S_n x C2."""
-    swap = (*reversed(range(min(n, 2))), *range(2, n))
-    return _conj(n, swap), _conj(n, [(i + 1) % n for i in range(n)])
 
 
 @lru_cache(maxsize=None)

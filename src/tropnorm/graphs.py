@@ -63,11 +63,10 @@ Conjugation by permutation matrices and the transpose are automorphisms
 of all three graphs: they keep a class's size, loop and eccentricity and
 its neighbours' sizes.  So `stats` takes one class per orbit, weighted
 by the orbit's class count in the edge and loop sums, and starts every
-girth test there (`_simple_girth`): the row masks of one member of every
-class go through `core.conj_generators`, the row-mask form of the group
-behind `core.is_canonical` (search closes its pairs through the other
-form, `core._slot_images`), and the bit transpose `core._col_array`;
-each class takes the least label of its images until the labels settle
+girth test there (`_simple_girth`): one member mask of every class goes
+through the generators (1 2), the n-cycle and the transpose, read from
+`core._slot_images` as the search's closure reads it; each class takes
+the least label of its images until the labels settle
 (ORTHO n=4: 142 orbits of 4,094 classes; VNL n=5: 18 of 750; WNL n=5:
 107 of 11,479).  The edge rules are monotone in the zeros, and every
 vertex lies under a co-atom, a vertex with one -1 cell.  So past radius
@@ -79,9 +78,9 @@ already taken.
 
 Vertices are keyed by their off-diagonal mask (`core.to_offdiag_mask`).
 `vertices` sorts the vertex masks on first use and decodes a matrix on
-demand, and `vertex_index` is a binary search in them.  The V/W/Z
-patterns are the off-diagonal masks of the rows a `families.Atom`
-forces, so neither the slot order nor the patterns are written here.
+demand.  The V/W/Z patterns are the off-diagonal masks of the rows a
+`families.Atom` forces, so neither the slot order nor the patterns are
+written here.
 """
 
 from __future__ import annotations
@@ -90,6 +89,7 @@ import math
 from collections import Counter
 from collections.abc import Callable, Sequence
 from functools import cached_property, lru_cache, reduce
+from itertools import permutations
 from operator import and_, or_
 from typing import TYPE_CHECKING
 
@@ -97,14 +97,12 @@ from .core import (
     GRAPH_KINDS,
     NormalMatrix,
     _bits,
-    _col_array,
     _cols,
     _row_union,
+    _slot_images,
     _sliced_meets,
-    conj_generators,
     from_offdiag_mask,
     offdiag_mask,
-    offdiag_row_array,
     offdiag_rows,
     to_offdiag_mask,
 )
@@ -289,10 +287,6 @@ class OrthoGraph:
         if c < 0:
             raise ValueError("matrix is not a vertex of this graph")
         return c
-
-    def vertex_index(self, a: NormalMatrix) -> int:
-        self._vertex_class(a)
-        return int(self.vertices.masks.searchsorted(to_offdiag_mask(a)))
 
     @cached_property
     def vertices(self) -> Vertices:
@@ -597,17 +591,23 @@ def stats(g: OrthoGraph) -> dict:
 
 def _class_orbits(g: OrthoGraph) -> list[int]:
     """The least class of the orbit of each class under conjugation by
-    permutation matrices and the transpose.  Each generator maps one
-    member of every class to a vertex and so permutes the classes; every
-    class takes the least label of its images until the labels settle."""
+    permutation matrices and the transpose.  Each generator, the
+    transposition (1 2), the n-cycle i -> i+1 (mod n) and the transpose,
+    maps one member of every class to a vertex through its column of
+    `core._slot_images` and so permutes the classes; every class takes the
+    least label of its images until the labels settle."""
     import numpy as np
-    rows = offdiag_row_array(g.n, g._member)
-    images = [np.asarray(img)[rows[:, src]] for src, img in conj_generators(g.n)]
-    maps = [g._class(offdiag_mask(g.n, image.T)) for image in (*images, _col_array(rows))]
-    assert min(m.min() for m in maps) >= 0, "a generator maps a vertex off the graph"
+    n, m = g.n, g._member
+    images = _slot_images(n)
+    perms = list(permutations(range(n)))
+    swap = (1, 0, *range(2, n))
+    cycle = tuple((i + 1) % n for i in range(n))
+    maps = [g._class(sum((m >> s & 1) * img[e] for s, img in enumerate(images)))
+            for e in (perms.index(swap), perms.index(cycle), len(perms))]
+    assert min(c.min() for c in maps) >= 0, "a generator maps a vertex off the graph"
     # a label is a class of its orbit no greater than its own class
-    label = np.arange(len(g._member))
-    while not np.array_equal(label, new := reduce(np.minimum, [label[m] for m in maps], label)):
+    label = np.arange(len(m))
+    while not np.array_equal(label, new := reduce(np.minimum, [label[c] for c in maps], label)):
         label = new[new]
     return label.tolist()
 

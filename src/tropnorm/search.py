@@ -36,6 +36,7 @@ from math import comb
 from operator import and_, or_
 
 from .core import (
+    WITNESS_CAP,
     NormalMatrix,
     SearchInconclusive,
     _bits,
@@ -54,8 +55,6 @@ from .core import (
 )
 from .families import MmVariant, mm_classify, mm_pair
 from .ortho import indicator, is_orthogonal
-
-WITNESS_CAP = 10_000
 
 COMPLETENESS_EXHAUSTIVE = "exhaustive"
 COMPLETENESS_BOUNDED = "bounded_proof"
@@ -209,6 +208,8 @@ def theta_delta_exhaustive(n: int) -> ThetaCertificate:
 
 
 # -- branch-and-bound engine --------------------------------------------
+
+BOUNDED_SEARCH_GUARD = 7
 
 
 def _bounded_pairs(
@@ -418,8 +419,8 @@ def enumerate_orthogonal_pairs(
 ):
     """Yield every orthogonal pair with at most max_sigma off-diagonal zeros
     exactly once, ordered by (sigma, left mask, right mask)."""
-    if not 2 <= n <= 7:
-        raise ValueError("pair enumeration supports 2 <= n <= 7")
+    if not 2 <= n <= BOUNDED_SEARCH_GUARD:
+        raise ValueError(f"pair enumeration supports 2 <= n <= {BOUNDED_SEARCH_GUARD}")
     if max_sigma < 0:
         raise ValueError(f"max_sigma {max_sigma} is negative")
     if max_sigma > 4 * n - 6:
@@ -443,8 +444,8 @@ def theta_bounded(
     the generic minimal-family pair realizes it and the certificate is a
     bounded proof of the minimum; otherwise no witness is attached and the
     certificate only claims a lower bound."""
-    if not 2 <= n <= 7:
-        raise ValueError("bounded search supports 2 <= n <= 7")
+    if not 2 <= n <= BOUNDED_SEARCH_GUARD:
+        raise ValueError(f"bounded search supports 2 <= n <= {BOUNDED_SEARCH_GUARD}")
     if budget < 0:
         raise ValueError(f"budget {budget} is negative")
     if budget > 4 * n - 7:

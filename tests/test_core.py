@@ -10,7 +10,6 @@ from tropnorm.core import (
     DimensionMismatch,
     MatrixFormatError,
     NormalMatrix,
-    _col_array,
     _cols,
     _conj,
     _row_union,
@@ -19,7 +18,6 @@ from tropnorm.core import (
     _union_table,
     all_normal_matrices,
     all_zero,
-    conj_generators,
     elementary_e,
     elementary_u,
     format_matrix,
@@ -32,8 +30,6 @@ from tropnorm.core import (
     naive_odot,
     nu,
     nu_row,
-    offdiag_mask,
-    offdiag_row_array,
     offdiag_rows,
     parse_matrix,
     permute_conjugate,
@@ -331,6 +327,10 @@ def _first_row_form(rows, rng):
 def test_canonical_one_per_orbit():
     # orbits under conjugation by permutation matrices and the transpose
     for n, orbits in {1: 1, 2: 3, 3: 13, 4: 144}.items():
+        images = _slot_images(n)
+        perms = list(permutations(range(n)))
+        swap = (*reversed(range(min(n, 2))), *range(2, n))
+        gens = perms.index(swap), perms.index(tuple((i + 1) % n for i in range(n))), len(perms)
         seen = set()
         for m in all_normal_matrices(n):
             if m in seen:
@@ -341,15 +341,15 @@ def test_canonical_one_per_orbit():
             # exactly the lex-greatest row tuple of the orbit is canonical
             canonical = [x for x in orbit if is_canonical(x.rows, _cols(x.rows))]
             assert canonical == [max(orbit, key=lambda x: x.rows)]
-            # and the two conjugations of `conj_generators` with the
-            # transpose reach the whole orbit
-            reached = [m.rows]
-            for rows in reached:
-                images = [tuple(img[rows[s]] for s in src) for src, img in conj_generators(n)]
-                for image in (*images, tuple(_cols(rows))):
+            # and the columns of `_slot_images` that `graphs` reads, (1 2),
+            # the n-cycle and the transpose, reach the whole orbit
+            reached = [to_offdiag_mask(m)]
+            for mask in reached:
+                for e in gens:
+                    image = sum(img[e] for s, img in enumerate(images) if mask >> s & 1)
                     if image not in reached:
                         reached.append(image)
-            assert sorted(reached) == sorted(x.rows for x in orbit)
+            assert sorted(reached) == sorted(map(to_offdiag_mask, orbit))
         assert orbits == 0
 
 
@@ -477,35 +477,6 @@ def test_offdiag_mask_round_trip():
         cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
         for s, pos in enumerate(cells):
             assert from_offdiag_mask(n, 1 << s) == NormalMatrix.from_zeros(n, [pos])
-
-
-def _masks_to_check(n):
-    """Every off-diagonal mask of order n up to 4, seeded ones above."""
-    slots = n * n - n
-    if n <= 4:
-        return list(range(1 << slots))
-    rng = random.Random(1600 + n)
-    return [0, (1 << slots) - 1, *(rng.getrandbits(slots) for _ in range(3000))]
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_array_codec_matches_int_codec(n):
-    import numpy as np
-    masks = _masks_to_check(n)
-    rows = offdiag_row_array(n, np.array(masks, dtype=np.int64))
-    assert rows.shape == (len(masks), n)
-    assert rows.tolist() == [list(offdiag_rows(n, m)) for m in masks]
-    # offdiag_mask encodes elementwise when given one array per row
-    assert offdiag_mask(n, rows.T).tolist() == masks
-
-
-@pytest.mark.parametrize("n", range(2, 5))
-def test_col_array_matches_cols(n):
-    # every ORTHO vertex: all masks but the identity's and the all-zero one
-    import numpy as np
-    masks = np.arange(1, (1 << (n * n - n)) - 1, dtype=np.int64)
-    want = [_cols(offdiag_rows(n, m)) for m in masks.tolist()]
-    assert _col_array(offdiag_row_array(n, masks)).tolist() == want
 
 
 @pytest.mark.parametrize("n", range(1, 5))

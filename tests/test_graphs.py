@@ -13,14 +13,14 @@ from tropnorm import graphs
 from tropnorm.core import (
     NormalMatrix,
     all_normal_matrices,
-    _col_array,
+    _cols,
     _row_union,
     all_zero,
     from_offdiag_mask,
     identity,
     make_elementary,
     naive_odot,
-    offdiag_row_array,
+    offdiag_rows,
     to_offdiag_mask,
     transpose,
 )
@@ -418,8 +418,7 @@ def test_class_lookup_matches_sweep(kind, n):
     """The class of every mask by the table lookup, the class sizes, the
     vertex sequence and the member kept for each class against the sweep;
     each matrix at n <= 4, and 20,000 seeded ones at n = 5, through
-    `vertex_index` and `_vertex_class`, which refuse exactly the sweep's
-    non-vertices."""
+    `_vertex_class`, which refuses exactly the sweep's non-vertices."""
     import numpy as np
     g = _built(kind, n)
     want = _sweep(kind, n)
@@ -433,12 +432,11 @@ def test_class_lookup_matches_sweep(kind, n):
         a = from_offdiag_mask(n, m)
         if want[m] < 0:
             with pytest.raises(ValueError, match="not a vertex"):
-                g.vertex_index(a)
+                g._vertex_class(a)
             with pytest.raises(ValueError, match="not a vertex"):
                 _has_loop(g, a)
         else:
-            assert g.vertices.masks[g.vertex_index(a)] == m
-            assert _class_of(g, a) == want[m]
+            assert g._vertex_class(a) == _class_of(g, a) == want[m]
 
 
 @pytest.mark.parametrize("kind,n", SWEEP_GRAPHS)
@@ -450,7 +448,7 @@ def test_all_zero_matrix_refused(kind, n):
     import numpy as np
     g = _built(kind, n)
     z, v = all_zero(n), g.vertices[0]
-    for call in (g.vertex_index, lambda a: _has_loop(g, a),
+    for call in (g._vertex_class, lambda a: _has_loop(g, a),
                  lambda a: dist(g, a, v), lambda a: dist(g, v, a)):
         with pytest.raises(ValueError, match="not a vertex"):
             call(z)
@@ -939,16 +937,6 @@ def test_vertex_sequence(kind):
     assert verts[3:11:2] == want[3:11:2] and verts[::-1] == want[::-1]
     with pytest.raises(IndexError):
         verts[len(want)]
-    for i, a in enumerate(verts):
-        assert g.vertex_index(a) == i
-
-
-@pytest.mark.parametrize("kind", (VNL, WNL))
-def test_vertex_index_round_trip_n5(kind):
-    g = _built(kind, 5)
-    rng = random.Random(44)
-    for i in rng.sample(range(g.num_vertices), 500) + [0, g.num_vertices - 1]:
-        assert g.vertex_index(g.vertices[i]) == i
 
 
 def test_non_vertex_rejected():
@@ -956,15 +944,15 @@ def test_non_vertex_rejected():
         g = _built(ORTHO, n)
         for a in (identity(n), all_zero(n)):
             with pytest.raises(ValueError, match="not a vertex"):
-                g.vertex_index(a)
+                g._vertex_class(a)
     for kind, n in ((VNL, 3), (VNL, 5), (WNL, 3), (WNL, 5)):
         g = _built(kind, n)
         # the identity and U(1,2) carry no pattern; the all-zero matrix is excluded
         for a in (identity(n), make_elementary("U", n, 1, 2), all_zero(n)):
             with pytest.raises(ValueError, match="not a vertex"):
-                g.vertex_index(a)
+                g._vertex_class(a)
     with pytest.raises(ValueError, match="order"):
-        _built(VNL, 3).vertex_index(identity(4))
+        _built(VNL, 3)._vertex_class(identity(4))
 
 
 def test_ortho4_adjacency_matches_naive_odot():
@@ -1012,9 +1000,8 @@ def test_ortho_rows_match_numpy_meet_sets(n):
     c's vertex meets r.  Every row, enumerated, is the AND of the defined
     meet sets over its vertex's rows and columns."""
     import numpy as np
-    masks = np.arange(1, 2 ** (n * n - n) - 1, dtype=np.int64)
-    vrows = offdiag_row_array(n, masks)
-    vcols = _col_array(vrows)
+    vrows = np.array([offdiag_rows(n, m) for m in range(1, 2 ** (n * n - n) - 1)])
+    vcols = np.array([_cols(r) for r in vrows.tolist()])
     cols_meet = [graphs._to_bits(((vcols & r) != 0).all(axis=1)) for r in range(1 << n)]
     rows_meet = [graphs._to_bits(((vrows & r) != 0).all(axis=1)) for r in range(1 << n)]
     rows = build(ORTHO, n)._nodes.rhas
