@@ -8,14 +8,16 @@ Two engines pin the minimum number of off-diagonal zeros:
   bit per off-diagonal mask (`core._sliced_meets`), so that the B with
   A*B = Z are one AND over the rows of A, and those of them with
   B*A = Z one more AND over its columns; a self-orthogonal candidate row
-  by row, built from per-row values with fixed zero counts;
+  by row, from per-row values with fixed zero counts, cut once a row of
+  A*A misses more bits than the zeros left can fill;
 * a branch-and-bound engine that grows left factors and enumerates the
   right factor column by column under exact hitting-set bounds (column
   j of B must meet row i of A wherever a_ij = -1; orthogonality is this
   condition for both products).  Conjugation by permutation matrices,
   the transpose and the swap A <-> B preserve orthogonality and zero
-  counts, so it grows only left factors with sigma(A) <= sigma(B), one
-  per orbit of S_n x C2, and closes the pairs it finds under the group.
+  counts, so it grows only left factors with sigma(A) <= sigma(B), at
+  most one per orbit of S_n x C2, bounding whole subtrees at once, and
+  closes the pairs it finds under the group.
 
 Both report certificates with explicit completeness claims: `exhaustive`
 (every pair below the value was tested), `bounded_proof` (no pair fits
@@ -30,6 +32,7 @@ kernel, the canonical form and the slot images of the group from `core`.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from functools import cache, partial, reduce
 from itertools import repeat
 from math import comb
@@ -172,22 +175,29 @@ def theta_delta_exhaustive(n: int) -> ThetaCertificate:
     ]
     rows = [0] * n
     found: list[int] = []
+    # for n >= 2 each row needs a zero off the diagonal, or its row of A*A is that bit alone
+    least = 1 if n > 1 else 0
 
     def place(i: int, left: int) -> None:
         # rows 0..i-1 are placed, and rows i..n-1 take `left` more zeros
         if i == n:
             found.append(offdiag_mask(n, rows))
             return
-        for c in range(max(0, left - stride * (n - 1 - i)), min(stride, left) + 1):
+        after = n - 1 - i
+        for c in range(max(least, left - stride * after), min(stride, left - least * after) + 1):
+            rest = left - c
             for r in values[i][c]:
                 rows[i] = r
-                # row t of A*A needs rows 0..h only, h the highest set bit
-                # of row t: test each row once it is decided
+                # row t of A*A is the union of the rows row t picks; u is
+                # that of the placed ones with row t itself, whose bits above
+                # i stand for the diagonal zeros of the unplaced ones.  Each
+                # bit u misses needs a zero of its own among the `rest`
                 for x in rows[: i + 1]:
-                    if x >> i == 1 and _row_union(x, rows) != full:
+                    u = x >> i and x | _row_union(x & (2 << i) - 1, rows)
+                    if u and (full ^ u).bit_count() > (rest if x >> i > 1 else 0):
                         break
                 else:
-                    place(i + 1, left - c)
+                    place(i + 1, rest)
 
     nodes = 0
     for k in range(slots + 1):
@@ -246,21 +256,25 @@ def _bounded_pairs(
     whose union cannot become full without row j of A.  A complete B is
     then orthogonal to A.
 
-    A left factor with max_sigma // 2 zeros, the last level, has no
-    children, so an extension to it takes the column bound before the
-    canonicity test: one that fails it is only counted (`pre_cut`), and
-    a survivor hands its bound to the search of its right factors.
+    Two cuts bound subtrees by the column bound, monotone in A's zeros.
+    An extension to the last level, max_sigma // 2 zeros, has no children
+    and takes it before the canonicity test (`pre_cut`).  The descendants
+    of children k.. of a canonical set hold at least a_off + 1 zeros, all
+    within its zeros with cells k.. added (rows past that of cell k full),
+    a superset that shrinks as k grows: the child loop stops at the first
+    k where it fails the bound at a_off + 1, found by bisection
+    (`look_cut`; Land and Doig, 1960).
 
     The stats count ticks (`nodes`: extensions tested plus DFS nodes), the
     extensions tested (`left_factors`), the canonical left factors searched,
     those cut by the column bound, DFS leaves (complete orthogonal right
     factors with sigma(B) >= sigma(A)), the column candidates the BA cut
     drops (`ba_rejects`), the last-level extensions cut before the
-    canonicity test (`pre_cut`), and the canonical left factors by zero
-    count (`canonical_by_zeros`).  Below the last level these are one per
-    orbit; at the last level only those within the column bound are
-    counted in `canonical`.  A negative cap or a NaN time limit raises
-    ValueError.
+    canonicity test (`pre_cut`), the child loops stopped (`look_cut`) and
+    the extensions they skip (`look_skipped`), and the canonical left
+    factors by zero count (`canonical_by_zeros`), at most one per orbit as
+    the cuts skip those whose subtrees hold no pair.  A negative cap or a
+    NaN time limit raises ValueError.
     """
     if node_limit < 0:
         raise ValueError(f"node limit {node_limit} is negative")
@@ -268,7 +282,7 @@ def _bounded_pairs(
         raise ValueError(f"time limit {time_limit} is negative or NaN")
     t0 = time.monotonic()
     keys = ("nodes", "elapsed_s", "left_factors", "canonical", "col_cut", "leaves", "ba_rejects",
-            "pre_cut")
+            "pre_cut", "look_cut", "look_skipped")
     stats = dict.fromkeys(keys, 0)
     last = max_sigma // 2
     by_zeros = stats["canonical_by_zeros"] = [0] * (last + 1)
@@ -301,10 +315,11 @@ def _bounded_pairs(
     # meets[r][j], so that a left factor's bitsets are one AND per row
     meets = list(zip(*by_col))
 
-    def column_bound(arows, a_off: int) -> tuple[list[int], list[int]] | None:
-        """The valid candidates of each column of B and the least zero
-        count among them, or None when those counts exceed B's budget."""
-        oks = list(reduce(partial(map, and_), map(meets.__getitem__, arows)))
+    def column_bound(arows, a_off: int, oks=None) -> tuple[list[int], list[int]] | None:
+        """The valid candidates of each column of B (`oks`, unless given)
+        and the least zero count among them, or None when those counts
+        exceed B's budget."""
+        oks = oks or list(reduce(partial(map, and_), map(meets.__getitem__, arows)))
         # the lowest allowed candidate is the cheapest column j can take
         col_min = [cands[j][(ok & -ok).bit_length() - 1][0] for j, ok in enumerate(oks)]
         return None if sum(col_min) > max_sigma - a_off else (oks, col_min)
@@ -370,10 +385,29 @@ def _bounded_pairs(
     def grow(arows: list[int], acols: list[int], a_off: int, start: int, bound=None) -> None:
         stats["canonical"] += 1
         by_zeros[a_off] += 1
-        search_left(tuple(arows), a_off, bound or column_bound(arows, a_off))
+        search_left(tuple(arows), a_off, bound := bound or column_bound(arows, a_off))
         if a_off == last:
             return
-        for k in range(start, len(cells)):
+        # the look-ahead cut, needless when the bound holds at a_off + 1;
+        # prefix[i] is the AND of `meets` over rows 0..i-1 of A
+        stop = len(cells)
+        if start < stop and (bound is None or sum(bound[1]) + a_off == max_sigma):
+            prefix = [meets[full]]
+            for r in arows[:-1]:
+                prefix.append(tuple(map(and_, prefix[-1], meets[r])))
+
+            def dead(k: int) -> bool:
+                # cells k.. fill the row of cell k up to its column, and
+                # the rows after it, which then meet every column
+                i, _, j, _ = cells[k]
+                oks = tuple(map(and_, prefix[i], meets[arows[i] | (2 << j) - 1]))
+                return column_bound(arows, a_off + 1, oks) is None
+
+            if dead(stop - 1):
+                stop = bisect_left(range(stop - 1), True, start, key=dead)
+                stats["look_cut"] += 1
+                stats["look_skipped"] += len(cells) - stop
+        for k in range(start, stop):
             i, ibit, j, jbit = cells[k]
             tick()
             stats["left_factors"] += 1

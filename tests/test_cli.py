@@ -277,17 +277,19 @@ def test_resource_cap_exit(capsys):
         capsys,
         "theta",
         "--n",
-        "6",
+        "7",
         "--mode",
         "bounded",
         "--budget",
-        "12",
+        "21",
         "--node-limit",
         "1000",
     )
-    assert code == 3
+    assert (code, doc) == (3, None)
+    assert "node limit 1000 exceeded" in err
+    assert json.loads(err.splitlines()[-1], parse_constant=_reject_constant)["nodes"] == 1001
     # the search of every pair of order 6 with at most 18 zeros takes about
-    # 0.35 s on a 2-CPU host, seven times the limit
+    # 0.3 s on a 2-CPU host, six times the limit
     code, doc, err = run(
         capsys, "enumerate", "--n", "6", "--max-sigma", "18", "--time-limit", "0.05"
     )

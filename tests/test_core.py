@@ -365,10 +365,12 @@ def test_canonical_matches_full_walk_in_bounded_search(monkeypatch):
 
     monkeypatch.setattr(search, "is_canonical", recording)
     _, stats = search._bounded_pairs(5, 14)
-    # the last-level extensions cut by the column bound are not tested
-    assert len(tested) + stats["pre_cut"] == stats["left_factors"] == 1551
+    # the last-level extensions cut by the column bound are not tested,
+    # and those the look-ahead skips are not made
+    assert len(tested) + stats["pre_cut"] == stats["left_factors"] == 1126
+    assert stats["look_skipped"] == 351
     # the root, the identity, is searched without a test
-    assert sum(got for _, got in tested) + 1 == stats["canonical"] == 483
+    assert sum(got for _, got in tested) + 1 == stats["canonical"] == 396
     for rows, got in tested:
         assert got == _is_canonical_full_walk(rows)
 

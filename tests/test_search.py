@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -10,6 +11,7 @@ from conftest import conjugations
 import fixtures
 from tropnorm.core import (
     _cols,
+    _row_union,
     _sliced_meets,
     _slot_images,
     all_normal_matrices,
@@ -202,6 +204,38 @@ def test_full_family_predicate_matches_naive_odot():
     assert min(seen.values()) > 1000
 
 
+def _unbounded_row_walk(n, k):
+    """The self-orthogonal masks of order n with k zeros, row by row with
+    no bound on the zeros left: row t of A*A is tested once every row it
+    picks is placed."""
+    full, stride = (1 << n) - 1, n - 1
+    values = [[[r for r in range(1 << n) if r >> i & 1 and r.bit_count() == c + 1]
+               for c in range(n)] for i in range(n)]
+    rows, found = [0] * n, []
+
+    def place(i, left):
+        if i == n:
+            found.append(offdiag_mask(n, rows))
+            return
+        for c in range(max(0, left - stride * (n - 1 - i)), min(stride, left) + 1):
+            for r in values[i][c]:
+                rows[i] = r
+                if all(x >> i != 1 or _row_union(x, rows) == full for x in rows[: i + 1]):
+                    place(i + 1, left - c)
+
+    place(0, k)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_theta_delta_matches_unbounded_row_walk(n):
+    # no self-orthogonal matrix below the value, and the same minimizers at it
+    cert = theta_delta_exhaustive(n)
+    for k in range(cert.value):
+        assert _unbounded_row_walk(n, k) == [], k
+    assert _unbounded_row_walk(n, cert.value) == [to_offdiag_mask(a) for a in cert.witnesses]
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_theta_delta_matches_naive_scan(n):
     zero = all_zero(n)
@@ -275,7 +309,7 @@ def test_theta_5_closure():
 
 
 STATS_KEYS = ["nodes", "elapsed_s", "left_factors", "canonical", "col_cut", "leaves", "ba_rejects",
-              "pre_cut", "canonical_by_zeros"]
+              "pre_cut", "look_cut", "look_skipped", "canonical_by_zeros"]
 
 
 def _counters(stats):
@@ -285,12 +319,15 @@ def _counters(stats):
 
 def test_bounded_resource_cap():
     with pytest.raises(SearchInconclusive) as exc:
-        theta_bounded(6, budget=10, node_limit=100)
+        theta_bounded(7, budget=21, node_limit=100)
     # the tick past the cap raises before its extension is counted; of
-    # the 100 extensions tested, 90 reach the last level and fail the
-    # column bound there
+    # the 100 extensions tested, 71 reach the last level and fail the
+    # column bound there, and every canonical left factor so far fails it
+    # too, each stopping its child loop early
     stats = exc.value.stats
-    assert _counters(stats) == (101, 100, 8, 8, 0, 0, 90, [1, 1, 1, 1, 4, 0])
+    assert _counters(stats) == (
+        101, 100, 18, 18, 0, 0, 71, 18, 334, [1, 1, 1, 1, 1, 1, 1, 1, 2, 8, 0]
+    )
     assert sum(stats["canonical_by_zeros"]) == stats["canonical"]
 
 
@@ -306,8 +343,8 @@ def test_bounded_rejects_invalid_caps():
 
 def test_bounded_time_limit_at_order_7():
     # the clock is read on every tick; the search of every pair of order 7
-    # with at most 21 zeros takes about 5 s on a 2-CPU host, 25 times the
-    # limit
+    # with at most 21 zeros takes about 1.2 s on a 2-CPU host, six times
+    # the limit
     t0 = time.monotonic()
     with pytest.raises(SearchInconclusive, match="time limit"):
         _bounded_pairs(7, 21, time_limit=0.2)
@@ -317,20 +354,26 @@ def test_bounded_time_limit_at_order_7():
 def test_bounded_phase_counters():
     stats = theta_bounded(4, budget=9).search_stats
     # (nodes, left_factors, canonical, col_cut, leaves, ba_rejects,
-    # pre_cut, canonical_by_zeros)
-    assert _counters(stats) == (223, 89, 22, 9, 45, 74, 23, [1, 1, 4, 9, 7])
+    # pre_cut, look_cut, look_skipped, canonical_by_zeros)
+    assert _counters(stats) == (208, 74, 21, 8, 45, 74, 15, 9, 15, [1, 1, 3, 9, 7])
     # below the last level, 9 // 2 zeros, the canonical left factors
-    # searched are one per orbit of S_4 x C2, level by level
+    # searched are at most one per orbit of S_4 x C2, level by level: the
+    # look-ahead skips one with 2 zeros whose subtree holds no pair
     below = Counter(
         nu(m) - 4 for m in all_normal_matrices(4)
         if nu(m) - 4 < 9 // 2 and is_canonical(m.rows, _cols(m.rows))
     )
-    assert stats["canonical_by_zeros"][:-1] == [below[k] for k in range(9 // 2)]
+    assert [below[k] for k in range(9 // 2)] == [1, 1, 4, 9]
+    assert all(c <= below[k] for k, c in enumerate(stats["canonical_by_zeros"][:-1]))
     assert sum(stats["canonical_by_zeros"]) == stats["canonical"]
     assert stats["left_factors"] < stats["nodes"]
     assert stats["col_cut"] <= stats["canonical"]
+    # the look-ahead stops child loops of levels below the last only
+    assert stats["look_cut"] <= stats["canonical"] - stats["canonical_by_zeros"][-1]
     stats = theta_bounded(5, budget=13).search_stats
-    assert _counters(stats) == (947, 834, 171, 121, 0, 150, 342, [1, 1, 4, 11, 38, 89, 27])
+    assert _counters(stats) == (
+        617, 504, 125, 75, 0, 150, 159, 77, 267, [1, 1, 3, 9, 25, 59, 27]
+    )
 
 
 @pytest.mark.parametrize("n, max_sigma, leaves", [(4, 9, 45), (4, 10, 244), (5, 14, 58)])
@@ -376,21 +419,68 @@ def test_orbit_counts_match_orbit_walk(n):
     assert orbit_counts(n, n * n - n) == _orbit_walk_counts(n)
 
 
+def _orderly_walk(n, kmax):
+    """(zeros, rows) of the canonical zero sets with at most kmax zeros,
+    from an orderly walk of `core.is_canonical` with no bound: a canonical
+    set is extended only by the cells after its last one (row ascending,
+    then column descending), and an extension is kept if canonical."""
+    cells = [(i, j) for i in range(n) for j in reversed(range(n)) if j != i]
+
+    def walk(rows, cols, k, start):
+        yield k, tuple(rows)
+        if k == kmax:
+            return
+        for c in range(start, len(cells)):
+            i, j = cells[c]
+            rows[i] ^= 1 << j
+            cols[j] ^= 1 << i
+            if is_canonical(rows, cols):
+                yield from walk(rows, cols, k + 1, c + 1)
+            rows[i] ^= 1 << j
+            cols[j] ^= 1 << i
+
+    diagonal = [1 << i for i in range(n)]
+    return walk(diagonal, diagonal[:], 0, 0)
+
+
 @pytest.mark.parametrize("n,budget,orbits", [
     (2, 2, 2), (3, 5, 5), (4, 9, 33), (5, 13, 354), (6, 17, 7_124), (7, 16, 18_893),
 ])
 def test_canonical_equals_orbit_count(n, budget, orbits):
-    """The bounded search grows one canonical left factor per orbit of zero
-    sets under S_n x C2 on every level below the last, which the column
-    bound cuts before the canonicity test, so each such level of
-    `canonical_by_zeros` equals the Burnside count.  At budget + 2 every
-    level up to budget // 2 lies below the last."""
-    counts = orbit_counts(n, budget // 2)
-    assert sum(counts) == orbits
-    _, stats = _bounded_pairs(n, budget + 2)
-    assert stats["canonical_by_zeros"][:budget // 2 + 1] == counts
-    _, stats = _bounded_pairs(n, budget)
-    assert stats["canonical_by_zeros"][:-1] == counts[:-1]
+    """An orderly walk with no bound reaches one canonical zero set per
+    orbit of S_n x C2 on every level, the Burnside count.  The bounded
+    search skips canonical sets whose subtrees hold no pair, so none of
+    its levels exceeds that count, at budget // 2 as at budget // 2 + 1."""
+    counts = orbit_counts(n, budget // 2 + 1)
+    assert sum(counts[:-1]) == orbits
+    walked = Counter(k for k, _ in _orderly_walk(n, budget // 2))
+    assert [walked[k] for k in range(budget // 2 + 1)] == counts[:-1]
+    for max_sigma in (budget, budget + 2):
+        by_zeros = _bounded_pairs(n, max_sigma)[1]["canonical_by_zeros"]
+        assert len(by_zeros) == max_sigma // 2 + 1
+        assert all(c <= o for c, o in zip(by_zeros, counts)), (by_zeros, counts)
+
+
+def _least_column(n, rows, j):
+    """The fewest off-diagonal zeros of column j of a right factor B with
+    A*B zero in column j: with its diagonal zero it meets every row of A."""
+    return min(h.bit_count() for h in range(1 << n)
+               if not h >> j & 1 and all((h | 1 << j) & r for r in rows))
+
+
+@pytest.mark.parametrize("n, max_sigma", [(3, 6), (4, 9), (4, 10), (5, 13), (5, 14), (6, 17)])
+def test_look_ahead_keeps_every_left_factor_within_the_bound(n, max_sigma):
+    """The cuts skip only canonical left factors that fail the column
+    bound: every one within it, from the walk with no bound, is searched
+    (`canonical` less `col_cut`), and at the last level only those are
+    counted."""
+    within = Counter(
+        k for k, rows in _orderly_walk(n, max_sigma // 2)
+        if sum(_least_column(n, rows, j) for j in range(n)) <= max_sigma - k
+    )
+    _, stats = _bounded_pairs(n, max_sigma)
+    assert stats["canonical"] - stats["col_cut"] == sum(within.values())
+    assert stats["canonical_by_zeros"][-1] == within[max_sigma // 2]
 
 
 def _brute_force_pairs(n):
@@ -432,7 +522,8 @@ def test_theta_exhaustive_matches_naive_scan_n3():
 
 def test_bounded_pairs_match_full_family_scan_n4():
     # every pair of order-4 masks with at most 10 zeros in all, tested by
-    # the row-set and full-family predicate of the exhaustive oracle
+    # the row-set and full-family predicate of the exhaustive oracle, and
+    # those with at most b zeros at every budget b below
     by_count = [[] for _ in range(11)]
     for m in range(1 << 12):
         if m.bit_count() <= 10:
@@ -448,6 +539,21 @@ def test_bounded_pairs_match_full_family_scan_n4():
     triples, _ = _bounded_pairs(4, 10)
     assert len(triples) == len(scan) == 2946
     assert set(triples) == scan
+    for budget in range(10):
+        triples, _ = _bounded_pairs(4, budget)
+        assert triples == sorted(t for t in scan if t[0] <= budget), budget
+
+
+@pytest.mark.parametrize("n, max_sigma, count, digest", [
+    (5, 14, 6680, "e4e22753145c2c872f1633ce71bd94f720abac426acb2fddda35e7a8aeaac1b8"),
+    (6, 18, 3000, "e49b4c38140fb3889b1c88ec438b88573adc37586646bb6f8f2cb830d538ebe5"),
+])
+def test_bounded_triples_digest(n, max_sigma, count, digest):
+    # the sha256 of the sorted (sigma, amask, bmask) triples' repr, as the
+    # search gave them before the look-ahead cut
+    triples, _ = _bounded_pairs(n, max_sigma)
+    assert len(triples) == count
+    assert hashlib.sha256(repr(triples).encode()).hexdigest() == digest
 
 
 def test_enumerate_n4_counts_and_closure():
