@@ -1,31 +1,32 @@
 """Search oracles for the extremal zero counts of orthogonal pairs.
 
-Two engines pin the minimum number of off-diagonal zeros:
+Three searches pin the minimum number of off-diagonal zeros, two of them
+on one walk of zero sets:
 
-* exhaustive oracles (small orders) that walk zero patterns by
-  increasing total count and test every one: a left factor A against
-  every right factor B at once, a set of matrices being one int with a
-  bit per off-diagonal mask (`core._sliced_meets`), so that the B with
-  A*B = Z are one AND over the rows of A, and those of them with
-  B*A = Z one more AND over its columns; a self-orthogonal candidate row
-  by row, from per-row values with fixed zero counts, cut once a row of
-  A*A misses more bits than the zeros left can fill;
-* a branch-and-bound engine that grows left factors and enumerates the
-  right factor column by column under exact hitting-set bounds (column
-  j of B must meet row i of A wherever a_ij = -1; orthogonality is this
-  condition for both products).  Conjugation by permutation matrices,
-  the transpose and the swap A <-> B preserve orthogonality and zero
-  counts, so it grows only left factors with sigma(A) <= sigma(B), at
-  most one per orbit of S_n x C2, bounding whole subtrees at once, and
+* the exhaustive pair oracle (small orders) walks zero patterns by
+  increasing total count and tests a left factor A against every right
+  factor B at once, a set of matrices being one int with a bit per
+  off-diagonal mask (`core._sliced_meets`), so that the B with A*B = Z
+  are one AND over the rows of A, and those of them with B*A = Z one more
+  AND over its columns;
+* `_canonical_sets` generates the zero sets with at most k zeros, one per
+  orbit of S_n x C2 (conjugation by permutation matrices and the
+  transpose, which preserve orthogonality and zero counts), and skips the
+  subtrees a monotone predicate proves dead.  The self-orthogonal oracle
+  (small orders) cuts it by A*A = Z, for k = 0, 1, ...;
+* the branch-and-bound engine cuts it by exact hitting-set bounds on the
+  right factor (column j of B must meet row i of A wherever a_ij = -1;
+  orthogonality is this condition for both products), enumerates B column
+  by column, keeps sigma(A) <= sigma(B) as the swap A <-> B allows, and
   closes the pairs it finds under the group.
 
-Both report certificates with explicit completeness claims: `exhaustive`
-(every pair below the value was tested), `bounded_proof` (no pair fits
-the budget and a witness attains budget + 1) or `lower_bound` (no pair
-fits the budget, and no witness is attached).  Resource caps abort with a
-distinguishable error instead of a silent truncation.
+Each reports a certificate with an explicit completeness claim:
+`exhaustive` (every pair below the value was tested), `bounded_proof` (no
+pair fits the budget and a witness attains budget + 1) or `lower_bound`
+(no pair fits the budget, and no witness is attached).  Resource caps
+abort with a distinguishable error instead of a silent truncation.
 
-Both walk off-diagonal masks and take the mask codec, the row-union
+All walk off-diagonal masks and take the mask codec, the row-union
 kernel, the canonical form and the slot images of the group from `core`.
 """
 
@@ -33,9 +34,10 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
+from collections import Counter
 from functools import cache, partial, reduce
 from itertools import repeat
-from math import comb
+from math import comb, factorial
 from operator import and_, or_
 
 from .core import (
@@ -159,52 +161,30 @@ THETA_DELTA_GUARD = 5
 
 def theta_delta_exhaustive(n: int) -> ThetaCertificate:
     """Exact minimum of off-diagonal zeros over self-orthogonal matrices,
-    with all minimizers enumerated.  Guarded at n <= 5."""
+    with all minimizers enumerated.  Guarded at n <= 5.  The value is the
+    least k with a self-orthogonal canonical zero set of k zeros
+    (`_canonical_sets`, cut by A*A = Z, which more zeros keep), and the
+    minimizers are the orbits of those sets.  `nodes` counts every matrix
+    with at most k zeros, each tested or in a subtree proved to hold none."""
     if n > THETA_DELTA_GUARD:
         raise ValueError(f"exhaustive self search refused above n={THETA_DELTA_GUARD}")
     if n < 1:
         raise ValueError("n must be positive")
     t0 = time.monotonic()
     slots = n * n - n
-    stride = n - 1
     full = (1 << n) - 1
-    # per row i and count c, the values of row i with c off-diagonal zeros
-    values = [
-        [[r for r in range(1 << n) if r >> i & 1 and r.bit_count() == c + 1] for c in range(n)]
-        for i in range(n)
-    ]
-    rows = [0] * n
-    found: list[int] = []
-    # for n >= 2 each row needs a zero off the diagonal, or its row of A*A is that bit alone
-    least = 1 if n > 1 else 0
 
-    def place(i: int, left: int) -> None:
-        # rows 0..i-1 are placed, and rows i..n-1 take `left` more zeros
-        if i == n:
-            found.append(offdiag_mask(n, rows))
-            return
-        after = n - 1 - i
-        for c in range(max(least, left - stride * after), min(stride, left - least * after) + 1):
-            rest = left - c
-            for r in values[i][c]:
-                rows[i] = r
-                # row t of A*A is the union of the rows row t picks; u is
-                # that of the placed ones with row t itself, whose bits above
-                # i stand for the diagonal zeros of the unplaced ones.  Each
-                # bit u misses needs a zero of its own among the `rest`
-                for x in rows[: i + 1]:
-                    u = x >> i and x | _row_union(x & (2 << i) - 1, rows)
-                    if u and (full ^ u).bit_count() > (rest if x >> i > 1 else 0):
-                        break
-                else:
-                    place(i + 1, rest)
+    def self_orthogonal(rows, zeros: int, proof=None) -> bool:
+        # row t of A*A is the union of the rows that row t picks
+        return all(_row_union(r, rows) == full for r in rows)
 
     nodes = 0
     for k in range(slots + 1):
         nodes += comb(slots, k)
-        place(0, k)
+        # no set with fewer zeros is self-orthogonal, or k would not be reached
+        found = sorted({m for rows, _, proof in _canonical_sets(n, k, self_orthogonal, Counter())
+                        if proof for m in _orbit(n, offdiag_mask(n, rows))})
         if found:
-            found.sort()
             return ThetaCertificate(
                 n=n,
                 kind="self",
@@ -215,6 +195,83 @@ def theta_delta_exhaustive(n: int) -> ThetaCertificate:
                 search_stats={"nodes": nodes, "elapsed_s": time.monotonic() - t0},
             )
     raise AssertionError("unreachable: Z is self-orthogonal")
+
+
+# -- orderly generation of canonical zero sets ----------------------------
+
+
+def _orbit(n: int, mask: int) -> list[int]:
+    """The images of an off-diagonal mask under every element of S_n x C2,
+    the ORs of its slots' `core._slot_images` (at n = 1, none: 0 twice)."""
+    images = _slot_images(n)
+    return list(reduce(partial(map, or_), [images[s] for s in _bits(mask)],
+                       (0,) * (2 * factorial(n))))
+
+
+def _canonical_sets(n: int, last: int, alive, stats, tick=lambda: None):
+    """The zero sets of order n with at most `last` zeros, canonical under
+    S_n x C2 (`core.is_canonical`), as (rows, zeros, proof) with proof =
+    alive(rows, zeros), less those the cuts prove dead.  `alive(rows,
+    zeros, proof=None)` stays truthy for more zeros in rows or a smaller
+    count, and may reuse a proof it gave for the same rows.
+
+    Orderly generation (Read, 1978): a canonical set is extended only by
+    cells less significant than its least one (row ascending, then column
+    descending), and an extension is kept only if canonical, which reaches
+    every canonical set.  A last-level extension takes `alive` before the
+    canonicity test (`pre_cut`).  Children k.. of a canonical set and their
+    descendants lie within its zeros with cells k.. added (rows past that
+    of cell k full), a superset that shrinks as k grows: unless its proof
+    has room for one more zero, the child loop stops at the first k where
+    that superset is dead at one more zero, found by bisection (`look_cut`,
+    `look_skipped`; Land and Doig, 1960).  The walk ticks per extension
+    tested (`left_factors`) and counts in `stats`, adding
+    `canonical_by_zeros`."""
+    full = (1 << n) - 1
+    # off-diagonal cells by significance, as (row, row bit, column, column
+    # bit); deleting the least significant cell of a canonical set leaves a
+    # canonical set
+    cells = [(i, 1 << i, j, 1 << j) for i in range(n) for j in reversed(range(n)) if j != i]
+    by_zeros = stats.setdefault("canonical_by_zeros", [0] * (last + 1))
+
+    def grow(rows: list[int], cols: list[int], zeros: int, start: int, proof):
+        stats["canonical"] += 1
+        by_zeros[zeros] += 1
+        yield tuple(rows), zeros, proof
+        if zeros == last:
+            return
+        stop = len(cells)
+        if start < stop and not (proof and alive(rows, zeros + 1, proof)):
+
+            def dead(k: int) -> bool:
+                # cells k.. fill the row of cell k up to its column, and
+                # the rows after it
+                i, _, j, _ = cells[k]
+                return not alive([*rows[:i], rows[i] | (2 << j) - 1, *[full] * (n - 1 - i)],
+                                 zeros + 1)
+
+            if dead(stop - 1):
+                stop = bisect_left(range(stop - 1), True, start, key=dead)
+                stats["look_cut"] += 1
+                stats["look_skipped"] += len(cells) - stop
+        for k in range(start, stop):
+            i, ibit, j, jbit = cells[k]
+            tick()
+            stats["left_factors"] += 1
+            rows[i] |= jbit
+            cols[j] |= ibit
+            if zeros + 1 < last:
+                if is_canonical(rows, cols):
+                    yield from grow(rows, cols, zeros + 1, k + 1, alive(rows, zeros + 1))
+            elif not (child := alive(rows, last)):
+                stats["pre_cut"] += 1
+            elif is_canonical(rows, cols):
+                yield from grow(rows, cols, last, k + 1, child)
+            rows[i] ^= jbit
+            cols[j] ^= ibit
+
+    diagonal = [1 << i for i in range(n)]
+    return grow(diagonal, diagonal[:], 0, 0, alive(diagonal, 0))
 
 
 # -- branch-and-bound engine --------------------------------------------
@@ -235,57 +292,38 @@ def _bounded_pairs(
     factors, and the swap A <-> B preserve orthogonality and sigma, so
     every pair is the image of one whose left factor has sigma(A) <=
     sigma(B) and is canonical under S_n x C2 (`core.is_canonical`).  Only
-    those left factors are searched, grown by orderly generation (Read,
-    1978): a canonical one is extended only by cells less significant
-    than its least one (row ascending, then column descending) and an
-    extension is kept only if canonical, which reaches every canonical
-    set.  The pairs found are closed under the group and the swap on
-    masks, one orbit at a time, through `core._slot_images`.
+    those left factors are searched, the canonical zero sets with at most
+    max_sigma // 2 zeros (`_canonical_sets`).  The pairs found are closed
+    under the group and the swap on masks, one orbit at a time (`_orbit`).
 
     The right factor is enumerated column by column from candidate bitsets
     built once per call: column j of B takes the masks without bit j,
-    fewest zeros first, and `meets[r][j]` marks those allowed beside a row
-    r of A (all if r has a zero at j, else those that meet r), built by
-    `core._union_table` with one OR per row mask.  Per left factor, their
-    AND over the rows of A lists the valid columns, and its lowest bit
-    gives the least zero count, whose sum over j bounds B
-    (`column_bound`).  So AB = Z holds column by column.  BA = Z is cut
-    inside the DFS: row i of BA is the union of the rows of A picked by
-    row i of B, and once columns 0..j-1 of B are placed only rows
-    j..n-1 of A can still join it, so column j must hold every row i
-    whose union cannot become full without row j of A.  A complete B is
-    then orthogonal to A.
+    fewest zeros first, and `meets[r]` marks, column by column, those
+    allowed beside a row r of A (all if r has a zero at j, else those that
+    meet r), built by `core._union_table` with one OR per row mask.  Per
+    left factor, their AND over the rows of A lists the valid columns, and
+    the lowest bit of each column gives its least zero count, whose sum
+    over j bounds B (`column_bound`, the walk's `alive`, monotone in A's
+    zeros).  So AB = Z holds column by column.  BA = Z is cut inside the
+    DFS: row i of BA is the union of the rows of A picked by row i of B,
+    and once columns 0..j-1 of B are placed only rows j..n-1 of A can
+    still join it, so column j must hold every row i whose union cannot
+    become full without row j of A.  A complete B is then orthogonal to A.
 
-    Two cuts bound subtrees by the column bound, monotone in A's zeros.
-    An extension to the last level, max_sigma // 2 zeros, has no children
-    and takes it before the canonicity test (`pre_cut`).  The descendants
-    of children k.. of a canonical set hold at least a_off + 1 zeros, all
-    within its zeros with cells k.. added (rows past that of cell k full),
-    a superset that shrinks as k grows: the child loop stops at the first
-    k where it fails the bound at a_off + 1, found by bisection
-    (`look_cut`; Land and Doig, 1960).
-
-    The stats count ticks (`nodes`: extensions tested plus DFS nodes), the
-    extensions tested (`left_factors`), the canonical left factors searched,
-    those cut by the column bound, DFS leaves (complete orthogonal right
-    factors with sigma(B) >= sigma(A)), the column candidates the BA cut
-    drops (`ba_rejects`), the last-level extensions cut before the
-    canonicity test (`pre_cut`), the child loops stopped (`look_cut`) and
-    the extensions they skip (`look_skipped`), and the canonical left
-    factors by zero count (`canonical_by_zeros`), at most one per orbit as
-    the cuts skip those whose subtrees hold no pair.  A negative cap or a
-    NaN time limit raises ValueError.
+    Besides the walk's counters, the stats count ticks (`nodes`:
+    extensions tested plus DFS nodes), the canonical left factors cut by
+    the column bound (`col_cut`), DFS leaves (complete orthogonal right
+    factors with sigma(B) >= sigma(A)) and the column candidates the BA cut
+    drops (`ba_rejects`).  A negative cap or a NaN time limit raises
+    ValueError.
     """
     if node_limit < 0:
         raise ValueError(f"node limit {node_limit} is negative")
     if not time_limit >= 0:
         raise ValueError(f"time limit {time_limit} is negative or NaN")
     t0 = time.monotonic()
-    keys = ("nodes", "elapsed_s", "left_factors", "canonical", "col_cut", "leaves", "ba_rejects",
-            "pre_cut", "look_cut", "look_skipped")
-    stats = dict.fromkeys(keys, 0)
-    last = max_sigma // 2
-    by_zeros = stats["canonical_by_zeros"] = [0] * (last + 1)
+    stats = dict.fromkeys(("nodes", "elapsed_s", "left_factors", "canonical", "col_cut", "leaves",
+                           "ba_rejects", "pre_cut", "look_cut", "look_skipped"), 0)
 
     def tick() -> None:
         stats["nodes"] += 1
@@ -298,6 +336,8 @@ def _bounded_pairs(
     full = (1 << n) - 1
 
     # per column j: the candidates as (zero count, row indices), and `meets`
+    width = 1 << n - 1
+    every = (1 << width) - 1
     cands, by_col = [], []
     for j in range(n):
         masks = sorted(
@@ -307,21 +347,26 @@ def _bounded_pairs(
         cands.append([(h.bit_count(), h, tuple(_bits(h))) for h in masks])
         # per row b: the candidates with a zero in row b, and all of them
         # for b = j, as B's zero at (j, j) meets every r holding bit j
-        every = (1 << len(masks)) - 1
         by_col.append(_union_table(
             [every if b == j else sum(1 << t for t, h in enumerate(masks) if h >> b & 1)
              for b in range(n)]
         ))
-    # meets[r][j], so that a left factor's bitsets are one AND per row
-    meets = list(zip(*by_col))
+    # meets[r]: the bitsets of every column side by side, column j at bit
+    # j * width, so that a left factor's bitsets are one int AND per row
+    meets = [sum(col[r] << j * width for j, col in enumerate(by_col)) for r in range(1 << n)]
+    shifts = range(0, n * width, width)
+    # the zero count of candidate t at t + 1, the same in every column
+    size = [0] + [sz for sz, _, _ in cands[0]]
 
-    def column_bound(arows, a_off: int, oks=None) -> tuple[list[int], list[int]] | None:
-        """The valid candidates of each column of B (`oks`, unless given)
-        and the least zero count among them, or None when those counts
-        exceed B's budget."""
-        oks = oks or list(reduce(partial(map, and_), map(meets.__getitem__, arows)))
-        # the lowest allowed candidate is the cheapest column j can take
-        col_min = [cands[j][(ok & -ok).bit_length() - 1][0] for j, ok in enumerate(oks)]
+    def column_bound(arows, a_off: int, proof=None) -> tuple[int, list[int]] | None:
+        """The valid candidates of B's columns (`oks`, those of the proof
+        if given) and the least zero count among those of each column, or
+        None when those counts exceed B's budget."""
+        oks = proof[0] if proof else reduce(and_, map(meets.__getitem__, arows))
+        # column j always allows the candidate with every other zero, which
+        # meets any row, so the lowest bit of oks >> j * width is its lowest
+        # allowed candidate, the cheapest that column can take
+        col_min = [size[((ok := oks >> s) & -ok).bit_length()] for s in shifts]
         return None if sum(col_min) > max_sigma - a_off else (oks, col_min)
 
     reduced: list[tuple[int, int, int]] = []
@@ -332,7 +377,8 @@ def _bounded_pairs(
             return
         oks, col_min = bound
         b_budget = max_sigma - a_off
-        valid_cols = [[cands[j][t] for t in _bits(ok)] for j, ok in enumerate(oks)]
+        valid_cols = [[cands[j][t] for t in _bits(oks >> s & every)]
+                      for j, s in enumerate(shifts)]
         suffix = [sum(col_min[j:]) for j in range(n + 1)]
         # fut[j]: the union of rows j..n-1 of A, all that columns j..n-1
         # of B can still add to a row of BA
@@ -377,70 +423,17 @@ def _bounded_pairs(
 
         descend(0, 0, list(arows))
 
-    # off-diagonal cells by significance, as (row, row bit, column, column
-    # bit); deleting the least significant cell of a canonical set leaves a
-    # canonical set
-    cells = [(i, 1 << i, j, 1 << j) for i in range(n) for j in reversed(range(n)) if j != i]
-
-    def grow(arows: list[int], acols: list[int], a_off: int, start: int, bound=None) -> None:
-        stats["canonical"] += 1
-        by_zeros[a_off] += 1
-        search_left(tuple(arows), a_off, bound := bound or column_bound(arows, a_off))
-        if a_off == last:
-            return
-        # the look-ahead cut, needless when the bound holds at a_off + 1;
-        # prefix[i] is the AND of `meets` over rows 0..i-1 of A
-        stop = len(cells)
-        if start < stop and (bound is None or sum(bound[1]) + a_off == max_sigma):
-            prefix = [meets[full]]
-            for r in arows[:-1]:
-                prefix.append(tuple(map(and_, prefix[-1], meets[r])))
-
-            def dead(k: int) -> bool:
-                # cells k.. fill the row of cell k up to its column, and
-                # the rows after it, which then meet every column
-                i, _, j, _ = cells[k]
-                oks = tuple(map(and_, prefix[i], meets[arows[i] | (2 << j) - 1]))
-                return column_bound(arows, a_off + 1, oks) is None
-
-            if dead(stop - 1):
-                stop = bisect_left(range(stop - 1), True, start, key=dead)
-                stats["look_cut"] += 1
-                stats["look_skipped"] += len(cells) - stop
-        for k in range(start, stop):
-            i, ibit, j, jbit = cells[k]
-            tick()
-            stats["left_factors"] += 1
-            arows[i] |= jbit
-            acols[j] |= ibit
-            if a_off + 1 < last:
-                if is_canonical(arows, acols):
-                    grow(arows, acols, a_off + 1, k + 1)
-            # a last-level extension has no children: bound it first
-            elif (child := column_bound(arows, last)) is None:
-                stats["pre_cut"] += 1
-            elif is_canonical(arows, acols):
-                grow(arows, acols, last, k + 1, child)
-            arows[i] ^= jbit
-            acols[j] ^= ibit
-
-    diagonal = [1 << i for i in range(n)]
-    grow(diagonal, diagonal[:], 0, 0)
+    for arows, a_off, bound in _canonical_sets(n, max_sigma // 2, column_bound, stats, tick):
+        search_left(arows, a_off, bound)
 
     # close the pairs found under the group and the swap, one orbit at a
-    # time: a mask's images under every element are the ORs of its slots'
-    # image tuples.  The table is built on the first pair found.
+    # time.  The image table is built on the first pair found.
     found = set()
     for sig, am, bm in reduced:
-        if (sig, am, bm) in found:
-            continue
-        images = _slot_images(n)
-        ia, ib = [
-            list(reduce(partial(map, or_), [images[s] for s in _bits(m)], (0,) * len(images[0])))
-            for m in (am, bm)
-        ]
-        found.update(zip(repeat(sig), ia, ib))
-        found.update(zip(repeat(sig), ib, ia))
+        if (sig, am, bm) not in found:
+            ia, ib = _orbit(n, am), _orbit(n, bm)
+            found.update(zip(repeat(sig), ia, ib))
+            found.update(zip(repeat(sig), ib, ia))
     stats["elapsed_s"] = time.monotonic() - t0
     return sorted(found), stats
 

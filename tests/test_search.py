@@ -10,6 +10,7 @@ from burnside import orbit_counts
 from conftest import conjugations
 import fixtures
 from tropnorm.core import (
+    NormalMatrix,
     _cols,
     _row_union,
     _sliced_meets,
@@ -35,7 +36,9 @@ from tropnorm.search import (
     COMPLETENESS_LOWER_BOUND,
     SearchInconclusive,
     _bounded_pairs,
+    _canonical_sets,
     _mm_generic_pairs,
+    _orbit,
     _pair_from_masks,
     check_theorem_theta,
     enumerate_orthogonal_pairs,
@@ -419,41 +422,28 @@ def test_orbit_counts_match_orbit_walk(n):
     assert orbit_counts(n, n * n - n) == _orbit_walk_counts(n)
 
 
-def _orderly_walk(n, kmax):
-    """(zeros, rows) of the canonical zero sets with at most kmax zeros,
-    from an orderly walk of `core.is_canonical` with no bound: a canonical
-    set is extended only by the cells after its last one (row ascending,
-    then column descending), and an extension is kept if canonical."""
-    cells = [(i, j) for i in range(n) for j in reversed(range(n)) if j != i]
-
-    def walk(rows, cols, k, start):
-        yield k, tuple(rows)
-        if k == kmax:
-            return
-        for c in range(start, len(cells)):
-            i, j = cells[c]
-            rows[i] ^= 1 << j
-            cols[j] ^= 1 << i
-            if is_canonical(rows, cols):
-                yield from walk(rows, cols, k + 1, c + 1)
-            rows[i] ^= 1 << j
-            cols[j] ^= 1 << i
-
-    diagonal = [1 << i for i in range(n)]
-    return walk(diagonal, diagonal[:], 0, 0)
+def _unpruned_walk(n, kmax):
+    """(rows, zeros) of the canonical zero sets with at most kmax zeros,
+    from the engine's walk with an `alive` that is always true, so that no
+    cut fires: every canonical set is reached."""
+    stats = Counter()
+    walk = [(rows, k) for rows, k, _ in _canonical_sets(n, kmax, lambda *_: True, stats)]
+    assert stats["pre_cut"] == stats["look_cut"] == stats["look_skipped"] == 0
+    assert stats["canonical"] == len(walk) and sum(stats["canonical_by_zeros"]) == len(walk)
+    return walk
 
 
 @pytest.mark.parametrize("n,budget,orbits", [
     (2, 2, 2), (3, 5, 5), (4, 9, 33), (5, 13, 354), (6, 17, 7_124), (7, 16, 18_893),
 ])
 def test_canonical_equals_orbit_count(n, budget, orbits):
-    """An orderly walk with no bound reaches one canonical zero set per
-    orbit of S_n x C2 on every level, the Burnside count.  The bounded
-    search skips canonical sets whose subtrees hold no pair, so none of
-    its levels exceeds that count, at budget // 2 as at budget // 2 + 1."""
+    """The walk with no cut reaches one canonical zero set per orbit of
+    S_n x C2 on every level, the Burnside count.  The bounded search skips
+    canonical sets whose subtrees hold no pair, so none of its levels
+    exceeds that count, at budget // 2 as at budget // 2 + 1."""
     counts = orbit_counts(n, budget // 2 + 1)
     assert sum(counts[:-1]) == orbits
-    walked = Counter(k for k, _ in _orderly_walk(n, budget // 2))
+    walked = Counter(k for _, k in _unpruned_walk(n, budget // 2))
     assert [walked[k] for k in range(budget // 2 + 1)] == counts[:-1]
     for max_sigma in (budget, budget + 2):
         by_zeros = _bounded_pairs(n, max_sigma)[1]["canonical_by_zeros"]
@@ -475,12 +465,54 @@ def test_look_ahead_keeps_every_left_factor_within_the_bound(n, max_sigma):
     (`canonical` less `col_cut`), and at the last level only those are
     counted."""
     within = Counter(
-        k for k, rows in _orderly_walk(n, max_sigma // 2)
+        k for rows, k in _unpruned_walk(n, max_sigma // 2)
         if sum(_least_column(n, rows, j) for j in range(n)) <= max_sigma - k
     )
     _, stats = _bounded_pairs(n, max_sigma)
     assert stats["canonical"] - stats["col_cut"] == sum(within.values())
     assert stats["canonical_by_zeros"][-1] == within[max_sigma // 2]
+
+
+def _self_orthogonal_sets(walk, n, k):
+    """The rows of the sets with k zeros of a walk that are self-orthogonal
+    by the triple-loop product."""
+    zero = all_zero(n)
+    return sorted(rows for rows, zeros in walk
+                  if zeros == k and naive_odot(m := NormalMatrix(n, rows), m) == zero)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_theta_delta_cut_keeps_every_self_orthogonal_set(n):
+    """The walk cut by A*A = Z, as `theta_delta_exhaustive` cuts it, yields
+    no self-orthogonal set below the value and the same ones as the walk
+    with no cut at it, and only canonical sets that walk reaches."""
+    zero = all_zero(n)
+
+    def self_orthogonal(rows, zeros, proof=None):
+        return naive_odot(m := NormalMatrix(n, rows), m) == zero
+
+    value = THETA_DELTA[n]
+    unpruned = _unpruned_walk(n, value)
+    for k in range(value + 1):
+        stats = Counter()
+        walk = [(rows, z) for rows, z, _ in _canonical_sets(n, k, self_orthogonal, stats)]
+        assert set(walk) <= set(unpruned)
+        assert _self_orthogonal_sets(walk, n, k) == _self_orthogonal_sets(unpruned, n, k)
+        assert bool(_self_orthogonal_sets(walk, n, k)) == (k == value), k
+    # the cuts fired, and from n = 3 on the last walk skipped canonical sets
+    assert stats["look_cut"]
+    assert len(walk) < len(unpruned) or n == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orbit_matches_row_write_out(n):
+    # every image of a mask under S_n x C2, from `conftest.conjugations`
+    # of its rows and of its transpose; at n = 1 mask 0 under both elements
+    for mask in range(min(1 << (n * n - n), 300)):
+        rows = offdiag_rows(n, mask)
+        want = [offdiag_mask(n, [img[a[s]] for s in src])
+                for a in (rows, _cols(rows)) for src, img in conjugations(n)]
+        assert sorted(_orbit(n, mask)) == sorted(want), mask
 
 
 def _brute_force_pairs(n):
