@@ -3,17 +3,18 @@
 Three searches pin the minimum number of off-diagonal zeros, two of them
 on one walk of zero sets:
 
-* the exhaustive pair oracle (small orders) walks zero patterns by
-  increasing total count and tests a left factor A against every right
-  factor B at once, a set of matrices being one int with a bit per
-  off-diagonal mask (`core._sliced_meets`), so that the B with A*B = Z
-  are one AND over the rows of A, and those of them with B*A = Z one more
-  AND over its columns;
+* the exhaustive pair oracle (small orders) walks the left factor A row
+  by row and tests it against every right factor B at once, a set of
+  matrices being one int with a bit per off-diagonal mask
+  (`core._sliced_meets`), so that the B with A*B = Z are one AND per row
+  of A, and those of them with B*A = Z one more AND over its columns; a
+  running best on the zero count, first that of (Z, I), skips the rest;
 * `_canonical_sets` generates the zero sets with at most k zeros, one per
   orbit of S_n x C2 (conjugation by permutation matrices and the
   transpose, which preserve orthogonality and zero counts), and skips the
   subtrees a monotone predicate proves dead.  The self-orthogonal oracle
-  (small orders) cuts it by A*A = Z, for k = 0, 1, ...;
+  (small orders) cuts it by A*A = Z, in one walk up to the 2n - 2 zeros
+  of the star;
 * the branch-and-bound engine cuts it by exact hitting-set bounds on the
   right factor (column j of B must meet row i of A wherever a_ij = -1;
   orthogonality is this condition for both products), enumerates B column
@@ -36,7 +37,7 @@ import time
 from bisect import bisect_left
 from collections import Counter
 from functools import cache, partial, reduce
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import comb, factorial
 from operator import and_, or_
 
@@ -46,6 +47,7 @@ from .core import (
     SearchInconclusive,
     _bits,
     _cols,
+    _offdiag_tables,
     _row_union,
     _sliced_meets,
     _slot_images,
@@ -54,7 +56,6 @@ from .core import (
     from_offdiag_mask,
     is_canonical,
     offdiag_mask,
-    offdiag_rows,
     parse_matrix,
     sigma,
 )
@@ -113,7 +114,13 @@ THETA_EXHAUSTIVE_GUARD = 4
 
 def theta_exhaustive(n: int) -> ThetaCertificate:
     """Exact minimum of off-diagonal zeros over all mutually orthogonal
-    ordered pairs, with every minimal pair enumerated.  Guarded at n <= 4."""
+    ordered pairs, with every minimal pair enumerated.  Guarded at n <= 4.
+    The left factor A is walked row by row; a prefix carries its zeros and
+    the right factors B each of its rows meets in every column (one AND),
+    and is skipped once its zeros exceed the running best, first the slots
+    zeros of (Z, I).  A complete A keeps the fewest-zero B within the best
+    with B*A = Z (one AND per column).  `nodes` counts every pair with at
+    most `value` zeros, each tested as a bit."""
     if n > THETA_EXHAUSTIVE_GUARD:
         raise ValueError(f"exhaustive pair search refused above n={THETA_EXHAUSTIVE_GUARD}")
     if n < 1:
@@ -121,39 +128,42 @@ def theta_exhaustive(n: int) -> ThetaCertificate:
     t0 = time.monotonic()
     slots = n * n - n
     cols_meet, rows_meet = _sliced_meets(n)
-    rows = [offdiag_rows(n, mask) for mask in range(1 << slots)]
-    by_count: list[list[int]] = [[] for _ in range(slots + 1)]
+    count_set = [0] * (slots + 1)
     for mask in range(1 << slots):
-        by_count[mask.bit_count()].append(mask)
-    count_set = [sum(1 << m for m in group) for group in by_count]
+        count_set[mask.bit_count()] |= 1 << mask
+    # up_to[k]: the right factors with at most k zeros
+    up_to = list(accumulate(count_set, or_))
+    tables = _offdiag_tables(n)
+    best, found = slots, []
 
-    nodes = 0
-    for total in range(2 * slots + 1):
-        found: list[tuple[int, int]] = []
-        for ka in range(max(0, total - slots), min(slots, total) + 1):
-            kb = total - ka
-            nodes += len(by_count[ka]) * len(by_count[kb])
-            right = count_set[kb]
-            for amask in by_count[ka]:
-                # every B with A*B = Z at once (each row of A meets each
-                # column of B), then of those every B with B*A = Z
-                arows = rows[amask]
-                cand = reduce(and_, map(cols_meet.__getitem__, arows), right)
-                if cand:
-                    cand = reduce(and_, map(rows_meet.__getitem__, _cols(arows)), cand)
-                    found += zip(repeat(amask), _bits(cand))
-        if found:
-            found.sort()
-            return ThetaCertificate(
-                n=n,
-                kind="pair",
-                value=total,
-                completeness=COMPLETENESS_EXHAUSTIVE,
-                witnesses=[_pair_from_masks(n, a, b) for a, b in found[:WITNESS_CAP]],
-                total_witnesses=len(found),
-                search_stats={"nodes": nodes, "elapsed_s": time.monotonic() - t0},
-            )
-    raise AssertionError("unreachable: (Z, I) is always orthogonal")
+    def walk(i: int, arows: tuple[int, ...], amask: int, ka: int, right: int) -> None:
+        nonlocal best, found
+        if i == n:
+            if right := right & up_to[best - ka]:
+                right = reduce(and_, map(rows_meet.__getitem__, _cols(arows)), right)
+            if right:
+                kb = next(k for k, within in enumerate(up_to) if right & within)
+                if ka + kb < best:
+                    best, found = ka + kb, []
+                found += zip(repeat(amask), _bits(right & count_set[kb]))
+            return
+        shift, row = tables[i]
+        for f, r in enumerate(row):
+            if (k := ka + f.bit_count()) <= best:
+                walk(i + 1, (*arows, r), amask | f << shift, k, right & cols_meet[r])
+
+    walk(0, (), 0, 0, -1)  # -1: every right factor
+    found.sort()
+    return ThetaCertificate(
+        n=n,
+        kind="pair",
+        value=best,
+        completeness=COMPLETENESS_EXHAUSTIVE,
+        witnesses=[_pair_from_masks(n, a, b) for a, b in found[:WITNESS_CAP]],
+        total_witnesses=len(found),
+        search_stats={"nodes": sum(comb(2 * slots, t) for t in range(best + 1)),
+                      "elapsed_s": time.monotonic() - t0},
+    )
 
 
 THETA_DELTA_GUARD = 5
@@ -161,11 +171,13 @@ THETA_DELTA_GUARD = 5
 
 def theta_delta_exhaustive(n: int) -> ThetaCertificate:
     """Exact minimum of off-diagonal zeros over self-orthogonal matrices,
-    with all minimizers enumerated.  Guarded at n <= 5.  The value is the
-    least k with a self-orthogonal canonical zero set of k zeros
-    (`_canonical_sets`, cut by A*A = Z, which more zeros keep), and the
-    minimizers are the orbits of those sets.  `nodes` counts every matrix
-    with at most k zeros, each tested or in a subtree proved to hold none."""
+    with all minimizers enumerated.  Guarded at n <= 5.  The star (row 0
+    and column 0 zero) is self-orthogonal with 2n - 2 zeros, so the value
+    is the least zero count of a self-orthogonal canonical zero set with at
+    most 2n - 2 zeros (`_canonical_sets`, cut by A*A = Z, which more zeros
+    keep), and the minimizers are the orbits of those sets.  `nodes` counts
+    every matrix with at most `value` zeros, each tested or in a subtree
+    proved to hold none."""
     if n > THETA_DELTA_GUARD:
         raise ValueError(f"exhaustive self search refused above n={THETA_DELTA_GUARD}")
     if n < 1:
@@ -178,23 +190,21 @@ def theta_delta_exhaustive(n: int) -> ThetaCertificate:
         # row t of A*A is the union of the rows that row t picks
         return all(_row_union(r, rows) == full for r in rows)
 
-    nodes = 0
-    for k in range(slots + 1):
-        nodes += comb(slots, k)
-        # no set with fewer zeros is self-orthogonal, or k would not be reached
-        found = sorted({m for rows, _, proof in _canonical_sets(n, k, self_orthogonal, Counter())
-                        if proof for m in _orbit(n, offdiag_mask(n, rows))})
-        if found:
-            return ThetaCertificate(
-                n=n,
-                kind="self",
-                value=k,
-                completeness=COMPLETENESS_EXHAUSTIVE,
-                witnesses=[from_offdiag_mask(n, m) for m in found[:WITNESS_CAP]],
-                total_witnesses=len(found),
-                search_stats={"nodes": nodes, "elapsed_s": time.monotonic() - t0},
-            )
-    raise AssertionError("unreachable: Z is self-orthogonal")
+    selfs = [(zeros, offdiag_mask(n, rows))
+             for rows, zeros, proof in _canonical_sets(n, 2 * n - 2, self_orthogonal, Counter())
+             if proof]
+    value = min(selfs)[0]
+    found = sorted({m for zeros, mask in selfs if zeros == value for m in _orbit(n, mask)})
+    return ThetaCertificate(
+        n=n,
+        kind="self",
+        value=value,
+        completeness=COMPLETENESS_EXHAUSTIVE,
+        witnesses=[from_offdiag_mask(n, m) for m in found[:WITNESS_CAP]],
+        total_witnesses=len(found),
+        search_stats={"nodes": sum(comb(slots, j) for j in range(value + 1)),
+                      "elapsed_s": time.monotonic() - t0},
+    )
 
 
 # -- orderly generation of canonical zero sets ----------------------------

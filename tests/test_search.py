@@ -3,6 +3,10 @@ import itertools
 import random
 import time
 from collections import Counter
+from functools import reduce
+from itertools import repeat
+from math import comb
+from operator import and_
 
 import pytest
 
@@ -11,6 +15,7 @@ from conftest import conjugations
 import fixtures
 from tropnorm.core import (
     NormalMatrix,
+    _bits,
     _cols,
     _row_union,
     _sliced_meets,
@@ -145,6 +150,48 @@ def test_theta_exhaustive_matches_two_and_scan(n):
     assert cert.search_stats["nodes"] == nodes
 
 
+def _by_total_theta(n: int) -> tuple[int, list[tuple[int, int]], int]:
+    """The exhaustive pair search by increasing total zero count: for each
+    total and each split ka + kb, every left factor with ka zeros ANDs the
+    meet tables of its rows and columns into the right factors with kb
+    zeros.  The least total with a pair, its pairs of masks in order and
+    the pairs tested."""
+    slots = n * n - n
+    cols_meet, rows_meet = _sliced_meets(n)
+    rows = [offdiag_rows(n, mask) for mask in range(1 << slots)]
+    by_count = [[] for _ in range(slots + 1)]
+    for mask in range(1 << slots):
+        by_count[mask.bit_count()].append(mask)
+    count_set = [sum(1 << m for m in group) for group in by_count]
+    nodes = 0
+    for total in range(2 * slots + 1):
+        found = []
+        for ka in range(max(0, total - slots), min(slots, total) + 1):
+            kb = total - ka
+            nodes += len(by_count[ka]) * len(by_count[kb])
+            for amask in by_count[ka]:
+                arows = rows[amask]
+                cand = reduce(and_, map(cols_meet.__getitem__, arows), count_set[kb])
+                if cand:
+                    cand = reduce(and_, map(rows_meet.__getitem__, _cols(arows)), cand)
+                    found += zip(repeat(amask), _bits(cand))
+        if found:
+            return total, sorted(found), nodes
+    raise AssertionError("unreachable: (Z, I) is always orthogonal")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_theta_exhaustive_matches_by_total_loop(n):
+    value, found, nodes = _by_total_theta(n)
+    cert = theta_exhaustive(n)
+    assert cert.value == value == THETA[n]
+    assert [(to_offdiag_mask(a), to_offdiag_mask(b)) for a, b in cert.witnesses] == found
+    assert cert.total_witnesses == len(found)
+    # every pair with at most `value` zeros, 2 * slots cells in all
+    assert cert.search_stats["nodes"] == nodes == THETA_NODES[n]
+    assert nodes == sum(comb(2 * (n * n - n), t) for t in range(value + 1))
+
+
 def _sliced_nonfull(n):
     # the bit-sliced non-full family theta_exhaustive reads: bit m of
     # entry p is set iff the rows of mask m picked by p do not cover every
@@ -237,6 +284,45 @@ def test_theta_delta_matches_unbounded_row_walk(n):
     for k in range(cert.value):
         assert _unbounded_row_walk(n, k) == [], k
     assert _unbounded_row_walk(n, cert.value) == [to_offdiag_mask(a) for a in cert.witnesses]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_star_is_self_orthogonal(n):
+    # row 1 and column 1 all zero: the bound 2n - 2 the theta_delta walk stops at
+    star = NormalMatrix.from_zeros(n, [(1, j) for j in range(1, n + 1)]
+                                   + [(i, 1) for i in range(1, n + 1)])
+    assert nu(star) - n == 2 * n - 2
+    assert naive_odot(star, star) == all_zero(n)
+
+
+def _per_level_theta_delta(n: int) -> tuple[int, list[int], int]:
+    """theta_delta by one walk per zero count: for k = 0, 1, ... the
+    canonical sets with at most k zeros, cut by A*A = Z, until one with k
+    zeros is self-orthogonal.  The value, the masks of the closure of those
+    sets under S_n x C2 and the matrices counted as tested."""
+    slots, full = n * n - n, (1 << n) - 1
+
+    def self_orthogonal(rows, zeros, proof=None):
+        return all(_row_union(r, rows) == full for r in rows)
+
+    nodes = 0
+    for k in range(slots + 1):
+        nodes += comb(slots, k)
+        found = sorted({m for rows, _, proof in _canonical_sets(n, k, self_orthogonal, Counter())
+                        if proof for m in _orbit(n, offdiag_mask(n, rows))})
+        if found:
+            return k, found, nodes
+    raise AssertionError("unreachable: Z is self-orthogonal")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_theta_delta_matches_per_level_walks(n):
+    value, found, nodes = _per_level_theta_delta(n)
+    cert = theta_delta_exhaustive(n)
+    assert cert.value == value == THETA_DELTA[n]
+    assert [to_offdiag_mask(a) for a in cert.witnesses] == found
+    assert cert.total_witnesses == len(found)
+    assert cert.search_stats["nodes"] == nodes == THETA_DELTA_NODES[n]
 
 
 @pytest.mark.parametrize("n", [3, 4])
