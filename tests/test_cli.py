@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tropnorm.cli import main
+from tropnorm.cli import FAMILY_ORDER_GUARD, main
 from tropnorm.core import format_matrix, parse_matrix
 
 
@@ -150,6 +150,23 @@ def test_usage_errors(capsys):
     assert run(capsys, "theta", "--n", "9")[0] == 2
     assert run(capsys, "generic", "--n", "3", "--set", "Q:1,2")[0] == 2
     assert run(capsys, "reduce", "00-/-0-/--0", "--i", "1")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("generic", "--set", "V:1,2&Z:2,1"),
+    ("mm", "--k", "3", "--m", "7", "--variant", "2"),
+])
+def test_family_order_guard(capsys, argv):
+    # the order is refused above the guard before any matrix is built
+    command, *rest = argv
+    guard = FAMILY_ORDER_GUARD
+    code, doc, err = run(capsys, command, "--n", str(guard), *rest)
+    assert code == 0, err
+    matrix = doc["matrix" if command == "generic" else "a"]
+    assert doc["n"] == guard and matrix.count("\n") == guard - 1
+    code, doc, err = run(capsys, command, "--n", str(guard + 1), *rest)
+    assert (code, doc) == (2, None)
+    assert err == f"error: order n={guard + 1} refused above the guard n <= {guard}\n"
 
 
 @pytest.mark.parametrize("atom", ["V:1", "V:a,b", "V1,2"])
@@ -356,6 +373,16 @@ print(json.dumps(loaded))
         (["theta", "--n", "3"], ("cli", "core", "families", "ortho", "search")),
         (["graph", "--kind", "ortho", "--n", "3"], ("cli", "core", "families", "graphs", "ortho")),
         (["generic", "--n", "4", "--set", "V:1,2&Z:2,1"], ("cli", "core", "families")),
+        (["indicator", "0-0/00-/-00", "0-0/00-/-00"], ("cli", "core", "ortho")),
+        (["orth-set", "0-0/000/000"], ("cli", "core", "ortho")),
+        (["mm", "--n", "4", "--k", "1", "--m", "2"], ("cli", "core", "families", "ortho")),
+        (["theta-delta", "--n", "4"], ("cli", "core", "families", "ortho", "search")),
+        (["enumerate", "--n", "3", "--max-sigma", "6"],
+         ("cli", "core", "families", "ortho", "search")),
+        (["check-theorem", "--n", "2"], ("cli", "core", "families", "ortho", "search")),
+        (["reduce", "0--/-0-/--0", "--i", "2"], ("border", "cli", "core", "ortho")),
+        (["dist", "--kind", "wnl", "--n", "3", "0-0/-0-/-00", "00-/-00/--0"],
+         ("cli", "core", "families", "graphs", "ortho")),
     ],
 )
 def test_subcommand_import_footprint(argv, extra):
@@ -365,7 +392,7 @@ def test_subcommand_import_footprint(argv, extra):
     )
     assert out.returncode == 0, out.stderr
     want = {"tropnorm", *(f"tropnorm.{m}" for m in extra)}
-    if argv and argv[0] == "graph":
+    if argv and argv[0] in ("graph", "dist"):
         want.add("numpy")
     assert set(json.loads(out.stdout)) == want
 
