@@ -186,7 +186,7 @@ def theta_delta_exhaustive(n: int) -> ThetaCertificate:
     slots = n * n - n
     full = (1 << n) - 1
 
-    def self_orthogonal(rows, zeros: int, proof=None) -> bool:
+    def self_orthogonal(rows, zeros: int) -> bool:
         # row t of A*A is the union of the rows that row t picks
         return all(_row_union(r, rows) == full for r in rows)
 
@@ -222,8 +222,7 @@ def _canonical_sets(n: int, last: int, alive, stats, tick=lambda: None):
     """The zero sets of order n with at most `last` zeros, canonical under
     S_n x C2 (`core.is_canonical`), as (rows, zeros, proof) with proof =
     alive(rows, zeros), less those the cuts prove dead.  `alive(rows,
-    zeros, proof=None)` stays truthy for more zeros in rows or a smaller
-    count, and may reuse a proof it gave for the same rows.
+    zeros)` stays truthy for more zeros in rows or a smaller count.
 
     Orderly generation (Read, 1978): a canonical set is extended only by
     cells less significant than its least one (row ascending, then column
@@ -251,7 +250,7 @@ def _canonical_sets(n: int, last: int, alive, stats, tick=lambda: None):
         if zeros == last:
             return
         stop = len(cells)
-        if start < stop and not (proof and alive(rows, zeros + 1, proof)):
+        if start < stop and not (proof and alive(rows, zeros + 1)):
 
             def dead(k: int) -> bool:
                 # cells k.. fill the row of cell k up to its column, and
@@ -368,11 +367,11 @@ def _bounded_pairs(
     # the zero count of candidate t at t + 1, the same in every column
     size = [0] + [sz for sz, _, _ in cands[0]]
 
-    def column_bound(arows, a_off: int, proof=None) -> tuple[int, list[int]] | None:
-        """The valid candidates of B's columns (`oks`, those of the proof
-        if given) and the least zero count among those of each column, or
-        None when those counts exceed B's budget."""
-        oks = proof[0] if proof else reduce(and_, map(meets.__getitem__, arows))
+    def column_bound(arows, a_off: int) -> tuple[int, list[int]] | None:
+        """The valid candidates of B's columns (`oks`) and the least zero
+        count among those of each column, or None when those counts exceed
+        B's budget."""
+        oks = reduce(and_, map(meets.__getitem__, arows))
         # column j always allows the candidate with every other zero, which
         # meets any row, so the lowest bit of oks >> j * width is its lowest
         # allowed candidate, the cheapest that column can take
@@ -488,35 +487,27 @@ def theta_bounded(
     if budget > 4 * n - 7:
         raise ValueError(f"budget {budget} exceeds the 4n-7 guard")
     triples, stats = _bounded_pairs(n, budget, node_limit, time_limit)
-    if triples:
-        best = triples[0][0]
-        found = [t for t in triples if t[0] == best]
-        return ThetaCertificate(
-            n=n,
-            kind="pair",
-            value=best,
-            completeness=COMPLETENESS_EXHAUSTIVE,
-            budget=budget,
-            witnesses=[_pair_from_masks(n, a, b) for _, a, b in found[:WITNESS_CAP]],
-            total_witnesses=len(found),
-            search_stats=stats,
-        )
-    if budget + 1 == 4 * n - 6:
-        witnesses = [mm_pair(MmVariant(1, 2, 0), n)]
+    value = triples[0][0] if triples else budget + 1
+    found = [(a, b) for s, a, b in triples if s == value]
+    if found:
+        completeness, notes = COMPLETENESS_EXHAUSTIVE, ""
+        witnesses = [_pair_from_masks(n, a, b) for a, b in found[:WITNESS_CAP]]
+    elif value == 4 * n - 6:
         completeness = COMPLETENESS_BOUNDED
         notes = "witness is the generic minimal-family pair at 4n-6"
+        witnesses = found = [mm_pair(MmVariant(1, 2, 0), n)]
     else:
-        witnesses = []
         completeness = COMPLETENESS_LOWER_BOUND
         notes = "no witness at budget+1 constructed; value is a lower bound"
+        witnesses = []
     return ThetaCertificate(
         n=n,
         kind="pair",
-        value=budget + 1,
+        value=value,
         completeness=completeness,
         budget=budget,
         witnesses=witnesses,
-        total_witnesses=len(witnesses),
+        total_witnesses=len(found),
         search_stats=stats,
         notes=notes,
     )
@@ -526,22 +517,11 @@ def theta_bounded(
 
 
 def _mm_generic_pairs(n: int) -> list[tuple[NormalMatrix, NormalMatrix]]:
-    """All generic minimal-family pairs with distinct members and k != m."""
-    out = []
-    seen = set()
-    for k in range(1, n + 1):
-        for m in range(1, n + 1):
-            if k == m:
-                continue
-            for variant in range(4):
-                a, b = mm_pair(MmVariant(k, m, variant), n)
-                if a == b:
-                    continue
-                key = (a.rows, b.rows)
-                if key not in seen:
-                    seen.add(key)
-                    out.append((a, b))
-    return out
+    """All generic minimal-family pairs with distinct members and k != m,
+    each once, in the order first built."""
+    pairs = (mm_pair(MmVariant(k, m, variant), n)
+             for k in range(1, n + 1) for m in range(1, n + 1) if k != m for variant in range(4))
+    return list(dict.fromkeys((a, b) for a, b in pairs if a != b))
 
 
 # a minimal orthogonal pair outside the four-variant family at each order

@@ -3,6 +3,8 @@ from collections import Counter
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import conjugations, rand_normal, slot_generators, slot_image
 from tropnorm import search
@@ -400,6 +402,25 @@ def test_canonical_matches_full_walk_on_first_row_forms(n, sets):
             outcomes[got, x[0] == forms[0][0]] += 1
     # both outcomes are reached past the first-row test
     assert outcomes[True, True] >= sets and outcomes[False, True] >= sets
+
+
+def _zero_sets(n):
+    """Random zero sets of order n as row tuples, the diagonal included."""
+    return st.tuples(*(st.integers(0, (1 << n) - 1).map(lambda r, i=i: r | 1 << i)
+                       for i in range(n)))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(rows=st.integers(2, 6).flatmap(_zero_sets))
+def test_canonical_matches_full_walk_and_orbit_maximum(rows):
+    # on a random set `is_canonical` agrees with the full-walk oracle, and
+    # on every image of its orbit that ties the greatest one at row 0, and
+    # so passes the first-row test, with the brute-force orbit maximum
+    assert is_canonical(rows, _cols(rows)) == _is_canonical_full_walk(rows)
+    images = _images(rows)
+    greatest = max(images)
+    for x in {rows, *(y for y in images if y[0] == greatest[0])}:
+        assert is_canonical(x, _cols(x)) == (x == greatest), x
 
 
 def test_bounded_pairs_closed_under_slot_generators():

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 import time
 from collections import Counter
@@ -302,7 +303,7 @@ def _per_level_theta_delta(n: int) -> tuple[int, list[int], int]:
     sets under S_n x C2 and the matrices counted as tested."""
     slots, full = n * n - n, (1 << n) - 1
 
-    def self_orthogonal(rows, zeros, proof=None):
+    def self_orthogonal(rows, zeros):
         return all(_row_union(r, rows) == full for r in rows)
 
     nodes = 0
@@ -395,6 +396,25 @@ def test_theta_5_closure():
     for a, b in cert.witnesses:
         assert is_orthogonal(a, b)
         assert sigma(a, b) == 14
+
+
+def test_bounded_documents_digest():
+    """The sha256 of every `theta_bounded(n, budget)` document of n = 2..6
+    at budgets 0..4n - 7, `elapsed_s` removed, as one JSON list, as the
+    search gave them when each outcome built its own certificate.  It pins
+    value, completeness, witnesses, `total_witnesses`, `notes` and every
+    counter in its key order, in all three outcomes."""
+    docs = []
+    for n in range(2, 7):
+        for budget in range(4 * n - 6):
+            doc = theta_bounded(n, budget).to_document()
+            del doc["search_stats"]["elapsed_s"]
+            docs.append(doc)
+    assert Counter(doc["completeness"] for doc in docs) == {
+        COMPLETENESS_LOWER_BOUND: 44, COMPLETENESS_BOUNDED: 4, COMPLETENESS_EXHAUSTIVE: 2
+    }
+    digest = hashlib.sha256(json.dumps(docs).encode()).hexdigest()
+    assert digest == "fbf62493e69e4d0b7f08b0159f9528c7a96e270b3fdc4330a37fd78bde3ced1b"
 
 
 STATS_KEYS = ["nodes", "elapsed_s", "left_factors", "canonical", "col_cut", "leaves", "ba_rejects",
@@ -513,7 +533,7 @@ def _unpruned_walk(n, kmax):
     from the engine's walk with an `alive` that is always true, so that no
     cut fires: every canonical set is reached."""
     stats = Counter()
-    walk = [(rows, k) for rows, k, _ in _canonical_sets(n, kmax, lambda *_: True, stats)]
+    walk = [(rows, k) for rows, k, _ in _canonical_sets(n, kmax, lambda rows, zeros: True, stats)]
     assert stats["pre_cut"] == stats["look_cut"] == stats["look_skipped"] == 0
     assert stats["canonical"] == len(walk) and sum(stats["canonical_by_zeros"]) == len(walk)
     return walk
@@ -574,7 +594,7 @@ def test_theta_delta_cut_keeps_every_self_orthogonal_set(n):
     with no cut at it, and only canonical sets that walk reaches."""
     zero = all_zero(n)
 
-    def self_orthogonal(rows, zeros, proof=None):
+    def self_orthogonal(rows, zeros):
         return naive_odot(m := NormalMatrix(n, rows), m) == zero
 
     value = THETA_DELTA[n]
@@ -766,6 +786,33 @@ def test_enumerate_contains_family_pairs():
         list(enumerate_orthogonal_pairs(8, max_sigma=4))
     with pytest.raises(ValueError):
         list(enumerate_orthogonal_pairs(4, max_sigma=11))
+
+
+def _seen_set_generic_pairs(n):
+    """The generic family pairs with distinct members and k != m, deduped
+    through a set of row pairs, in the order first built."""
+    out = []
+    seen = set()
+    for k in range(1, n + 1):
+        for m in range(1, n + 1):
+            if k == m:
+                continue
+            for variant in range(4):
+                a, b = mm_pair(MmVariant(k, m, variant), n)
+                if a == b:
+                    continue
+                key = (a.rows, b.rows)
+                if key not in seen:
+                    seen.add(key)
+                    out.append((a, b))
+    return out
+
+
+@pytest.mark.parametrize("n, count", zip(range(2, 11), (4, 20, 48, 80, 120, 168, 224, 288, 360)))
+def test_mm_generic_pairs_match_seen_set_dedupe(n, count):
+    pairs = _mm_generic_pairs(n)
+    assert pairs == _seen_set_generic_pairs(n)
+    assert len(pairs) == len(set(pairs)) == count
 
 
 def test_certificate_document():
