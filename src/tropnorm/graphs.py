@@ -50,14 +50,25 @@ sizes.
 A mask contains a pattern iff each half of its slots contains that half
 of the pattern, so its class follows from the half classes of its high
 and low h = (n^2 - n)/2 slots: the half masks grouped by the pattern
-halves they contain, 472 a side for WNL n=5.  The key of a pair of half
-classes sums, per pattern list, the AND of their signatures: the VNL
-signature, or for WNL a 2-bit level per (p, q) that counts the nested
-patterns W ⊆ W&Z(q;p) ⊆ W&Z(p;q)&Z(q;p) the masks contain.  A pair's
-size is the product of its half counts, less one for the all-zero matrix
-(alone in its pair).  Classes are numbered in key order; one pair of each
-class gives a member and the edge terms' signature rows, and a table
-gives each pair's class (-1 for none): three reads give a mask's class.
+halves they contain, 472 a side for WNL n=5.  A class key has a field per
+(p, q) that counts the pattern lists whose (p, q) pattern the masks
+contain: 1 bit for VNL; for WNL 2 bits, the level of the nested patterns
+W ⊆ W&Z(q;p) ⊆ W&Z(p;q)&Z(q;p), but 1 bit on the diagonal, where the
+three are equal (a diagonal Z atom forces no off-diagonal zero), so 45
+bits at n=5.  Per list, the signature of a pair of half classes is the
+AND of theirs, and the pair's key sums them.  The build puts each key
+above its pair's index in one int64 word and sorts the words of the
+vertex pairs once: the runs of equal keys are the classes, numbered in
+key order, a running count of the run starts gives each pair's class for
+the pair table (-1 for none), and a class's size sums its pairs' products
+of half counts.  (The pair of the two full half masks holds only the
+all-zero matrix and is left out.)  The last pair of each class gives a
+member, and its two half classes the class's left and right nodes, the
+AND of theirs.  rhas reads the class keys: a class holds pattern s of
+list l iff its field s is at least the weights of lists 0..l there.  grow
+needs no class: some vertex holds the patterns of nodes x and y iff their
+union is not the full mask, as every co-atom is a vertex.  Three reads
+give a mask's class.
 
 Conjugation by permutation matrices and the transpose are automorphisms
 of all three graphs: they keep a class's size, loop and eccentricity and
@@ -116,8 +127,13 @@ ORTHO, VNL, WNL = GRAPH_KINDS
 
 ORTHO_BUILD_GUARD = 4
 PATTERN_BUILD_GUARD = 5
-# the WNL class key packs a 2-bit level for each of the n^2 pairs (p, q)
-assert 2 * PATTERN_BUILD_GUARD**2 <= 63, "WNL class keys would overflow int64"
+# a pair of half classes is numbered in _PAIR_BITS bits: WNL n = 5 has
+# 472 x 472 pairs, the most under the guard
+_PAIR_BITS = 18
+# the build sorts a class key above a pair index in one int64 word; a WNL
+# key has 2 bits per off-diagonal (p, q) and 1 per diagonal one
+assert 2 * PATTERN_BUILD_GUARD**2 - PATTERN_BUILD_GUARD + _PAIR_BITS <= 63, \
+    "WNL class keys and pair indices would overflow int64"
 
 INFINITY = math.inf
 
@@ -146,23 +162,18 @@ def _to_bits(flags: np.ndarray) -> int:
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
-def _words(flags: np.ndarray) -> np.ndarray:
-    """The rows of a boolean matrix in little-endian 64-bit words: bit j of
-    row i is bit j % 64 of words[i, j // 64]."""
-    import numpy as np
-    k, width = flags.shape
-    padded = np.zeros((k, -(-width // 64) * 64), dtype=bool)
-    padded[:, :width] = flags
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
-
-
 def _pack_rows(flags: np.ndarray) -> list[int]:
     """Bitset of each row of a boolean matrix: bit j of row i is
     flags[i, j]."""
-    rows, *high = _words(flags).T.tolist()
-    for w, word in enumerate(high, 1):
-        rows = [r | x << 64 * w for r, x in zip(rows, word)]
-    return rows
+    import numpy as np
+    packed = np.packbits(flags, axis=1, bitorder="little")
+    raw, w = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
+
+
+def _and_rows(hi: list[int], lo: list[int], hi_at: list[int], lo_at: list[int]) -> list[int]:
+    """Bitset hi[hi_at[c]] & lo[lo_at[c]] of each c."""
+    return [hi[i] & lo[j] for i, j in zip(hi_at, lo_at)]
 
 
 def _members(x: int, k: int) -> list[int]:
@@ -417,80 +428,102 @@ def _build_ortho(n: int) -> OrthoGraph:
     )
 
 
-def _node_tables(terms, perm: np.ndarray) -> _Nodes:
-    """Signature-node tables of the relation given by (left, right) terms,
-    each a boolean matrix of classes by signature bits, perm transposing
-    signature bits: node t*len(perm) + s is bit s of term t."""
+def _key_weights(n: int, lists: int) -> np.ndarray:
+    """Weight in the class key of each flag (l, s), a mask holding pattern
+    s of list l, as [l, s]: per pattern s = (p, q) a field of 2 bits (WNL,
+    p != q) or 1 bit, each field above the one before, counts the lists
+    that hold it.  The three WNL patterns of a diagonal (p, p) are equal,
+    so only the first list counts there."""
     import numpy as np
-    left = np.hstack([lt for lt, _ in terms])
-    right = np.hstack([rt[:, perm] for _, rt in terms])
-    has = np.ascontiguousarray(right.T)
-    # grow[x] has node y iff some class has x in its rnode and y in its lnode
-    lsets = _words(left.T)
-    grow = np.array([(lsets & h).any(axis=1) for h in _words(has)])
-    return _Nodes(
-        lnode=_pack_rows(left).__getitem__,
-        rnode=_pack_rows(right),
-        rhas=[_to_bits(h) for h in has],
-        grow=_pack_rows(grow),
-    )
+    diagonal = np.arange(n * n) % (n + 1) == 0
+    width = np.where(diagonal | (lists == 1), 1, 2)
+    weights = np.tile(1 << np.cumsum(width) - width, (lists, 1))
+    weights[1:, diagonal] = 0
+    return weights
 
 
-def _half_classes(n: int, pattern_lists, shift: int):
+def _half_classes(pats: np.ndarray, weights: np.ndarray, h: int, shift: int):
     """Half masks of the h slots from bit `shift` grouped by the pattern
     halves they hold: each one's class, the class sizes, each class's least
-    mask and per pattern list their signatures, bit 2s for pattern s."""
+    mask and its flags, column i set iff its half masks hold that half of
+    pattern pats[i].  The classes are numbered in the order of their keys,
+    the sums of their flags' weights."""
     import numpy as np
-    h = (n * n - n) // 2
-    half = np.arange(1 << h, dtype=np.int64)
-    parts = [[(pat >> shift) & ((1 << h) - 1) for pat in pats] for pats in pattern_lists]
-    sigs = [sum(((half & part) == part).astype(np.int64) << 2 * s for s, part in enumerate(ps))
-            for ps in parts]
-    # the lists nest, so their sum loses none of them (module docstring)
+    parts = (pats >> shift) & ((1 << h) - 1)
+    flags = (np.arange(1 << h)[:, None] & parts) == parts
     _, first, ids, counts = np.unique(
-        sum(sigs), return_index=True, return_inverse=True, return_counts=True)
-    return ids, counts, first, [sig[first] for sig in sigs]
+        flags @ weights, return_index=True, return_inverse=True, return_counts=True)
+    return ids, counts, first, flags[first]
 
 
 def _build_pattern_graph(kind: str, n: int) -> OrthoGraph:
     import numpy as np
-    h = (n * n - n) // 2
+    h, width = (n * n - n) // 2, n * n
     pattern_lists = [_vnl_patterns(n)] if kind == VNL else _wnl_patterns(n)
-    hi, hi_count, hi_first, hi_sigs = _half_classes(n, pattern_lists, h)
-    lo, lo_count, lo_first, lo_sigs = _half_classes(n, pattern_lists, 0)
-    # per (high, low) pair of half classes and per list, the signature of
-    # its masks; the key sums them into a 2-bit level per (p, q)
-    sigs = [a[:, None] & b for a, b in zip(hi_sigs, lo_sigs)]
-    key = sum(sigs)
-    size = hi_count[:, None] * lo_count
-    size[hi[-1], lo[-1]] -= 1  # the all-zero matrix, alone in its pair
-    # vertex filter: some off-diagonal (p,q) level, and a member left
-    offdiag_fields = sum(3 << 2 * (p * n + q) for p in range(n) for q in range(n) if p != q)
-    is_vert = ((key & offdiag_fields) != 0) & (size > 0)
-    keys, class_of = np.unique(key[is_vert], return_inverse=True)
-    sizes = np.bincount(class_of, weights=size[is_vert]).astype(np.int64).tolist()
-    table = np.full(key.shape, -1, dtype=np.int32)
-    table[is_vert] = class_of
-    # at one pair of each class: a member, and per list the signature as
-    # bits, bit s of class c at [c, s], for the rows of the edge terms
-    pair = np.empty(len(keys), dtype=np.int64)
-    pair[class_of] = np.flatnonzero(is_vert)
-    hi_at, lo_at = np.divmod(pair, len(lo_count))
-    raw = [sig.reshape(-1)[pair].astype("<u8").view(np.uint8).reshape(-1, 8) for sig in sigs]
-    rows = [np.unpackbits(r, axis=1, bitorder="little")[:, : 2 * n * n : 2] != 0 for r in raw]
-    # transposing moves signature bit (p, q) to (q, p); the terms are
-    # (V, V) for VNL and (wzz, w), (wzo, wzo), (w, wzz) for WNL
+    lists = len(pattern_lists)
+    pats = np.array(sum(pattern_lists, []))  # flag l*n^2 + s: pattern s of list l
+    weights = _key_weights(n, lists)
+    hi, hi_count, hi_first, hi_has = _half_classes(pats, weights.ravel(), h, h)
+    lo, lo_count, lo_first, lo_has = _half_classes(pats, weights.ravel(), h, 0)
+    shape = len(hi_count), len(lo_count)
+    pairs = shape[0] * shape[1]
+    assert pairs <= 1 << _PAIR_BITS, "pair indices would overflow the sort word"
+    # a mask holds a pattern iff each half holds that half of it, so per
+    # list the signature of a pair of half classes is the AND of theirs,
+    # and its key sums them, above the pair's index
+    hi_sig, lo_sig = ((has.reshape(-1, lists, width) * weights).sum(axis=2).T << _PAIR_BITS
+                      for has in (hi_has, lo_has))
+    key = np.arange(pairs).reshape(shape)
+    buf = np.empty_like(key)
+    for a, b in zip(hi_sig, lo_sig):
+        key += np.bitwise_and(a[:, None], b, out=buf)
+    # the vertex pairs have some off-diagonal field set; the last pair, of
+    # the two full half masks, holds only the all-zero matrix
+    floors = weights.cumsum(axis=0)  # the last row masks each field's bits
+    offdiag = int(floors[-1][np.arange(width) % (n + 1) != 0].sum()) << _PAIR_BITS
+    key = key.ravel()[:-1]
+    packed = key[np.bitwise_and(key, offdiag, out=buf.ravel()[:-1]) != 0]
+    del key  # the words of all pairs go before the sort
+    # one sort groups the vertex pairs by class in key order, and each
+    # class's pairs in pair order
+    packed.sort()
+    pair = packed & ((1 << _PAIR_BITS) - 1)
+    packed >>= _PAIR_BITS
+    start = np.append(True, packed[1:] != packed[:-1])
+    table = np.full(pairs, -1, dtype=np.int32)
+    table[pair] = np.cumsum(start, dtype=np.int32) - 1
+    np.multiply.outer(hi_count, lo_count, out=buf)
+    sizes = np.add.reduceat(buf.ravel()[pair], np.flatnonzero(start))
+    # each class's last pair gives its key, its member and its nodes
+    last = np.append(np.flatnonzero(start[1:]), len(start) - 1)
+    keys = packed[last]
+    hi_at, lo_at = np.divmod(pair[last], shape[1])
+    # node t*n^2 + s: left term t is list lists-1-t, right term t is list t
+    # transposed, which moves pattern (p, q) to (q, p)
     perm = np.array([q * n + p for p in range(n) for q in range(n)])
-    terms = list(zip(rows[::-1], rows))
+    lcols = np.arange(lists * width).reshape(lists, width)[::-1].ravel()
+    rcols = (np.arange(lists)[:, None] * width + perm).ravel()
+    member = hi_first[hi_at] << h | lo_first[lo_at]
+    # a class's left or right nodes are those both halves of its member hold
+    hi_at, lo_at = hi_at.tolist(), lo_at.tolist()
+    left, right = (_and_rows(_pack_rows(hi_has[:, cols]), _pack_rows(lo_has[:, cols]), hi_at, lo_at)
+                   for cols in (lcols, rcols))
+    # a class holds pattern s of list l iff its key's field s is at least
+    # the weights of lists 0..l there
+    rhas = [_to_bits((keys & floors[-1, i % width]) >= floors.flat[i]) for i in rcols.tolist()]
+    # grow[x] has y iff some vertex holds right node x's and left node y's
+    # patterns: iff their union is not the full mask, as every other mask
+    # lies under a co-atom, a vertex
+    grow = _pack_rows((pats[rcols, None] | pats[lcols]) != (1 << 2 * h) - 1)
     return OrthoGraph(
         kind=kind,
         n=n,
         _hi=hi,
         _lo=lo,
-        _table=table,
-        _member=hi_first[hi_at] << h | lo_first[lo_at],
-        _class_sizes=sizes,
-        _nodes=_node_tables(terms, perm),
+        _table=table.reshape(shape),
+        _member=member,
+        _class_sizes=sizes.tolist(),
+        _nodes=_Nodes(left.__getitem__, right, rhas, grow),
     )
 
 

@@ -517,11 +517,11 @@ def theta_bounded(
 
 
 def _mm_generic_pairs(n: int) -> list[tuple[NormalMatrix, NormalMatrix]]:
-    """All generic minimal-family pairs with distinct members and k != m,
-    each once, in the order first built."""
-    pairs = (mm_pair(MmVariant(k, m, variant), n)
-             for k in range(1, n + 1) for m in range(1, n + 1) if k != m for variant in range(4))
-    return list(dict.fromkeys((a, b) for a, b in pairs if a != b))
+    """All generic minimal-family pairs, k != m, each once, in the order
+    first built.  Their two members always differ."""
+    return list(dict.fromkeys(
+        mm_pair(MmVariant(k, m, variant), n)
+        for k in range(1, n + 1) for m in range(1, n + 1) if k != m for variant in range(4)))
 
 
 # a minimal orthogonal pair outside the four-variant family at each order

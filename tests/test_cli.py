@@ -132,6 +132,21 @@ def test_reduce(capsys):
     assert doc["matrix"] == "0-\n-0"
 
 
+@pytest.mark.parametrize("kind, n", [("ortho", 3), ("vnl", 3), ("wnl", 4)])
+def test_graph_document_is_stats_with_timings(capsys, monkeypatch, kind, n):
+    # the document is the graph's stats and two timings, which go on a
+    # copy: the graph's cached stats hold no timing
+    from tropnorm import graphs
+    g = graphs.build(kind, n)
+    monkeypatch.setattr(graphs, "build", lambda kind, n: g)
+    code, doc, _ = run(capsys, "graph", "--kind", kind, "--n", str(n))
+    assert code == 0
+    timings = {key: doc.pop(key) for key in ("build_s", "metrics_s")}
+    assert all(isinstance(t, float) and t >= 0 for t in timings.values()), timings
+    assert doc == {"command": "graph", **graphs.stats(g)}
+    assert not {"build_s", "metrics_s"} & set(graphs.stats(g))
+
+
 def test_graph_stats_and_dist(capsys):
     code, doc, _ = run(capsys, "graph", "--kind", "ortho", "--n", "3")
     assert code == 0

@@ -345,39 +345,112 @@ def test_vnl5_wnl5_diameter_two():
 
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_signatures_match_per_mask_containment(n):
-    """The half tables: per pattern list, a half class has bit 2s set iff
-    its half masks contain that half of pattern s; the half classes are
-    the half masks of equal signatures, their sizes count them, and each
-    has its least half mask.  For every mask, the AND of its two halves'
-    signatures is its own."""
+    """The half tables: a half class has flag l*n^2 + s set iff its half
+    masks contain that half of pattern s of list l; the half classes are
+    the half masks of equal flags, numbered in the order of their keys,
+    their sizes count them, and each has its least half mask.  A mask holds
+    a pattern iff both its halves hold their halves of it.  The compact key,
+    a field of 2 bits per off-diagonal (p, q) (1 for VNL) and 1 bit per
+    diagonal one, orders the masks as the 2-bit levels of every (p, q) do."""
+    import numpy as np
     h = (n * n - n) // 2
     vnl = graphs._vnl_patterns(n)
     w, wzo, wzz = graphs._wnl_patterns(n)
+    masks = np.arange(1 << 2 * h)
     for lists in ([vnl], [w, wzo, wzz]):
+        pats = np.array(sum(lists, []))
+        weights = graphs._key_weights(n, len(lists)).ravel()
         halves = []
         for shift in (h, 0):
-            ids, counts, first, sigs = graphs._half_classes(n, lists, shift)
+            ids, counts, first, flags = graphs._half_classes(pats, weights, h, shift)
             ids = ids.tolist()
             assert len(ids) == 1 << h
             assert counts.tolist() == [ids.count(c) for c in range(len(counts))]
             assert first.tolist() == [ids.index(c) for c in range(len(counts))]
+            keys = (flags @ weights).tolist()
+            assert keys == sorted(set(keys))
             sel = ((1 << h) - 1) << shift
-            by_sig = {}
+            by_flags = {}
             for x, c in enumerate(ids):
                 m = x << shift
-                want = tuple(sum((m & p & sel == p & sel) << 2 * s for s, p in enumerate(pats))
-                             for pats in lists)
-                assert tuple(sig[c] for sig in sigs) == want, (n, shift, x)
-                assert by_sig.setdefault(want, c) == c
-            assert len(by_sig) == len(counts)
-            halves.append([[sig[c] for c in ids] for sig in sigs])
-        for m in range(1 << 2 * h):
-            for pats, hi, lo in zip(lists, *halves):
-                want = sum(((m & p) == p) << 2 * s for s, p in enumerate(pats))
-                assert hi[m >> h] & lo[m & ((1 << h) - 1)] == want, (n, m)
-    # the 2-bit WNL class key needs wzz => wzo => w for every (p, q)
+                want = tuple(m & p & sel == p & sel for p in pats.tolist())
+                assert tuple(flags[c]) == want, (n, shift, x)
+                assert by_flags.setdefault(want, c) == c
+            assert len(by_flags) == len(counts)
+            halves.append(flags[ids])
+        holds = (masks[:, None] & pats) == pats
+        assert np.array_equal(holds, halves[0][masks >> h] & halves[1][masks & ((1 << h) - 1)])
+        # two masks' compact keys compare as their 2-bit level keys do
+        level = sum(holds[:, i].astype(np.int64) << 2 * (i % (n * n)) for i in range(len(pats)))
+        compact = holds @ weights
+        assert compact.max() < 1 << (2 * n * n - n if len(lists) > 1 else n * n)
+        assert np.array_equal(np.unique(level, return_inverse=True)[1],
+                              np.unique(compact, return_inverse=True)[1])
+    # the 2-bit WNL class key needs wzz => wzo => w for every (p, q), and
+    # its 1-bit diagonal fields need them equal at (p, p)
     for lo, hi in ((w, wzo), (wzo, wzz)):
         assert all(h & l == l for l, h in zip(lo, hi))
+    assert all(w[s] == wzz[s] for s in range(0, n * n, n + 1))
+
+
+def test_sort_word_fits_at_the_guard():
+    """The build sorts a class key above a pair index in one int64 word:
+    WNL n = 5 has 2*20 + 5 = 45 key bits and 472^2 pairs of half classes,
+    which take 18 bits."""
+    n = graphs.PATTERN_BUILD_GUARD
+    g = _built(WNL, n)
+    pairs = len(g._table) * len(g._table[0])
+    assert (len(g._table), pairs) == (472, 472 * 472)
+    assert pairs <= 1 << graphs._PAIR_BITS
+    assert int(graphs._key_weights(n, 3).sum()).bit_length() == 2 * n * n - n == 45
+    assert 2 * n * n - n + graphs._PAIR_BITS <= 63
+
+
+def _bool_words(flags):
+    """The rows of a boolean matrix in little-endian 64-bit words."""
+    import numpy as np
+    k, width = flags.shape
+    padded = np.zeros((k, -(-width // 64) * 64), dtype=bool)
+    padded[:, :width] = flags
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+def _bool_pack_rows(flags):
+    """Bitset of each row of a boolean matrix, word by word."""
+    rows, *high = _bool_words(flags).T.tolist()
+    for w, word in enumerate(high, 1):
+        rows = [r | x << 64 * w for r, x in zip(rows, word)]
+    return rows
+
+
+def _bool_node_tables(g):
+    """The node tables by boolean matrices of classes by nodes, from each
+    class member's signature per pattern list: lnode of every class,
+    rnode, rhas and grow."""
+    import numpy as np
+    n = g.n
+    lists = [graphs._vnl_patterns(n)] if g.kind == VNL else graphs._wnl_patterns(n)
+    rows = [np.array([[m & p == p for p in pats] for m in g._member.tolist()]) for pats in lists]
+    perm = np.array([q * n + p for p in range(n) for q in range(n)])
+    left = np.hstack(rows[::-1])
+    right = np.hstack([r[:, perm] for r in rows])
+    has = np.ascontiguousarray(right.T)
+    lsets = _bool_words(left.T)
+    grow = np.array([(lsets & h).any(axis=1) for h in _bool_words(has)])
+    return (_bool_pack_rows(left), _bool_pack_rows(right), [graphs._to_bits(h) for h in has],
+            _bool_pack_rows(grow))
+
+
+@pytest.mark.parametrize("kind,n", [(kind, n) for kind in (VNL, WNL) for n in (2, 3, 4, 5)])
+def test_node_tables_match_boolean_matrices(kind, n):
+    """lnode and rnode, the AND of the half classes' node sets, rhas, read
+    off the class keys, and grow, from the pattern unions, against the
+    tables built from boolean matrices of classes by nodes."""
+    nodes = _built(kind, n)._nodes
+    lnode, rnode, rhas, grow = _bool_node_tables(_built(kind, n))
+    assert [nodes.lnode(c) for c in range(len(lnode))] == lnode
+    assert list(nodes.rnode) == rnode
+    assert (nodes.rhas, nodes.grow) == (rhas, grow)
 
 
 # -- the full sweep, the oracle of the class lookup ------------------------------
@@ -470,6 +543,20 @@ def test_vnl5_build_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, peak
+
+
+def test_wnl5_build_memory():
+    """A WNL n=5 build peaks below 10 MiB, six int64 arrays over its
+    222,784 pairs of half classes: one key array and one buffer over the
+    pairs, and the sort's arrays over the vertex pairs only."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        build(WNL, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak
 
 
 # -- orbit-reduced stats ------------------------------------------------------

@@ -815,6 +815,16 @@ def test_mm_generic_pairs_match_seen_set_dedupe(n, count):
     assert len(pairs) == len(set(pairs)) == count
 
 
+@pytest.mark.parametrize("n", range(2, 11))
+def test_mm_generic_pairs_have_distinct_members(n):
+    # every generic family pair with k != m has A != B at each order that
+    # check-theorem accepts, so `_mm_generic_pairs` needs no filter on it
+    for k, m in itertools.permutations(range(1, n + 1), 2):
+        for variant in range(4):
+            a, b = mm_pair(MmVariant(k, m, variant), n)
+            assert a != b, (n, k, m, variant)
+
+
 def test_certificate_document():
     cert = theta_exhaustive(3)
     doc = cert.to_document()
