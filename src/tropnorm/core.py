@@ -120,7 +120,7 @@ class NormalMatrix(_Record):
     __slots__ = _fields = ("n", "rows")
 
     def __init__(self, n: int, rows: tuple[int, ...]):
-        full = _full_row(n)
+        rows, full = tuple(rows), _full_row(n)
         if len(rows) != n:
             raise ValueError("row count does not match order")
         for i, r in enumerate(rows):

@@ -56,7 +56,7 @@ class FamilySpec(_Record):
     __slots__ = _fields = ("n", "atoms")
 
     def __init__(self, n: int, atoms: tuple[Atom, ...]):
-        self._set(n=n, atoms=atoms)
+        self._set(n=n, atoms=tuple(atoms))
 
     @classmethod
     def parse(cls, n: int, text: str) -> "FamilySpec":

@@ -29,14 +29,13 @@ All three graphs hold one relation over nodes, `_Nodes`.  Per class c,
 lnode(c) and rnode[c] are sets of nodes; per node x, rhas[x] is the
 bitset of the classes whose rnode has x, and grow[x] the union of lnode
 over them.  Class a meets class b iff lnode(a) & rnode[b], and the
-classes adjacent to a class set F, `reach(F)`, are the OR of rhas over
-the union of lnode over F.  In a pattern graph node
-t*n^2 + s stands for bit s of term t (n^2 nodes for VNL, 3n^2 for WNL):
-lnode(c) holds the nodes of c's left terms, rnode[c] those of its
-transposed right terms.  ORTHO's nodes are its classes: lnode(c) is c
-alone, and rnode, rhas and grow are all one `_OrthoRows`, whose row c
-is built on first read and kept (`stats` of ORTHO n=4 builds 154 of the
-4,094 rows).
+classes adjacent to class c, `reach(c)`, are the OR of rhas over
+lnode(c).  In a pattern graph node t*n^2 + s stands for bit s of term t
+(n^2 nodes for VNL, 3n^2 for WNL): lnode(c) holds the nodes of c's left
+terms, rnode[c] those of its transposed right terms.  ORTHO's nodes are
+its classes: lnode(c) is c alone, and rnode, rhas and grow are all one
+`_OrthoRows`, whose row c is built on first read and kept (`stats` of
+ORTHO n=4 builds 154 of the 4,094 rows).
 
 `dist` and `stats` build no adjacency rows of a pattern graph.  The left
 nodes X of the ball of radius d around a class give those of radius
@@ -74,7 +73,8 @@ Conjugation by permutation matrices and the transpose are automorphisms
 of all three graphs: they keep a class's size, loop and eccentricity and
 its neighbours' sizes.  So `stats` takes one class per orbit, weighted
 by the orbit's class count in the edge and loop sums, and starts every
-girth test there (`_simple_girth`): one member mask of every class goes
+girth test there, the last a search of the class graph one bitset layer
+at a time (`_simple_girth`): one member mask of every class goes
 through the generators (1 2), the n-cycle and the transpose, read from
 `core._slot_images` as the search's closure reads it; each class takes
 the least label of its images until the labels settle
@@ -120,6 +120,8 @@ from .core import (
 from .families import ATOM_KINDS, Atom
 from .ortho import is_orthogonal
 
+# numpy loads inside the functions that use it: importing this module alone
+# reads 15 MB max RSS, 27 MB with numpy
 if TYPE_CHECKING:
     import numpy as np
 
@@ -171,18 +173,6 @@ def _pack_rows(flags: np.ndarray) -> list[int]:
     return [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
 
 
-def _and_rows(hi: list[int], lo: list[int], hi_at: list[int], lo_at: list[int]) -> list[int]:
-    """Bitset hi[hi_at[c]] & lo[lo_at[c]] of each c."""
-    return [hi[i] & lo[j] for i, j in zip(hi_at, lo_at)]
-
-
-def _members(x: int, k: int) -> list[int]:
-    """Indices of the set bits of x, a bitset over k classes."""
-    import numpy as np
-    raw = np.frombuffer(x.to_bytes((k + 7) // 8, "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
-
-
 # -- graph value ----------------------------------------------------------
 
 
@@ -216,10 +206,9 @@ class _Nodes:
         self.rhas = rhas    # node -> classes whose rnode has it
         self.grow = grow    # node -> union of lnode over rhas[node]
 
-    def reach(self, f: int) -> int:
-        """Classes adjacent to some class of the class set f: the OR of rhas
-        over the union of lnode over f."""
-        return _row_union(reduce(or_, map(self.lnode, _bits(f)), 0), self.rhas)
+    def reach(self, c: int) -> int:
+        """Classes adjacent to class c: the OR of rhas over lnode(c)."""
+        return _row_union(self.lnode(c), self.rhas)
 
     def loop(self, c: int) -> bool:
         return bool(self.lnode(c) & self.rnode[c])
@@ -506,8 +495,9 @@ def _build_pattern_graph(kind: str, n: int) -> OrthoGraph:
     member = hi_first[hi_at] << h | lo_first[lo_at]
     # a class's left or right nodes are those both halves of its member hold
     hi_at, lo_at = hi_at.tolist(), lo_at.tolist()
-    left, right = (_and_rows(_pack_rows(hi_has[:, cols]), _pack_rows(lo_has[:, cols]), hi_at, lo_at)
-                   for cols in (lcols, rcols))
+    left, right = ([hi[i] & lo[j] for i, j in zip(hi_at, lo_at)]
+                   for hi, lo in ((_pack_rows(hi_has[:, c]), _pack_rows(lo_has[:, c]))
+                                  for c in (lcols, rcols)))
     # a class holds pattern s of list l iff its key's field s is at least
     # the weights of lists 0..l there
     rhas = [_to_bits((keys & floors[-1, i % width]) >= floors.flat[i]) for i in rcols.tolist()]
@@ -566,22 +556,24 @@ def stats(g: OrthoGraph) -> dict:
 
     @lru_cache(maxsize=None)
     def others(c: int) -> int:  # the classes adjacent to c, less c
-        return nodes.reach(1 << c) & ~(1 << c)
+        return nodes.reach(c) & ~(1 << c)
 
     # size_bits[p] holds the classes whose size has bit p set, so the
     # total size of a set of classes is a sum of shifted popcounts
     sz = np.array(sizes)
     width = max(sizes, default=0).bit_length()
     size_bits = [_to_bits((sz >> p) & 1) for p in range(width)]
+
+    def size(f: int) -> int:  # the number of vertices in the classes of f
+        return sum((f & m).bit_count() << p for p, m in enumerate(size_bits))
+
     edges = loops = 0
     ends = 0  # edges between two classes, counted from both ends
     for a, weight in orbits.items():
         if nodes.loop(a):
             loops += weight * sizes[a]
             edges += weight * (sizes[a] * (sizes[a] - 1) // 2)
-        ends += weight * sizes[a] * sum(
-            (others(a) & m).bit_count() << p for p, m in enumerate(size_bits)
-        )
+        ends += weight * sizes[a] * size(others(a))
     edges += ends // 2
 
     # the co-atoms, one -1 cell each, lie above every vertex
@@ -601,13 +593,12 @@ def stats(g: OrthoGraph) -> dict:
     # every cycle test runs from the orbit representatives (`_simple_girth`)
     if any(nodes.loop(a) and (sizes[a] >= 3 or (sizes[a] >= 2 and others(a))) for a in roots):
         girth = 3  # a triangle inside a class, or through two members and another class
-    elif any(others(a) & others(b) for a in roots for b in _members(others(a), k)):
+    elif any(others(a) & others(b) for a in roots for b in _bits(others(a))):
         girth = 3  # a triangle through three classes
-    elif any(sizes[a] >= 2 and sum(sizes[b] for b in _members(others(a), k)) >= 2
-             for a in roots):
+    elif any(sizes[a] >= 2 and size(others(a)) >= 2 for a in roots):
         girth = 4  # two members of a class and two vertices adjacent to it
     else:
-        girth = _simple_girth(others, k, roots)
+        girth = _simple_girth(others, roots)
 
     g._stats = {
         "kind": g.kind,
@@ -645,31 +636,32 @@ def _class_orbits(g: OrthoGraph) -> list[int]:
     return label.tolist()
 
 
-def _simple_girth(row: Callable[[int], int], k: int, roots) -> int | float:
-    """Girth of a simple graph on k vertices, row(x) the bitset of x's
-    neighbours (no self bit), by a breadth-first search from each root:
-    exact when some shortest cycle passes through a root, as a search from
-    a vertex of a shortest cycle returns its length.  On a class graph an
-    automorphism carries a shortest cycle through any class to one through
-    its orbit's representative, so the representatives suffice."""
+def _simple_girth(row: Callable[[int], int], roots) -> int | float:
+    """Girth of a simple graph, row(x) the bitset of x's neighbours (no
+    self bit), by a breadth-first search from each root one bitset layer
+    at a time (Itai and Rodeh 1978): an edge inside layer d closes a cycle
+    of at most 2d + 1, and a vertex of layer d + 1 with two neighbours in
+    layer d one of at most 2d + 2.  Exact when some shortest cycle passes
+    through a root, as a search from a vertex of a shortest cycle returns
+    its length.  On a class graph an automorphism carries a shortest cycle
+    through any class to one through its orbit's representative, so the
+    representatives suffice."""
     best = INFINITY
     for root in roots:
-        dist = {root: 0}
-        parent = {root: -1}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                if 2 * dist[x] >= best - 1:
-                    break
-                for y in _members(row(x), k):
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
-                        parent[y] = x
-                        nxt.append(y)
-                    elif y != parent[x]:
-                        best = min(best, dist[x] + dist[y] + 1)
-            frontier = nxt
+        seen = layer = 1 << root
+        d = 0
+        while layer and 2 * d + 1 < best:
+            inner = nxt = twice = 0
+            for x in _bits(layer):
+                r = row(x)
+                inner |= r & layer
+                new = r & ~seen
+                twice |= nxt & new
+                nxt |= new
+            if inner or twice:
+                best = 2 * d + 1 if inner else 2 * d + 2
+                break
+            seen, layer, d = seen | nxt, nxt, d + 1
         if best == 3:
             break
     return best

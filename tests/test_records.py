@@ -6,7 +6,7 @@ import pytest
 
 from tropnorm.border import BorderedBlocks, BorderVector
 from tropnorm.core import DimensionMismatch, NormalMatrix, identity
-from tropnorm.families import Atom, FamilySpec, MmVariant, mm_pair
+from tropnorm.families import Atom, FamilySpec, MmVariant, family, mm_pair
 from tropnorm.ortho import IndicatorReport, RowType, ZeroClass, indicator
 from tropnorm.search import ThetaCertificate
 
@@ -97,6 +97,25 @@ def test_indicator_report_ignores_column_masks():
         r.acols = other.acols
     # the cached classification lives on the instance and is built once
     assert r.classes is r.classes
+
+
+def test_records_keep_a_tuple_of_the_callers_list():
+    rows = [1, 2]
+    a = NormalMatrix(2, rows)
+    assert a == identity(2) and hash(a) == hash(identity(2))
+    assert a.rows == (1, 2)
+    rows[0] = 3  # the caller's list no longer reaches the built matrix
+    assert a.rows == (1, 2)
+    with pytest.raises(TypeError):
+        a.rows[0] = 3
+    atoms = [Atom("V", 1, 2)]
+    spec = FamilySpec(3, atoms)
+    assert spec == family(3, ("V", 1, 2)) and hash(spec) == hash(family(3, ("V", 1, 2)))
+    atoms.append(Atom("Z", 1, 2))
+    assert spec.atoms == (Atom("V", 1, 2),)
+    # a tuple is kept as it is
+    same = (1, 2)
+    assert NormalMatrix(2, same).rows is same
 
 
 def test_normal_matrix_has_no_instance_dict():
