@@ -540,10 +540,13 @@ def check_theorem_theta(n: int) -> dict:
 
     n = 2..6: the minimal pairs are those of least sigma among the
     `_bounded_pairs(n, 4n - 6)` triples, every pair up to the family's
-    4n - 6 zeros, so the least sigma there is theta(n).
-    n = 2: they coincide with the generic family.
-    n = 3..6: the equivalence fails; the stored outsider pair is among
-    the minimal pairs and lies outside the family.
+    4n - 6 zeros, so the least sigma there is theta(n).  The mode is read
+    off them.  With none outside the family (`mm_classify` rejects none)
+    it is equivalence, which holds iff they are as many as the generic
+    family pairs: a k = m family pair has 4n - 4 zeros, so every minimal
+    pair `mm_classify` accepts is a generic one.  Otherwise it is
+    counterexample, which holds iff the stored outsider pair of the order
+    is among those outside the family (an order with none stored fails).
     n = 7..10: forward direction only; every generic family pair is
     orthogonal with the predicted zero counts.
     """
@@ -551,49 +554,26 @@ def check_theorem_theta(n: int) -> dict:
         triples, _ = _bounded_pairs(n, 4 * n - 6)
         theta = triples[0][0]
         minimal = [_pair_from_masks(n, a, b) for s, a, b in triples if s == theta]
-    if n == 2:
-        generic = set(_mm_generic_pairs(2))
-        return {
-            "n": n,
-            "mode": "equivalence",
-            "holds": set(minimal) == generic,
-            "theta": theta,
-            "minimal_pairs": len(minimal),
-            "family_pairs": len(generic),
-        }
-    if 3 <= n <= 6:
         outsiders = {p for p in minimal if mm_classify(*p) is None}
-        stored = tuple(parse_matrix(m.replace("/", "\n")) for m in _OUTSIDERS[n])
-        stored_found = stored in outsiders
-        return {
-            "n": n,
-            "mode": "counterexample",
-            "holds": bool(outsiders) and stored_found,
-            "theta": theta,
-            "minimal_pairs": len(minimal),
-            "outside_family": len(outsiders),
-            "stored_outsider_found": stored_found,
-        }
+        if outsiders:
+            stored = tuple(parse_matrix(m.replace("/", "\n")) for m in _OUTSIDERS.get(n, ()))
+            holds = stored in outsiders
+            rest = {"outside_family": len(outsiders), "stored_outsider_found": holds}
+        else:
+            family = len(_mm_generic_pairs(n))
+            holds = len(minimal) == family
+            rest = {"family_pairs": family}
+        return {"n": n, "mode": "counterexample" if outsiders else "equivalence",
+                "holds": holds, "theta": theta, "minimal_pairs": len(minimal), **rest}
     if 7 <= n <= 10:
-        expected_sigma = 4 * n - 6
-        expected_gift = (n - 2) * (n - 3)
+        expected_sigma, expected_gift = 4 * n - 6, (n - 2) * (n - 3)
         checked = 0
         for a, b in _mm_generic_pairs(n):
             rep = indicator(a, b)
-            if not (
-                is_orthogonal(a, b)
-                and sigma(a, b) == expected_sigma
-                and rep.prop_count == expected_sigma
-                and rep.gift_count == expected_gift
-            ):
+            if not (is_orthogonal(a, b) and sigma(a, b) == rep.prop_count == expected_sigma
+                    and rep.gift_count == expected_gift):
                 return {"n": n, "mode": "forward", "holds": False, "checked": checked}
             checked += 1
-        return {
-            "n": n,
-            "mode": "forward",
-            "holds": True,
-            "checked": checked,
-            "sigma": expected_sigma,
-            "gift": expected_gift,
-        }
+        return {"n": n, "mode": "forward", "holds": True, "checked": checked,
+                "sigma": expected_sigma, "gift": expected_gift}
     raise ValueError(f"unsupported n={n}: use 2..10")

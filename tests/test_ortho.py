@@ -266,6 +266,22 @@ def test_orth_set_elementary():
     assert len(orth_set(z)) == 64
 
 
+def _orth_set_oracle(a):
+    # every normal matrix of the order, tested one by one
+    return {b for b in all_normal_matrices(a.n) if is_orthogonal(a, b)}
+
+
+def test_orth_set_matches_per_matrix_oracle():
+    for n in (1, 2, 3):
+        for a in all_normal_matrices(n):
+            assert orth_set(a) == _orth_set_oracle(a), a
+    rng = random.Random(17)
+    some = [make_elementary("E", 4, 1, 2), identity(4), all_zero(4),
+            *(rand_normal(rng, 4) for _ in range(50))]
+    for a in some:
+        assert orth_set(a) == _orth_set_oracle(a), a
+
+
 def test_orth_set_guard():
     with pytest.raises(ValueError, match=r"order 6 is refused \(guard: n <= 5\)"):
         orth_set(identity(6))

@@ -14,6 +14,7 @@ import pytest
 from burnside import orbit_counts
 from conftest import conjugations
 import fixtures
+from tropnorm import cli, search
 from tropnorm.core import (
     NormalMatrix,
     _bits,
@@ -34,7 +35,7 @@ from tropnorm.core import (
     to_offdiag_mask,
     transpose,
 )
-from tropnorm.families import MmVariant, mm_pair
+from tropnorm.families import MmVariant, mm_classify, mm_pair
 from tropnorm.ortho import is_orthogonal
 from tropnorm.search import (
     COMPLETENESS_BOUNDED,
@@ -846,23 +847,50 @@ def test_check_theorem_order_two_matches_exhaustive_oracle():
     assert set(pairs) == set(cert.witnesses) == set(_mm_generic_pairs(2))
 
 
+# the whole document of each order, key order included
+CHECK_THEOREM = {
+    2: {"n": 2, "mode": "equivalence", "holds": True, "theta": 2, "minimal_pairs": 4,
+        "family_pairs": 4},
+    **{n: {"n": n, "mode": "counterexample", "holds": True, "theta": theta,
+           "minimal_pairs": minimal, "outside_family": outside, "stored_outsider_found": True}
+       for n, theta, minimal, outside in
+       ((3, 6, 66, 46), (4, 8, 18, 18), (5, 14, 6680, 6600), (6, 18, 3000, 2880))},
+    **{n: {"n": n, "mode": "forward", "holds": True, "checked": checked, "sigma": 4 * n - 6,
+           "gift": (n - 2) * (n - 3)}
+       for n, checked in ((7, 168), (8, 224), (9, 288), (10, 360))},
+}
+
+
 def test_check_theorem_small_orders():
-    assert check_theorem_theta(2)["holds"]
-    # (theta, minimal pairs, minimal pairs outside the family) per order
-    expected = {
-        3: (6, 66, 46), 4: (8, 18, 18), 5: (14, 6680, 6600), 6: (18, 3000, 2880)
-    }
-    for n, counts in expected.items():
-        res = check_theorem_theta(n)
-        assert res["mode"] == "counterexample"
-        assert res["holds"] and res["stored_outsider_found"], res
-        assert (res["theta"], res["minimal_pairs"], res["outside_family"]) == counts
+    for n in range(2, 7):
+        assert list(check_theorem_theta(n).items()) == list(CHECK_THEOREM[n].items())
 
 
 def test_check_theorem_large_orders():
     for n in (7, 8, 9, 10):
-        res = check_theorem_theta(n)
-        assert res["holds"], res
+        assert list(check_theorem_theta(n).items()) == list(CHECK_THEOREM[n].items())
+
+
+def test_check_theorem_mode_follows_the_minimal_pairs(monkeypatch, capsys):
+    # the mode is read off the minimal pairs, not off the order
+    family = sorted((6, to_offdiag_mask(a), to_offdiag_mask(b)) for a, b in _mm_generic_pairs(3))
+    monkeypatch.setattr(search, "_bounded_pairs", lambda n, max_sigma: (family, {}))
+    assert check_theorem_theta(3) == {"n": 3, "mode": "equivalence", "holds": True, "theta": 6,
+                                      "minimal_pairs": 20, "family_pairs": 20}
+    # an outsider at an order with no stored one: a failed claim, not a KeyError
+    real, _ = _bounded_pairs(2, 2)
+    outsider = (2, 1, 1)  # both factors zero at (1, 2) alone
+    assert outsider not in real and mm_classify(*_pair_from_masks(2, 1, 1)) is None
+    monkeypatch.setattr(search, "_bounded_pairs",
+                        lambda n, max_sigma: (sorted([*real, outsider]), {}))
+    want = {"n": 2, "mode": "counterexample", "holds": False, "theta": 2, "minimal_pairs": 5,
+            "outside_family": 1, "stored_outsider_found": False}
+    assert list(check_theorem_theta(2).items()) == list(want.items())
+    assert cli.main(["check-theorem", "--n", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"command": "check-theorem", **want}
+    assert err.splitlines() == ["mode counterexample, holds: False",
+                                "property check failed: theorem check failed"]
 
 
 def test_check_theorem_guard():
