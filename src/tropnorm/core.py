@@ -15,7 +15,8 @@ modules call it instead of re-deriving them:
   (one bit per off-diagonal cell, row-major) to row masks through
   per-order lookup tables, and `offdiag_mask` encodes them;
   `_sliced_meets` gives, per n-bit value r, the set of matrices each of
-  whose columns (rows) meets r, as one int with a bit per mask;
+  whose columns (rows) meets r, as one int with a bit per mask, cached
+  per order, and `_partners` ANDs them into a matrix's orthogonal set;
 * the row-union kernel `_row_union`: the union of the rows picked by the
   set bits of a mask, which is one row of a tropical product, and
   `_union_table`, its value for every mask at one OR each;
@@ -468,12 +469,13 @@ def _union_table(parts: Sequence[int]) -> list[int]:
     return table
 
 
-def _sliced_meets(n: int) -> tuple[list[int], list[int]]:
+@lru_cache(maxsize=None)
+def _sliced_meets(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per n-bit value r, the matrices of order n each of whose columns
     meets r (cols_meet[r]) and those each of whose rows meets r
     (rows_meet[r]), bit-sliced: a set of matrices is an int whose bit m
     stands for the matrix with off-diagonal mask m.  A*B = Z iff every
-    row of A meets every column of B."""
+    row of A meets every column of B.  Built once per order, as tuples."""
     slots = n * n - n
     size = 1 << slots
     # the matrices with a zero at off-diagonal slot s: runs of 2^s
@@ -486,10 +488,17 @@ def _sliced_meets(n: int) -> tuple[list[int], list[int]]:
         for i in range(n)
     ]
 
-    def meet(lines) -> list[int]:
-        return [reduce(and_, per_line) for per_line in zip(*map(_union_table, lines))]
+    def meet(lines) -> tuple[int, ...]:
+        return tuple([reduce(and_, per_line) for per_line in zip(*map(_union_table, lines))])
 
     return meet(zip(*cells)), meet(cells)
+
+
+def _partners(n: int, rows: Sequence[int]) -> int:
+    """The matrices orthogonal to the one with these row masks, bit-sliced:
+    cols_meet over its rows (A*B = Z) AND rows_meet over its columns."""
+    cols_meet, rows_meet = _sliced_meets(n)
+    return reduce(and_, [cols_meet[r] for r in rows] + [rows_meet[c] for c in _cols(rows)])
 
 
 def _conj(n: int, p: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:

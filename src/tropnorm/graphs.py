@@ -20,10 +20,9 @@ and class a meets class b when left[a] shares a bit with the transposed
 right[b].  Swapping left and right maps the term list onto itself, so
 the relation is symmetric (checked in the tests, not on every build).
 ORTHO adjacency does not factor through signature bits: it has one class
-per vertex, each adjacency row the AND of 2n bitsets looked up by the
-vertex's rows and columns.  The build makes only those 2^(n+1) bitsets,
-the meet sets of `core._sliced_meets` in class numbering, and a row is
-built when it is first read.
+per vertex, whose adjacency row is the vertex's partner set
+(`core._partners`, one AND of the order's cached meet sets per row and
+column) in class numbering, built when it is first read.
 
 All three graphs hold one relation over nodes, `_Nodes`.  Per class c,
 lnode(c) and rnode[c] are sets of nodes; per node x, rhas[x] is the
@@ -101,17 +100,16 @@ from collections import Counter
 from collections.abc import Callable, Sequence
 from functools import cached_property, lru_cache, reduce
 from itertools import permutations
-from operator import and_, or_
+from operator import or_
 from typing import TYPE_CHECKING
 
 from .core import (
     GRAPH_KINDS,
     NormalMatrix,
     _bits,
-    _cols,
+    _partners,
     _row_union,
     _slot_images,
-    _sliced_meets,
     from_offdiag_mask,
     offdiag_mask,
     offdiag_rows,
@@ -235,14 +233,13 @@ class _Nodes:
 
 class _OrthoRows:
     """The adjacency rows of ORTHO's k classes, each built on first read
-    and kept: row c is the AND of cols_meet over the rows of mask c + 1
-    and of rows_meet over its columns (`_build_ortho`)."""
+    and kept: row c is the partner set of mask c + 1 (`core._partners`)
+    with class m - 1 for mask m, less mask 0 and the full mask."""
 
-    __slots__ = ("n", "cols_meet", "rows_meet", "built")
+    __slots__ = ("n", "built")
 
-    def __init__(self, n: int, k: int, cols_meet: list[int], rows_meet: list[int]):
+    def __init__(self, n: int, k: int):
         self.n = n
-        self.cols_meet, self.rows_meet = cols_meet, rows_meet
         self.built: list[int | None] = [None] * k
 
     def __len__(self) -> int:
@@ -251,9 +248,8 @@ class _OrthoRows:
     def __getitem__(self, c: int) -> int:
         row = self.built[c]  # IndexError past the last class
         if row is None:
-            vrows = offdiag_rows(self.n, c % len(self.built) + 1)
-            row = reduce(and_, [self.cols_meet[r] for r in vrows]
-                         + [self.rows_meet[col] for col in _cols(vrows)])
+            k = len(self.built)
+            row = _partners(self.n, offdiag_rows(self.n, c % k + 1)) >> 1 & (1 << k) - 1
             self.built[c] = row
         return row
 
@@ -397,11 +393,7 @@ def _build_ortho(n: int) -> OrthoGraph:
     import numpy as np
     h = (n * n - n) // 2
     k = (1 << 2 * h) - 2
-    # the bit-sliced meet sets of `core._sliced_meets` as class sets:
-    # class m - 1 stands for mask m, so the shift drops mask 0 and the
-    # full mask
-    classes = (1 << k) - 1
-    rows = _OrthoRows(n, k, *([m >> 1 & classes for m in meets] for meets in _sliced_meets(n)))
+    rows = _OrthoRows(n, k)
     # a half class per half mask, and class m - 1 for mask m off both ends
     table = np.append(np.arange(-1, k, dtype=np.int32), -1)
     # nodes are classes: lnode(c) is c alone; rnode, rhas and grow are the rows

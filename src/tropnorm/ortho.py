@@ -10,7 +10,7 @@ two distinct middle indices).
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cached_property
 from operator import and_
 
 from .core import (
@@ -18,10 +18,10 @@ from .core import (
     _Record,
     _bits,
     _cols,
+    _partners,
     _row_union,
     _same_order,
     _setfield,
-    _sliced_meets,
     all_zero,
     format_matrix,
     from_offdiag_mask,
@@ -248,15 +248,13 @@ ORTH_SET_GUARD = 5
 
 def orth_set(a: NormalMatrix) -> set[NormalMatrix]:
     """Exact enumeration of the matrices orthogonal to A (refused above
-    order 5 instead of silently truncating): one AND of the bit-sliced meet
-    sets of `core._sliced_meets` of A's rows (A*B = Z) and of its columns
-    (B*A = Z), read back by the binary digits of the result, as `_bits`
-    takes time quadratic in the size of an int of 2^20 bits."""
+    order 5 instead of silently truncating): `core._partners` of A, read
+    back by its binary digits, as `_bits` takes time quadratic in the size
+    of an int of 2^20 bits."""
     if a.n > ORTH_SET_GUARD:
         raise ValueError(
             f"enumerating all normal matrices of order {a.n} is refused "
             f"(guard: n <= {ORTH_SET_GUARD})"
         )
-    cols_meet, rows_meet = _sliced_meets(a.n)
-    found = reduce(and_, [cols_meet[r] for r in a.rows] + [rows_meet[c] for c in _cols(a.rows)])
-    return {from_offdiag_mask(a.n, m) for m, d in enumerate(bin(found)[:1:-1]) if d == "1"}
+    digits = bin(_partners(a.n, a.rows))[:1:-1]
+    return {from_offdiag_mask(a.n, m) for m, d in enumerate(digits) if d == "1"}

@@ -3,12 +3,12 @@
 Three searches pin the minimum number of off-diagonal zeros, two of them
 on one walk of zero sets:
 
-* the exhaustive pair oracle (small orders) walks the left factor A row
-  by row and tests it against every right factor B at once, a set of
-  matrices being one int with a bit per off-diagonal mask
-  (`core._sliced_meets`), so that the B with A*B = Z are one AND per row
-  of A, and those of them with B*A = Z one more AND over its columns; a
-  running best on the zero count, first that of (Z, I), skips the rest;
+* the exhaustive pair oracle (n <= 5) takes the left factors A by zero
+  count up to half a running best, first that of (Z, I), as the swap
+  A <-> B keeps a pair orthogonal, and tests each against every right
+  factor at once: a set of matrices is one int with a bit per mask, and
+  the partners of A one AND per row and column (`core._partners`).  It
+  keeps the fewest-zero ones, and each pair in both orders;
 * `_canonical_sets` generates the zero sets with at most k zeros, one per
   orbit of S_n x C2 (conjugation by permutation matrices and the
   transpose, which preserve orthogonality and zero counts), and skips the
@@ -27,8 +27,9 @@ pair fits the budget and a witness attains budget + 1) or `lower_bound`
 (no pair fits the budget, and no witness is attached).  Resource caps
 abort with a distinguishable error instead of a silent truncation.
 
-All walk off-diagonal masks and take the mask codec, the row-union
-kernel, the canonical form and the slot images of the group from `core`.
+All walk off-diagonal masks and take the mask codec, the partner and
+row-union kernels, the canonical form and the slot images of the group
+from `core`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import time
 from bisect import bisect_left
 from collections import Counter
 from functools import cache, partial, reduce
-from itertools import accumulate, repeat
+from itertools import combinations, repeat
 from math import comb, factorial
 from operator import and_, or_
 
@@ -47,15 +48,15 @@ from .core import (
     SearchInconclusive,
     _bits,
     _cols,
-    _offdiag_tables,
+    _partners,
     _row_union,
-    _sliced_meets,
     _slot_images,
     _union_table,
     format_matrix,
     from_offdiag_mask,
     is_canonical,
     offdiag_mask,
+    offdiag_rows,
     parse_matrix,
     sigma,
 )
@@ -109,51 +110,48 @@ def _pair_from_masks(n: int, amask: int, bmask: int) -> tuple[NormalMatrix, Norm
 
 # -- exhaustive oracle -------------------------------------------------
 
-THETA_EXHAUSTIVE_GUARD = 4
+THETA_EXHAUSTIVE_GUARD = 5
+
+
+def _levels(slots: int) -> list[int]:
+    """Per k, the set of masks of `slots` bits with k bits set, bit-sliced,
+    by doubling: the sets over s + 1 slots are those over s, ORed with the
+    (k - 1)-bit sets shifted by 2^s (bit s added)."""
+    levels = [1]
+    for s in range(slots):
+        levels = [lo | hi << (1 << s) for lo, hi in zip([*levels, 0], [0, *levels])]
+    return levels
 
 
 def theta_exhaustive(n: int) -> ThetaCertificate:
     """Exact minimum of off-diagonal zeros over all mutually orthogonal
-    ordered pairs, with every minimal pair enumerated.  Guarded at n <= 4.
-    The left factor A is walked row by row; a prefix carries its zeros and
-    the right factors B each of its rows meets in every column (one AND),
-    and is skipped once its zeros exceed the running best, first the slots
-    zeros of (Z, I).  A complete A keeps the fewest-zero B within the best
-    with B*A = Z (one AND per column).  `nodes` counts every pair with at
-    most `value` zeros, each tested as a bit."""
+    ordered pairs, with every minimal pair enumerated.  Guarded at n <= 5.
+    As the swap A <-> B keeps a pair orthogonal, the left factors A are
+    taken by zero count ka while 2 ka is within the running best, first
+    the slots zeros of (Z, I); each keeps its fewest-zero partners
+    (`core._partners`) with ka..best - ka zeros (`_levels`), and each pair
+    is kept in both orders.  `nodes` counts every pair with at most
+    `value` zeros, each tested as a bit or through its swap."""
     if n > THETA_EXHAUSTIVE_GUARD:
         raise ValueError(f"exhaustive pair search refused above n={THETA_EXHAUSTIVE_GUARD}")
     if n < 1:
         raise ValueError("n must be positive")
     t0 = time.monotonic()
     slots = n * n - n
-    cols_meet, rows_meet = _sliced_meets(n)
-    count_set = [0] * (slots + 1)
-    for mask in range(1 << slots):
-        count_set[mask.bit_count()] |= 1 << mask
-    # up_to[k]: the right factors with at most k zeros
-    up_to = list(accumulate(count_set, or_))
-    tables = _offdiag_tables(n)
-    best, found = slots, []
-
-    def walk(i: int, arows: tuple[int, ...], amask: int, ka: int, right: int) -> None:
-        nonlocal best, found
-        if i == n:
-            if right := right & up_to[best - ka]:
-                right = reduce(and_, map(rows_meet.__getitem__, _cols(arows)), right)
-            if right:
-                kb = next(k for k, within in enumerate(up_to) if right & within)
-                if ka + kb < best:
-                    best, found = ka + kb, []
-                found += zip(repeat(amask), _bits(right & count_set[kb]))
-            return
-        shift, row = tables[i]
-        for f, r in enumerate(row):
-            if (k := ka + f.bit_count()) <= best:
-                walk(i + 1, (*arows, r), amask | f << shift, k, right & cols_meet[r])
-
-    walk(0, (), 0, 0, -1)  # -1: every right factor
-    found.sort()
+    levels = _levels(slots)
+    best, found, ka = slots, set(), 0
+    while 2 * ka <= best:
+        for picks in combinations(range(slots), ka):
+            amask = sum([1 << s for s in picks])
+            partners = _partners(n, offdiag_rows(n, amask))
+            for kb in range(ka, best - ka + 1):
+                if right := partners & levels[kb]:
+                    if ka + kb < best:
+                        best, found = ka + kb, set()
+                    found.update(zip(repeat(amask), _bits(right)))
+                    break
+        ka += 1
+    found = sorted(found | {(b, a) for a, b in found})
     return ThetaCertificate(
         n=n,
         kind="pair",

@@ -43,7 +43,7 @@ ROWS = [
     ("orth-set 0x", 2, "error: no such file '0x', and it is not matrix text ('0', '-', '/')"),
     ("generic --n 3 --set Q:1,2", 2, "error: unknown atom kind 'Q' in 'Q:1,2'"),
     ("mm --n 4 --k 1 --m 2 --variant 7", 2, "error: variant must be in 0..3, got 7"),
-    ("theta --n 9", 2, "error: exhaustive pair search refused above n=4"),
+    ("theta --n 9", 2, "error: exhaustive pair search refused above n=5"),
     ("theta-delta --n 6", 2, "error: exhaustive self search refused above n=5"),
     ("enumerate --n 3 --max-sigma -1", 2, "error: max_sigma -1 is negative"),
     ("check-theorem --n 11", 2, "error: unsupported n=11: use 2..10"),

@@ -14,6 +14,7 @@ from tropnorm.core import (
     NormalMatrix,
     _cols,
     _conj,
+    _partners,
     _row_union,
     _sliced_meets,
     _slot_images,
@@ -517,6 +518,48 @@ def test_sliced_meets_match_definition(n):
         for r in range(1 << n):
             assert cols_meet[r] >> m & 1 == all(c & r for c in cols), (m, r)
             assert rows_meet[r] >> m & 1 == all(x & r for x in rows), (m, r)
+
+
+def _naive_partner(a, b) -> bool:
+    z = all_zero(a.n)
+    return naive_odot(a, b) == z and naive_odot(b, a) == z
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_partners_match_naive_odot(n):
+    """Bit m of `_partners(n, a.rows)` says the matrix of mask m is
+    orthogonal to A by `naive_odot` in both orders, for every pair."""
+    mats = list(all_normal_matrices(n))
+    for a in mats:
+        got = _partners(n, a.rows)
+        assert [got >> m & 1 for m in range(len(mats))] == [_naive_partner(a, b) for b in mats], a
+
+
+def test_partners_match_naive_odot_seeded_n4():
+    """200 seeded A of order 4 against every B.  `naive_odot` over all
+    819,200 pairs takes about 30 s on a 2-CPU host, so each bit is checked
+    against the same max-plus sum evaluated in numpy over every B at once,
+    and against `naive_odot` itself for 8 seeded partners and 8 seeded B
+    of all."""
+    import numpy as np
+
+    mats = list(all_normal_matrices(4))
+    cells = [(i, j) for i in range(1, 5) for j in range(1, 5)]
+    entries = np.array([[b.entry(i, j) for i, j in cells] for b in mats]).reshape(-1, 4, 4)
+    rng = random.Random(4242)
+    for _ in range(200):
+        m = rng.getrandbits(12)
+        a, ea = mats[m], entries[m]
+        # (B, i, t, j): a_it + b_tj for A*B, b_it + a_tj for B*A, max over t
+        ab = (ea[None, :, :, None] + entries[:, None, :, :]).max(axis=2)
+        ba = (entries[:, :, :, None] + ea[None, None, :, :]).max(axis=2)
+        want = ((ab == 0) & (ba == 0)).all(axis=(1, 2)).tolist()
+        bits = _partners(4, a.rows)
+        got = [bits >> b & 1 for b in range(len(mats))]
+        assert got == want, a
+        partners = [b for b, bit in enumerate(got) if bit]
+        for b in rng.sample(partners, min(8, len(partners))) + rng.sample(range(len(mats)), 8):
+            assert got[b] == _naive_partner(a, mats[b]), (a, mats[b])
 
 
 def test_union_table_matches_row_union():

@@ -1151,17 +1151,15 @@ def test_ortho_stats_builds_rows_it_reads(n, read):
 
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_ortho_rows_match_numpy_meet_sets(n):
-    """The bit-sliced meet sets against their definition on every vertex:
-    bit c of cols_meet[r] (rows_meet[r]) says every column (row) of class
-    c's vertex meets r.  Every row, enumerated, is the AND of the defined
-    meet sets over its vertex's rows and columns."""
+    """Every row, enumerated, is the AND of the meet sets defined here over
+    its vertex's rows and columns: bit c of cols_meet[r] (rows_meet[r])
+    says every column (row) of class c's vertex meets r."""
     import numpy as np
     vrows = np.array([offdiag_rows(n, m) for m in range(1, 2 ** (n * n - n) - 1)])
     vcols = np.array([_cols(r) for r in vrows.tolist()])
     cols_meet = [graphs._to_bits(((vcols & r) != 0).all(axis=1)) for r in range(1 << n)]
     rows_meet = [graphs._to_bits(((vrows & r) != 0).all(axis=1)) for r in range(1 << n)]
     rows = build(ORTHO, n)._nodes.rhas
-    assert (rows.cols_meet, rows.rows_meet) == (cols_meet, rows_meet)
     want = [functools.reduce(operator.and_, [cols_meet[r] for r in vr] + [rows_meet[c] for c in vc])
             for vr, vc in zip(vrows.tolist(), vcols.tolist())]
     assert list(rows) == want

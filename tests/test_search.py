@@ -44,6 +44,7 @@ from tropnorm.search import (
     SearchInconclusive,
     _bounded_pairs,
     _canonical_sets,
+    _levels,
     _mm_generic_pairs,
     _orbit,
     _pair_from_masks,
@@ -79,9 +80,33 @@ def test_theta_exhaustive_values():
 
 def test_theta_exhaustive_guard():
     with pytest.raises(ValueError):
-        theta_exhaustive(5)
+        theta_exhaustive(6)
     with pytest.raises(ValueError):
         theta_exhaustive(0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_levels_hold_masks_by_bit_count(n):
+    slots = n * n - n
+    levels = _levels(slots)
+    assert len(levels) == slots + 1
+    for k, level in enumerate(levels):
+        assert level == sum(1 << m for m in range(1 << slots) if m.bit_count() == k), k
+
+
+def test_sliced_meets_built_once_per_order():
+    """`orth_set`, an ORTHO build with its `stats` and `theta_exhaustive`
+    of one order share one build of the meet tables."""
+    from tropnorm.graphs import ORTHO, build, stats
+    from tropnorm.ortho import orth_set
+
+    _sliced_meets.cache_clear()
+    for n in (2, 3, 4):
+        misses = _sliced_meets.cache_info().misses
+        orth_set(from_offdiag_mask(n, 1))
+        stats(build(ORTHO, n))
+        theta_exhaustive(n)
+        assert _sliced_meets.cache_info().misses == misses + 1, n
 
 
 def test_theta_delta_values():
