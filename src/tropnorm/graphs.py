@@ -36,37 +36,51 @@ its classes: lnode(c) is c alone, and rnode, rhas and grow are all one
 `_OrthoRows`, whose row c is built on first read and kept (`stats` of
 ORTHO n=4 builds 154 of the 4,094 rows).
 
-`dist` and `stats` build no adjacency rows of a pattern graph.  The left
-nodes X of the ball of radius d around a class give those of radius
-d + 1 as X with grow[x] ORed in for every x in X, so `dist` grows X from
-lnode(a) until X meets rnode[b] (in a pattern graph each step is at most
-3n^2 ORs of 3n^2-bit ints, whatever the number of classes), as it does
-between two members of one class.  Class c has a loop iff lnode(c) & rnode[c].  All
-metrics are computed on the class graph; the blow-up only needs class
-sizes.
+A graph is made in two stages.  `build` makes what `dist` reads, with
+plain ints: the left and right nodes of every mask, and grow.  A mask
+holds a pattern iff each half of its slots holds that half of the
+pattern, so a pattern graph keeps four tables over the half masks of its
+high and of its low h = (n^2 - n)/2 slots: the left and the right nodes
+whose pattern half each one holds, built by doubling over the slots.  A
+mask's left (right) nodes are then two reads and an AND, and it is a
+vertex iff it is not the full mask and holds an off-diagonal pattern of
+list 0.  ORTHO's mask m has left node m - 1 and the right nodes of row
+m - 1.  grow needs no class: some vertex holds the patterns of right
+node x and left node y iff their union is not the full mask, as every
+co-atom is a vertex, so grow[x] is the union over the slots outside x's
+pattern of the left nodes without a zero there.  The class partition, the
+class lookup, numbering, sizes, members, lnode, rnode and rhas, is made
+with numpy on the first read of any of its fields (`stats`, `vertices`,
+`num_vertices` or `_class`), so a `dist` run loads no numpy.
 
-A mask contains a pattern iff each half of its slots contains that half
-of the pattern, so its class follows from the half classes of its high
-and low h = (n^2 - n)/2 slots: the half masks grouped by the pattern
-halves they contain, 472 a side for WNL n=5.  A class key has a field per
-(p, q) that counts the pattern lists whose (p, q) pattern the masks
-contain: 1 bit for VNL; for WNL 2 bits, the level of the nested patterns
-W ⊆ W&Z(q;p) ⊆ W&Z(p;q)&Z(q;p), but 1 bit on the diagonal, where the
-three are equal (a diagonal Z atom forces no off-diagonal zero), so 45
-bits at n=5.  Per list, the signature of a pair of half classes is the
-AND of theirs, and the pair's key sums them.  The build puts each key
-above its pair's index in one int64 word and sorts the words of the
-vertex pairs once: the runs of equal keys are the classes, numbered in
-key order, a running count of the run starts gives each pair's class for
-the pair table (-1 for none), and a class's size sums its pairs' products
-of half counts.  (The pair of the two full half masks holds only the
-all-zero matrix and is left out.)  The last pair of each class gives a
-member, and its two half classes the class's left and right nodes, the
-AND of theirs.  rhas reads the class keys: a class holds pattern s of
-list l iff its field s is at least the weights of lists 0..l there.  grow
-needs no class: some vertex holds the patterns of nodes x and y iff their
-union is not the full mask, as every co-atom is a vertex.  Three reads
-give a mask's class.
+`dist` and `stats` build no adjacency rows of a pattern graph.  The left
+nodes X of the ball of radius d around a vertex give those of radius
+d + 1 as X with grow[x] ORed in for every x in X, so `dist` grows X from
+the left nodes of one end until X meets the right nodes of the other
+(in a pattern graph each step is at most 3n^2 ORs of 3n^2-bit ints,
+whatever the number of classes), between two members of one class too.
+Class c has a loop iff lnode(c) & rnode[c].  All metrics are computed on
+the class graph; the blow-up only needs class sizes.
+
+The partition of a pattern graph reads its half classes off the build's
+tables: the half masks grouped by their left nodes, which say the
+pattern halves they hold, 472 a side for WNL n=5.  A class key has a
+field per (p, q) that counts the pattern lists whose (p, q) pattern the
+masks contain: 1 bit for VNL; for WNL 2 bits, the level of the nested
+patterns W ⊆ W&Z(q;p) ⊆ W&Z(p;q)&Z(q;p), but 1 bit on the diagonal, where
+the three are equal (a diagonal Z atom forces no off-diagonal zero), so
+45 bits at n=5.  Per list, the signature of a pair of half classes is
+the AND of theirs, and the pair's key sums them.  The partition puts
+each key above its pair's index in one int64 word and sorts the words of
+the vertex pairs once: the runs of equal keys are the classes, numbered
+in key order, a running count of the run starts gives each pair's class
+for the pair table (-1 for none), and a class's size sums its pairs'
+products of half counts.  (The pair of the two full half masks holds
+only the all-zero matrix and is left out.)  The last pair of each class
+gives a member, whose nodes, read from the build's tables, are the
+class's.  rhas reads the class keys: a class holds pattern s of list l
+iff its field s is at least the weights of lists 0..l there.  grow is the
+build's.  Three reads give a mask's class.
 
 Conjugation by permutation matrices and the transpose are automorphisms
 of all three graphs: they keep a class's size, loop and eccentricity and
@@ -107,6 +121,7 @@ from .core import (
     GRAPH_KINDS,
     NormalMatrix,
     _bits,
+    _cols,
     _partners,
     _row_union,
     _slot_images,
@@ -192,8 +207,8 @@ class Vertices(Sequence):
 
 
 class _Nodes:
-    """The relation of a graph over nodes (module docstring): signature
-    nodes for VNL and WNL, the classes themselves for ORTHO."""
+    """The relation of a graph's classes over nodes (module docstring):
+    signature nodes for VNL and WNL, the classes themselves for ORTHO."""
 
     __slots__ = ("lnode", "rnode", "rhas", "grow")
 
@@ -211,24 +226,22 @@ class _Nodes:
     def loop(self, c: int) -> bool:
         return bool(self.lnode(c) & self.rnode[c])
 
-    def step(self, x: int) -> int:
-        """Left nodes of the ball one edge wider than the ball whose left
-        nodes are x."""
-        return x | _row_union(x, self.grow)
 
-    def dist(self, a: int, b: int):
-        """Distance from a member of class a to another member of class b,
-        a and b possibly the same class: the least d such that the ball of
-        radius d - 1 around a has a member adjacent to b, or INFINITY once
-        the ball stops growing.  For a == b that is 1 on a self-adjacent
-        class, 2 when the class has another neighbour, else INFINITY."""
-        x, target, d = self.lnode(a), self.rnode[b], 1
-        while not x & target:
-            grown = self.step(x)
-            if grown == x:
-                return INFINITY
-            x, d = grown, d + 1
-        return d
+def _ball_dist(x: int, target: int, grow: Sequence[int]):
+    """Distance from a vertex with left nodes x to a vertex with right
+    nodes target, other than the first: the least d such that the ball of
+    radius d - 1 around the first, whose left nodes d - 1 steps give (each
+    ORs in grow[y] for every y), meets target, or INFINITY once the ball
+    stops growing.  Between two members of one class that is 1 on a
+    self-adjacent class, 2 when the class has another neighbour, else
+    INFINITY."""
+    d = 1
+    while not x & target:
+        grown = x | _row_union(x, grow)
+        if grown == x:
+            return INFINITY
+        x, d = grown, d + 1
+    return d
 
 
 class _OrthoRows:
@@ -256,33 +269,53 @@ class _OrthoRows:
 
 class OrthoGraph:
     """A graph of any of the three kinds, ORTHO, VNL or WNL (the name is
-    the public export's): the class table, the class sizes and the
-    relation over nodes."""
+    the public export's), in the two stages of the module docstring: the
+    node sets of every mask and grow, which `dist` reads, and the class
+    partition, whose fields are made together on the first read of any."""
 
-    def __init__(self, kind: str, n: int, _hi: np.ndarray, _lo: np.ndarray,
-                 _table: np.ndarray, _member: np.ndarray, _class_sizes: list,
-                 _nodes: _Nodes):
+    # the partition's fields: half mask -> half class, of the high and of
+    # the low slots; (high, low) half class -> class, -1 for none; class ->
+    # the mask of one member; the class sizes; the relation over nodes
+    _PARTITION = ("_hi", "_lo", "_table", "_member", "_class_sizes", "_nodes")
+
+    def __init__(self, kind: str, n: int, _ends: Callable[[int], tuple[int, int]],
+                 _grow: Sequence[int], _partition: Callable[[], tuple]):
         self.kind, self.n = kind, n
-        self._hi = _hi  # mask of the high h slots -> half class
-        self._lo = _lo  # mask of the low h slots -> half class
-        self._table = _table  # (high, low) half class -> class, -1 for none
-        self._member = _member  # class -> the mask of one member
-        self._class_sizes = _class_sizes
-        self._nodes = _nodes
+        self._ends = _ends  # mask -> its left and right nodes, (0, 0) off the graph
+        self._grow = _grow  # node -> the left nodes a step adds (module docstring)
+        self._partition = _partition  # () -> the _PARTITION fields, in order
         self._stats: dict | None = None
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute not set: a partition field before
+        # the partition is made
+        if name not in OrthoGraph._PARTITION:
+            raise AttributeError(name)
+        vars(self).update(zip(OrthoGraph._PARTITION, self._partition()))
+        return vars(self)[name]
 
     def _class(self, m):
         """Class of the off-diagonal mask m or mask array m, -1 off the graph."""
         h = (self.n * self.n - self.n) // 2
         return self._table[self._hi[m >> h], self._lo[m & ((1 << h) - 1)]]
 
-    def _vertex_class(self, a: NormalMatrix) -> int:
+    def _mask(self, a: NormalMatrix) -> int:
         if a.n != self.n:
             raise ValueError(f"order {a.n} vertex in an order {self.n} graph")
-        c = int(self._class(to_offdiag_mask(a)))
+        return to_offdiag_mask(a)
+
+    def _vertex_class(self, a: NormalMatrix) -> int:
+        c = int(self._class(self._mask(a)))
         if c < 0:
             raise ValueError("matrix is not a vertex of this graph")
         return c
+
+    def _vertex_nodes(self, a: NormalMatrix) -> tuple[int, int]:
+        """Left and right nodes of the vertex a, from the build's tables."""
+        ends = self._ends(self._mask(a))
+        if not ends[0]:
+            raise ValueError("matrix is not a vertex of this graph")
+        return ends
 
     @cached_property
     def vertices(self) -> Vertices:
@@ -390,23 +423,73 @@ def build(kind: str, n: int) -> OrthoGraph:
 
 
 def _build_ortho(n: int) -> OrthoGraph:
-    import numpy as np
-    h = (n * n - n) // 2
-    k = (1 << 2 * h) - 2
+    k = (1 << n * n - n) - 2
     rows = _OrthoRows(n, k)
+
+    def ends(m: int) -> tuple[int, int]:
+        # nodes are classes: lnode(c) is c alone; rnode, rhas and grow are the rows
+        return (1 << m - 1, rows[m - 1]) if 0 < m <= k else (0, 0)
+
+    return OrthoGraph(ORTHO, n, ends, rows, lambda: _ortho_partition(n, rows))
+
+
+def _ortho_partition(n: int, rows: _OrthoRows) -> tuple:
+    import numpy as np
+    h, k = (n * n - n) // 2, len(rows)
     # a half class per half mask, and class m - 1 for mask m off both ends
     table = np.append(np.arange(-1, k, dtype=np.int32), -1)
-    # nodes are classes: lnode(c) is c alone; rnode, rhas and grow are the rows
-    return OrthoGraph(
-        kind=ORTHO,
-        n=n,
-        _hi=np.arange(1 << h),
-        _lo=np.arange(1 << h),
-        _table=table.reshape(1 << h, 1 << h),
-        _member=np.arange(1, k + 1, dtype=np.int64),
-        _class_sizes=[1] * k,
-        _nodes=_Nodes((1).__lshift__, rows, rows, rows),
-    )
+    return (np.arange(1 << h), np.arange(1 << h), table.reshape(1 << h, 1 << h),
+            np.arange(1, k + 1, dtype=np.int64), [1] * k,
+            _Nodes((1).__lshift__, rows, rows, rows))
+
+
+def _node_patterns(kind: str, n: int) -> tuple[list[int], list[int]]:
+    """The pattern of each left node and of each right node: node t*n^2 + s
+    of the left nodes is pattern s of list lists-1-t, of the right nodes
+    pattern s of list t transposed, which moves (p, q) to (q, p)."""
+    lists = [_vnl_patterns(n)] if kind == VNL else _wnl_patterns(n)
+    perm = [q * n + p for p in range(n) for q in range(n)]
+    return ([pat for pats in lists[::-1] for pat in pats],
+            [pats[s] for pats in lists for s in perm])
+
+
+def _half_tables(lacks: Sequence[int], h: int, every: int) -> list[list[int]]:
+    """Per half mask x of the high h slots, then of the low h slots, the
+    nodes whose pattern's half x holds, given in lacks[s] the nodes whose
+    pattern has no zero at slot s and in `every` all nodes.  Built by
+    doubling over the slots: x without slot s holds the nodes that x with
+    it holds and that lack s."""
+    tables = []
+    for at in (h, 0):
+        held = [every]
+        for lack in lacks[at : at + h]:
+            held = [x & lack for x in held] + held
+        tables.append(held)
+    return tables
+
+
+def _build_pattern_graph(kind: str, n: int) -> OrthoGraph:
+    h = (n * n - n) // 2
+    full, low = (1 << 2 * h) - 1, (1 << h) - 1
+    lpats, rpats = _node_patterns(kind, n)
+    every = (1 << len(lpats)) - 1
+    llacks, rlacks = ([every ^ nodes for nodes in _cols(pats)[: 2 * h]] for pats in (lpats, rpats))
+    # a mask holds a pattern iff each half holds that half of it
+    tables = lhi, llo, rhi, rlo = _half_tables(llacks, h, every) + _half_tables(rlacks, h, every)
+    # grow[x] has y iff some vertex holds right node x's and left node y's
+    # patterns: iff their union is not the full mask, as every other mask
+    # lies under a co-atom, a vertex; iff some slot lacks both their zeros
+    grow = [_row_union(full ^ p, llacks) for p in rpats]
+    # a vertex holds an off-diagonal pattern of list 0, of the last left term
+    vert = sum(1 << len(lpats) - n * n + s for s in range(n * n) if s % (n + 1))
+
+    def ends(m: int) -> tuple[int, int]:
+        left = lhi[m >> h] & llo[m & low]
+        if m == full or not left & vert:  # the all-zero matrix, or no vertex
+            return 0, 0
+        return left, rhi[m >> h] & rlo[m & low]
+
+    return OrthoGraph(kind, n, ends, grow, lambda: _pattern_partition(kind, n, tables, grow))
 
 
 def _key_weights(n: int, lists: int) -> np.ndarray:
@@ -423,35 +506,47 @@ def _key_weights(n: int, lists: int) -> np.ndarray:
     return weights
 
 
-def _half_classes(pats: np.ndarray, weights: np.ndarray, h: int, shift: int):
-    """Half masks of the h slots from bit `shift` grouped by the pattern
-    halves they hold: each one's class, the class sizes, each class's least
-    mask and its flags, column i set iff its half masks hold that half of
-    pattern pats[i].  The classes are numbered in the order of their keys,
-    the sums of their flags' weights."""
+def _half_classes(held: Sequence[int], weights: np.ndarray):
+    """Half masks grouped by their left nodes, held[x] for half mask x
+    (`_half_tables`): each one's class, the class sizes, each class's
+    least mask and its flags, column l*n^2 + s set iff its half masks hold
+    that half of pattern s of list l, left node (lists-1-l)*n^2 + s.  The
+    classes are numbered in the order of their keys, the sums of their
+    flags' weights (`_key_weights`)."""
     import numpy as np
-    parts = (pats >> shift) & ((1 << h) - 1)
-    flags = (np.arange(1 << h)[:, None] & parts) == parts
-    _, first, ids, counts = np.unique(
-        flags @ weights, return_index=True, return_inverse=True, return_counts=True)
-    return ids, counts, first, flags[first]
+    # the distinct left nodes, each half class's, keyed in the order of
+    # their least half masks
+    index = dict.fromkeys(held)
+    k, (lists, width) = len(index), weights.shape
+    size = (lists * width + 7) // 8
+    raw = b"".join(nodes.to_bytes(size, "little") for nodes in index)
+    bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(k, size), axis=1,
+                         count=lists * width, bitorder="little").view(bool)
+    flags = bits.reshape(k, lists, width)[:, ::-1].reshape(k, -1)
+    order = np.argsort(flags @ weights.ravel())
+    rank = np.empty_like(order)
+    rank[order] = np.arange(k)
+    index.update(zip(index, rank.tolist()))
+    ids = np.fromiter(map(index.__getitem__, held), np.intp, len(held))
+    _, first, counts = np.unique(ids, return_index=True, return_counts=True)
+    return ids, counts, first, flags[order]
 
 
-def _build_pattern_graph(kind: str, n: int) -> OrthoGraph:
+def _pattern_partition(kind: str, n: int, tables: list[list[int]], grow: list[int]) -> tuple:
+    """The class partition of a VNL or WNL graph (module docstring), from
+    the build's tables: the left nodes of the high and of the low half
+    masks, then their right nodes; and grow."""
     import numpy as np
     h, width = (n * n - n) // 2, n * n
-    pattern_lists = [_vnl_patterns(n)] if kind == VNL else _wnl_patterns(n)
-    lists = len(pattern_lists)
-    pats = np.array(sum(pattern_lists, []))  # flag l*n^2 + s: pattern s of list l
+    lists = 1 if kind == VNL else 3
     weights = _key_weights(n, lists)
-    hi, hi_count, hi_first, hi_has = _half_classes(pats, weights.ravel(), h, h)
-    lo, lo_count, lo_first, lo_has = _half_classes(pats, weights.ravel(), h, 0)
+    (hi, hi_count, hi_first, hi_has), (lo, lo_count, lo_first, lo_has) = (
+        _half_classes(held, weights) for held in tables[:2])
     shape = len(hi_count), len(lo_count)
     pairs = shape[0] * shape[1]
     assert pairs <= 1 << _PAIR_BITS, "pair indices would overflow the sort word"
-    # a mask holds a pattern iff each half holds that half of it, so per
-    # list the signature of a pair of half classes is the AND of theirs,
-    # and its key sums them, above the pair's index
+    # per list the signature of a pair of half classes is the AND of
+    # theirs, and its key sums them, above the pair's index
     hi_sig, lo_sig = ((has.reshape(-1, lists, width) * weights).sum(axis=2).T << _PAIR_BITS
                       for has in (hi_has, lo_has))
     key = np.arange(pairs).reshape(shape)
@@ -475,38 +570,26 @@ def _build_pattern_graph(kind: str, n: int) -> OrthoGraph:
     table[pair] = np.cumsum(start, dtype=np.int32) - 1
     np.multiply.outer(hi_count, lo_count, out=buf)
     sizes = np.add.reduceat(buf.ravel()[pair], np.flatnonzero(start))
-    # each class's last pair gives its key, its member and its nodes
+    # each class's last pair gives its key and its member, and the nodes
+    # both halves of the member hold are the class's: its right nodes are
+    # listed, its left nodes read on demand, as `stats` reads few
     last = np.append(np.flatnonzero(start[1:]), len(start) - 1)
     keys = packed[last]
     hi_at, lo_at = np.divmod(pair[last], shape[1])
-    # node t*n^2 + s: left term t is list lists-1-t, right term t is list t
-    # transposed, which moves pattern (p, q) to (q, p)
-    perm = np.array([q * n + p for p in range(n) for q in range(n)])
-    lcols = np.arange(lists * width).reshape(lists, width)[::-1].ravel()
-    rcols = (np.arange(lists)[:, None] * width + perm).ravel()
     member = hi_first[hi_at] << h | lo_first[lo_at]
-    # a class's left or right nodes are those both halves of its member hold
-    hi_at, lo_at = hi_at.tolist(), lo_at.tolist()
-    left, right = ([hi[i] & lo[j] for i, j in zip(hi_at, lo_at)]
-                   for hi, lo in ((_pack_rows(hi_has[:, c]), _pack_rows(lo_has[:, c]))
-                                  for c in (lcols, rcols)))
+    del buf, packed, pair  # the arrays over pairs go before the node sets
+    mhi, mlo = (member >> h).tolist(), (member & (1 << h) - 1).tolist()
+    lhi, llo, rhi, rlo = tables
+    right = [rhi[x] & rlo[y] for x, y in zip(mhi, mlo)]
     # a class holds pattern s of list l iff its key's field s is at least
-    # the weights of lists 0..l there
-    rhas = [_to_bits((keys & floors[-1, i % width]) >= floors.flat[i]) for i in rcols.tolist()]
-    # grow[x] has y iff some vertex holds right node x's and left node y's
-    # patterns: iff their union is not the full mask, as every other mask
-    # lies under a co-atom, a vertex
-    grow = _pack_rows((pats[rcols, None] | pats[lcols]) != (1 << 2 * h) - 1)
-    return OrthoGraph(
-        kind=kind,
-        n=n,
-        _hi=hi,
-        _lo=lo,
-        _table=table.reshape(shape),
-        _member=member,
-        _class_sizes=sizes.tolist(),
-        _nodes=_Nodes(left.__getitem__, right, rhas, grow),
-    )
+    # the weights of lists 0..l there; right node t*n^2 + s is pattern s'
+    # of list t, for s' the transpose of s (one term at a time, as the
+    # masked keys are int64)
+    perm = [q * n + p for p in range(n) for q in range(n)]
+    rhas = [r for floor in floors
+            for r in _pack_rows((keys & floors[-1, perm, None]) >= floor[perm, None])]
+    return (hi, lo, table.reshape(shape), member, sizes.tolist(),
+            _Nodes(lambda c: lhi[mhi[c]] & llo[mlo[c]], right, rhas, grow))
 
 
 # -- metrics ----------------------------------------------------------------
@@ -532,8 +615,8 @@ def _ecc(nodes: _Nodes, k: int, a: int, near: int, hubs: int):
 
 
 def dist(g: OrthoGraph, u: NormalMatrix, v: NormalMatrix):
-    a, b = g._vertex_class(u), g._vertex_class(v)
-    return 0 if u == v else g._nodes.dist(a, b)
+    (x, _), (_, target) = g._vertex_nodes(u), g._vertex_nodes(v)
+    return 0 if u == v else _ball_dist(x, target, g._grow)
 
 
 def stats(g: OrthoGraph) -> dict:

@@ -348,7 +348,8 @@ def _src_env():
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy is imported by the graph builders, not by `import tropnorm.cli`
+    # numpy is imported by the class partition of a graph, which `graph`
+    # makes and `dist` does not, and not by `import tropnorm.cli`
     env = _src_env()
     probe = "import sys, tropnorm.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
@@ -359,6 +360,14 @@ def test_cli_import_leaves_numpy_unloaded():
     )
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["vertices"] == 62
+    out = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "tropnorm.cli", "dist", "--kind", "wnl",
+         "--n", "3", "0-0/-0-/-00", "00-/-00/--0"],
+        env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["dist"] == 3
+    assert "tropnorm.graphs" in out.stderr and "numpy" not in out.stderr
 
 
 # the package and each subcommand load only the modules they run, and none
@@ -407,7 +416,7 @@ def test_subcommand_import_footprint(argv, extra):
     )
     assert out.returncode == 0, out.stderr
     want = {"tropnorm", *(f"tropnorm.{m}" for m in extra)}
-    if argv and argv[0] in ("graph", "dist"):
+    if argv and argv[0] == "graph":
         want.add("numpy")
     assert set(json.loads(out.stdout)) == want
 

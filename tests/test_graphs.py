@@ -350,7 +350,8 @@ def test_vnl5_wnl5_diameter_two():
 
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_signatures_match_per_mask_containment(n):
-    """The half tables: a half class has flag l*n^2 + s set iff its half
+    """The half classes, grouped from the build's per-half tables of left
+    nodes: a half class has flag l*n^2 + s set iff its half
     masks contain that half of pattern s of list l; the half classes are
     the half masks of equal flags, numbered in the order of their keys,
     their sizes count them, and each has its least half mask.  A mask holds
@@ -362,17 +363,20 @@ def test_signatures_match_per_mask_containment(n):
     vnl = graphs._vnl_patterns(n)
     w, wzo, wzz = graphs._wnl_patterns(n)
     masks = np.arange(1 << 2 * h)
-    for lists in ([vnl], [w, wzo, wzz]):
+    for kind, lists in ((VNL, [vnl]), (WNL, [w, wzo, wzz])):
         pats = np.array(sum(lists, []))
-        weights = graphs._key_weights(n, len(lists)).ravel()
+        weights = graphs._key_weights(n, len(lists))
+        lpats = graphs._node_patterns(kind, n)[0]
+        every = (1 << len(lpats)) - 1
+        lacks = [every ^ nodes for nodes in _cols(lpats)[: 2 * h]]
         halves = []
-        for shift in (h, 0):
-            ids, counts, first, flags = graphs._half_classes(pats, weights, h, shift)
+        for held, shift in zip(graphs._half_tables(lacks, h, every), (h, 0)):
+            ids, counts, first, flags = graphs._half_classes(held, weights)
             ids = ids.tolist()
             assert len(ids) == 1 << h
             assert counts.tolist() == [ids.count(c) for c in range(len(counts))]
             assert first.tolist() == [ids.index(c) for c in range(len(counts))]
-            keys = (flags @ weights).tolist()
+            keys = (flags @ weights.ravel()).tolist()
             assert keys == sorted(set(keys))
             sel = ((1 << h) - 1) << shift
             by_flags = {}
@@ -387,7 +391,7 @@ def test_signatures_match_per_mask_containment(n):
         assert np.array_equal(holds, halves[0][masks >> h] & halves[1][masks & ((1 << h) - 1)])
         # two masks' compact keys compare as their 2-bit level keys do
         level = sum(holds[:, i].astype(np.int64) << 2 * (i % (n * n)) for i in range(len(pats)))
-        compact = holds @ weights
+        compact = holds @ weights.ravel()
         assert compact.max() < 1 << (2 * n * n - n if len(lists) > 1 else n * n)
         assert np.array_equal(np.unique(level, return_inverse=True)[1],
                               np.unique(compact, return_inverse=True)[1])
@@ -515,6 +519,46 @@ def test_class_lookup_matches_sweep(kind, n):
                 _has_loop(g, a)
         else:
             assert g._vertex_class(a) == _class_of(g, a) == want[m]
+
+
+@pytest.mark.parametrize("kind,n", SWEEP_GRAPHS)
+def test_node_sets_match_partition(kind, n):
+    """The two stages agree: every mask's left and right nodes from the
+    build's tables (`_ends`) are its class's lnode and rnode in the
+    partition, and they are (0, 0), which `_vertex_nodes` refuses, exactly
+    where `_class` gives -1; every mask at n <= 4, 2,000 seeded ones at
+    n = 5."""
+    import numpy as np
+    g = _built(kind, n)
+    nodes, size = g._nodes, 1 << (n * n - n)
+    picks = range(size) if n <= 4 else random.Random(58).sample(range(size), 2000)
+    for m, c in zip(picks, g._class(np.array(picks)).tolist()):
+        if c >= 0:
+            assert g._ends(m) == (nodes.lnode(c), nodes.rnode[c]), (kind, n, m)
+        else:
+            assert g._ends(m) == (0, 0), (kind, n, m)
+            with pytest.raises(ValueError, match="not a vertex"):
+                g._vertex_nodes(from_offdiag_mask(n, m))
+
+
+@pytest.mark.parametrize("kind,n", [(ORTHO, 4), (VNL, 5), (WNL, 5)])
+def test_dist_leaves_partition_unmade(kind, n):
+    """`dist` reads only the build's tables: after queries between seeded
+    vertices, within one vertex and refused at the all-zero matrix, none
+    of the partition's fields is made.  `stats` then makes them all and
+    equals `stats` of a fresh build."""
+    g, fields = build(kind, n), set(graphs.OrthoGraph._PARTITION)
+    verts = _built(kind, n).vertices
+    rng = random.Random(59)
+    for _ in range(40):
+        a, b = verts[rng.randrange(len(verts))], verts[rng.randrange(len(verts))]
+        assert dist(g, a, b) == dist(g, b, a) >= (a != b)
+        assert dist(g, a, a) == 0
+    with pytest.raises(ValueError, match="not a vertex"):
+        dist(g, all_zero(n), a)
+    assert not fields & vars(g).keys()
+    assert stats(g) == stats(build(kind, n))
+    assert fields <= vars(g).keys()
 
 
 @pytest.mark.parametrize("kind,n", SWEEP_GRAPHS)
@@ -667,11 +711,13 @@ def test_ecc_matches_class_dists(kind, n):
 def test_stats_diameter_takes_self_distance(kind, n, monkeypatch):
     """With every class eccentricity read as 0, the diameter `stats`
     reports is the greatest distance between two members of one class:
-    `dist` from a class to itself over the classes of two or more members
-    (2 at these orders; the graph is built afresh, as `stats` caches)."""
+    the ball distance from a class to itself over the classes of two or
+    more members (2 at these orders; the graph is built afresh, as `stats`
+    caches)."""
     g = build(kind, n)
-    sizes = g._class_sizes
-    want = max(g._nodes.dist(a, a) for a in range(len(sizes)) if sizes[a] >= 2)
+    nodes, sizes = g._nodes, g._class_sizes
+    want = max(graphs._ball_dist(nodes.lnode(a), nodes.rnode[a], nodes.grow)
+               for a in range(len(sizes)) if sizes[a] >= 2)
     monkeypatch.setattr(graphs, "_ecc", lambda *args: 0)
     assert stats(g)["diameter"] == want == 2
     # the other two values of the same-class term, on fresh graphs: every
@@ -774,9 +820,9 @@ def test_node_meet_matches_rows(kind):
     (ORTHO, n) for n in (2, 3, 4)
 ])
 def test_node_step_grows_ball(kind, n):
-    """d steps from lnode(a) give the left nodes of the ball of radius d
-    around a, by the plain BFS over the rows, up to one step past the
-    ball's last growth."""
+    """d steps from lnode(a), each ORing in grow[x] for every x, give the
+    left nodes of the ball of radius d around a, by the plain BFS over the
+    rows, up to one step past the ball's last growth."""
     g = _built(kind, n)
     nodes, rows = g._nodes, _rows(g)
     rng = random.Random(50)
@@ -789,7 +835,7 @@ def test_node_step_grows_ball(kind, n):
                 if dc <= d:
                     want |= nodes.lnode(c)
             assert x == want, (kind, n, a, d)
-            x = nodes.step(x)
+            x |= _row_union(x, nodes.grow)
 
 
 def _spy(g):
@@ -809,9 +855,10 @@ def _spy(g):
 
 @pytest.mark.parametrize("kind", (VNL, WNL))
 def test_dist_builds_no_rows(kind):
-    """`dist` and the loop test on a pattern graph work in node space: each
-    query, in different classes or in one, passes `lnode` only the classes
-    of its endpoints."""
+    """`dist` and the loop test on a pattern graph work in node space: no
+    query, in different classes or in one, passes `lnode` any class, as
+    `dist` reads its node sets from the half tables, and the loop test
+    passes it only the vertex's class."""
     g, seen = _spy(_built(kind, 5))
     verts, class_of = g.vertices, _vertex_classes(g)
     rng = random.Random(51)
@@ -824,7 +871,7 @@ def test_dist_builds_no_rows(kind):
         for b in (j, first[class_of[i]]):
             seen.clear()
             got.add(dist(g, verts[i], verts[b]))
-            assert seen <= {class_of[i], class_of[b]}, (kind, i, b, seen)
+            assert not seen, (kind, i, b, seen)
         seen.clear()
         _has_loop(g, verts[i])
         assert seen == {class_of[i]}
