@@ -11,7 +11,7 @@ that raises leaves stdout empty: `SearchInconclusive` exits 3, and a
 malformed argument or a refused order exits 2.
 
 Each handler imports the modules it runs, so that a one-shot run compiles
-only those (`mul` needs `core` alone, and only `graph` loads numpy).
+only those (`mul` needs `core` alone, and none loads numpy).
 """
 
 from __future__ import annotations
@@ -293,7 +293,6 @@ def _cmd_graph(args) -> tuple:
     import time
 
     from .graphs import build, stats
-    import numpy  # noqa: F401  (the class partition loads it; build_s leaves the import out)
     t0 = time.monotonic()
     g = build(args.kind, args.n)
     g.num_vertices  # makes the class partition, so that build_s covers all that stats reads

@@ -36,8 +36,8 @@ its classes: lnode(c) is c alone, and rnode, rhas and grow are all one
 `_OrthoRows`, whose row c is built on first read and kept (`stats` of
 ORTHO n=4 builds 154 of the 4,094 rows).
 
-A graph is made in two stages.  `build` makes what `dist` reads, with
-plain ints: the left and right nodes of every mask, and grow.  A mask
+A graph is made in two stages, both with plain ints.  `build` makes what
+`dist` reads: the left and right nodes of every mask, and grow.  A mask
 holds a pattern iff each half of its slots holds that half of the
 pattern, so a pattern graph keeps four tables over the half masks of its
 high and of its low h = (n^2 - n)/2 slots: the left and the right nodes
@@ -48,10 +48,10 @@ list 0.  ORTHO's mask m has left node m - 1 and the right nodes of row
 m - 1.  grow needs no class: some vertex holds the patterns of right
 node x and left node y iff their union is not the full mask, as every
 co-atom is a vertex, so grow[x] is the union over the slots outside x's
-pattern of the left nodes without a zero there.  The class partition, the
-class lookup, numbering, sizes, members, lnode, rnode and rhas, is made
-with numpy on the first read of any of its fields (`stats`, `vertices`,
-`num_vertices` or `_class`), so a `dist` run loads no numpy.
+pattern of the left nodes without a zero there.  The class partition,
+the class lookup, sizes, lnode, rnode, rhas and the orbits, is made on
+the first read of any of its fields (`stats`, `vertices`, `num_vertices`
+or `_class`), and `dist` never makes it.
 
 `dist` and `stats` build no adjacency rows of a pattern graph.  The left
 nodes X of the ball of radius d around a vertex give those of radius
@@ -62,46 +62,52 @@ whatever the number of classes), between two members of one class too.
 Class c has a loop iff lnode(c) & rnode[c].  All metrics are computed on
 the class graph; the blow-up only needs class sizes.
 
-The partition of a pattern graph reads its half classes off the build's
-tables: the half masks grouped by their left nodes, which say the
-pattern halves they hold, 472 a side for WNL n=5.  A class key has a
-field per (p, q) that counts the pattern lists whose (p, q) pattern the
-masks contain: 1 bit for VNL; for WNL 2 bits, the level of the nested
-patterns W ⊆ W&Z(q;p) ⊆ W&Z(p;q)&Z(q;p), but 1 bit on the diagonal, where
-the three are equal (a diagonal Z atom forces no off-diagonal zero), so
-45 bits at n=5.  Per list, the signature of a pair of half classes is
-the AND of theirs, and the pair's key sums them.  The partition puts
-each key above its pair's index in one int64 word and sorts the words of
-the vertex pairs once: the runs of equal keys are the classes, numbered
-in key order, a running count of the run starts gives each pair's class
-for the pair table (-1 for none), and a class's size sums its pairs'
-products of half counts.  (The pair of the two full half masks holds
-only the all-zero matrix and is left out.)  The last pair of each class
-gives a member, whose nodes, read from the build's tables, are the
-class's.  rhas reads the class keys: a class holds pattern s of list l
-iff its field s is at least the weights of lists 0..l there.  grow is the
-build's.  Three reads give a mask's class.
+The partition names each class by its left nodes, so a mask's class is
+one dict read of the left nodes its half tables give.  ORTHO's class of
+mask m is m - 1.  A VNL class holds exactly the masks whose all-zero
+rows are R and all-zero columns C, for some R and C with p in R and q in
+C where p != q, R not every row (that is the all-zero matrix): its left
+nodes are the (p, q) of R x C, C * rep(R) for rep(R) the sum of 2^(pn)
+over p in R, and its right nodes R * rep(C).  The masks with rows R and
+columns C zero, and maybe more, number 2^f for the f off-diagonal cells
+outside them, (n - |R|)(n - |C|) - |[n] - (R | C)|; Möbius inversion
+over the supersets of (R, C) turns those counts into the class sizes
+(Stanley, Enumerative Combinatorics I, 2.1 and 3.7), and the classes
+with size 0 are the (R, C) no mask has.  A WNL class's left nodes are
+the AND of those of its masks' two halves, so the pairs of half classes,
+the half masks grouped by their left nodes (472 a side at n=5), are
+grouped by that AND (`_wnl_classes`); a class's size sums its pairs'
+products of half counts, and its first pair gives a member, whose right
+nodes are the class's.  (The pair of the two full half masks, the last,
+holds only the all-zero matrix and is left out.)  rhas is the transpose
+of the bit matrix of right nodes by class.  grow is the build's.
 
 Conjugation by permutation matrices and the transpose are automorphisms
 of all three graphs: they keep a class's size, loop and eccentricity and
 its neighbours' sizes.  So `stats` takes one class per orbit, weighted
 by the orbit's class count in the edge and loop sums, and starts every
 girth test there, the last a search of the class graph one bitset layer
-at a time (`_simple_girth`): one member mask of every class goes
-through the generators (1 2), the n-cycle and the transpose, read from
-`core._slot_images` as the search's closure reads it; each class takes
-the least label of its images until the labels settle
-(ORTHO n=4: 142 orbits of 4,094 classes; VNL n=5: 18 of 750; WNL n=5:
-107 of 11,479).  The edge rules are monotone in the zeros, and every
-vertex lies under a co-atom, a vertex with one -1 cell.  So past radius
-0 the ball around a, less a, is an up-set with the neighbours of its
-co-atom classes: `_ecc` keeps the left nodes of a and of the co-atom
-classes in the ball, and each step past the first is the OR of rhas over
-them; the first step adds a's neighbours, which the edge sums have
-already taken.
+at a time (`_simple_girth`).  A VNL orbit is the classes of one
+({|R|, |C|}, |R & C|).  ORTHO and WNL label their orbits in one sweep:
+the least class without a label labels its orbit, the classes of its
+member's images under every element of the group, read from
+`core._slot_images` as the search's closure reads it (ORTHO n=4: 142
+orbits of 4,094 classes; VNL n=5: 18 of 750; WNL n=5: 107 of 11,479).
+
+The edge rules are monotone in the zeros, every vertex lies under a
+co-atom, a vertex with one -1 cell, and above a minimal vertex: a
+one-zero matrix in ORTHO, the mask of an off-diagonal pattern of list 0
+(V or W) in VNL and WNL.  So past radius 0 the ball around a, less a, is
+an up-set, and its neighbours are those of its co-atom classes.
+`_eccentricity` follows the ball on the co-atom and the minimal classes
+alone: each step adds the neighbours of a and of the co-atom classes
+reached, and the ball holds every class once it holds every minimal
+class.  Only when a's own minimal class is the one missing can it not
+tell, and `_ecc` then grows the whole ball, keeping the left nodes of a
+and of the co-atom classes in it.
 
 Vertices are keyed by their off-diagonal mask (`core.to_offdiag_mask`).
-`vertices` sorts the vertex masks on first use and decodes a matrix on
+`vertices` lists the vertex masks on first use and decodes a matrix on
 demand.  The V/W/Z patterns are the off-diagonal masks of the rows a
 `families.Atom` forces, so neither the slot order nor the patterns are
 written here.
@@ -110,12 +116,11 @@ written here.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from collections import Counter
 from collections.abc import Callable, Sequence
-from functools import cached_property, lru_cache, reduce
-from itertools import permutations
-from operator import or_
-from typing import TYPE_CHECKING
+from functools import cached_property, lru_cache
 
 from .core import (
     GRAPH_KINDS,
@@ -125,6 +130,7 @@ from .core import (
     _partners,
     _row_union,
     _slot_images,
+    _union_table,
     from_offdiag_mask,
     offdiag_mask,
     offdiag_rows,
@@ -133,22 +139,10 @@ from .core import (
 from .families import ATOM_KINDS, Atom
 from .ortho import is_orthogonal
 
-# numpy loads inside the functions that use it: importing this module alone
-# reads 15 MB max RSS, 27 MB with numpy
-if TYPE_CHECKING:
-    import numpy as np
-
 ORTHO, VNL, WNL = GRAPH_KINDS
 
 ORTHO_BUILD_GUARD = 4
 PATTERN_BUILD_GUARD = 5
-# a pair of half classes is numbered in _PAIR_BITS bits: WNL n = 5 has
-# 472 x 472 pairs, the most under the guard
-_PAIR_BITS = 18
-# the build sorts a class key above a pair index in one int64 word; a WNL
-# key has 2 bits per off-diagonal (p, q) and 1 per diagonal one
-assert 2 * PATTERN_BUILD_GUARD**2 - PATTERN_BUILD_GUARD + _PAIR_BITS <= 63, \
-    "WNL class keys and pair indices would overflow int64"
 
 INFINITY = math.inf
 
@@ -171,29 +165,38 @@ def _patterns(n: int) -> dict[tuple[str, int, int], int]:
 # -- class bitsets ---------------------------------------------------------
 
 
-def _to_bits(flags: np.ndarray) -> int:
-    """Bitset of the set flags: bit c is flags[c]."""
-    import numpy as np
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+def _transpose(rows: Sequence[int], width: int) -> list[int]:
+    """The columns of a bit matrix given by its rows, each below 2^width:
+    bit c of column x is bit x of rows[c].  The rows, packed w >= width
+    bits apart in one int and written in binary, put column x in every
+    w-th digit."""
+    size = (width + 7) // 8
+    packed = int.from_bytes(b"".join([r.to_bytes(size, "little") for r in rows]), "little")
+    w = 8 * size
+    digits = format(packed, f"0{w * len(rows)}b")
+    return [int(digits[w - 1 - x :: w] or "0", 2) for x in range(width)]
 
 
-def _pack_rows(flags: np.ndarray) -> list[int]:
-    """Bitset of each row of a boolean matrix: bit j of row i is
-    flags[i, j]."""
-    import numpy as np
-    packed = np.packbits(flags, axis=1, bitorder="little")
-    raw, w = packed.tobytes(), packed.shape[1]
-    return [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
+class _Lazy(dict):
+    """A dict that makes a missing entry x as make(x) and keeps it."""
+
+    def __init__(self, make: Callable[[int], int]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, x: int) -> int:
+        self[x] = value = self.make(x)
+        return value
 
 
 # -- graph value ----------------------------------------------------------
 
 
 class Vertices(Sequence):
-    """The vertices of a graph, decoded on demand from the sorted numpy
-    array of their off-diagonal masks."""
+    """The vertices of a graph, decoded on demand from the sorted sequence
+    of their off-diagonal masks."""
 
-    def __init__(self, n: int, masks: np.ndarray):
+    def __init__(self, n: int, masks: Sequence[int]):
         self.n = n
         self.masks = masks
 
@@ -202,8 +205,8 @@ class Vertices(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [from_offdiag_mask(self.n, m) for m in self.masks[i].tolist()]
-        return from_offdiag_mask(self.n, int(self.masks[i]))
+            return [from_offdiag_mask(self.n, m) for m in self.masks[i]]
+        return from_offdiag_mask(self.n, self.masks[i])
 
 
 class _Nodes:
@@ -273,10 +276,10 @@ class OrthoGraph:
     node sets of every mask and grow, which `dist` reads, and the class
     partition, whose fields are made together on the first read of any."""
 
-    # the partition's fields: half mask -> half class, of the high and of
-    # the low slots; (high, low) half class -> class, -1 for none; class ->
-    # the mask of one member; the class sizes; the relation over nodes
-    _PARTITION = ("_hi", "_lo", "_table", "_member", "_class_sizes", "_nodes")
+    # the partition's fields: mask -> class, -1 off the graph; the class
+    # sizes; the relation over nodes; () -> the least class of each
+    # class's orbit
+    _PARTITION = ("_class", "_class_sizes", "_nodes", "_orbits")
 
     def __init__(self, kind: str, n: int, _ends: Callable[[int], tuple[int, int]],
                  _grow: Sequence[int], _partition: Callable[[], tuple]):
@@ -294,18 +297,13 @@ class OrthoGraph:
         vars(self).update(zip(OrthoGraph._PARTITION, self._partition()))
         return vars(self)[name]
 
-    def _class(self, m):
-        """Class of the off-diagonal mask m or mask array m, -1 off the graph."""
-        h = (self.n * self.n - self.n) // 2
-        return self._table[self._hi[m >> h], self._lo[m & ((1 << h) - 1)]]
-
     def _mask(self, a: NormalMatrix) -> int:
         if a.n != self.n:
             raise ValueError(f"order {a.n} vertex in an order {self.n} graph")
         return to_offdiag_mask(a)
 
     def _vertex_class(self, a: NormalMatrix) -> int:
-        c = int(self._class(self._mask(a)))
+        c = self._class(self._mask(a))
         if c < 0:
             raise ValueError("matrix is not a vertex of this graph")
         return c
@@ -319,8 +317,8 @@ class OrthoGraph:
 
     @cached_property
     def vertices(self) -> Vertices:
-        is_vert = (self._table >= 0)[self._hi[:, None], self._lo]
-        return Vertices(self.n, is_vert.ravel().nonzero()[0])
+        masks = range(1 << self.n * self.n - self.n)
+        return Vertices(self.n, [m for m in masks if self._class(m) >= 0])
 
     @property
     def num_vertices(self) -> int:
@@ -430,17 +428,14 @@ def _build_ortho(n: int) -> OrthoGraph:
         # nodes are classes: lnode(c) is c alone; rnode, rhas and grow are the rows
         return (1 << m - 1, rows[m - 1]) if 0 < m <= k else (0, 0)
 
-    return OrthoGraph(ORTHO, n, ends, rows, lambda: _ortho_partition(n, rows))
+    def lookup(m: int) -> int:
+        return m - 1 if 0 < m <= k else -1
 
+    def partition() -> tuple:
+        return (lookup, [1] * k, _Nodes((1).__lshift__, rows, rows, rows),
+                lambda: _orbit_sweep(n, k, (1).__add__, lambda ms: [m - 1 for m in ms]))
 
-def _ortho_partition(n: int, rows: _OrthoRows) -> tuple:
-    import numpy as np
-    h, k = (n * n - n) // 2, len(rows)
-    # a half class per half mask, and class m - 1 for mask m off both ends
-    table = np.append(np.arange(-1, k, dtype=np.int32), -1)
-    return (np.arange(1 << h), np.arange(1 << h), table.reshape(1 << h, 1 << h),
-            np.arange(1, k + 1, dtype=np.int64), [1] * k,
-            _Nodes((1).__lshift__, rows, rows, rows))
+    return OrthoGraph(ORTHO, n, ends, rows, partition)
 
 
 def _node_patterns(kind: str, n: int) -> tuple[list[int], list[int]]:
@@ -489,110 +484,142 @@ def _build_pattern_graph(kind: str, n: int) -> OrthoGraph:
             return 0, 0
         return left, rhi[m >> h] & rlo[m & low]
 
-    return OrthoGraph(kind, n, ends, grow, lambda: _pattern_partition(kind, n, tables, grow))
+    def partition() -> tuple:
+        if kind == VNL:
+            lnodes, rnodes, sizes, keys = _vnl_classes(n)
+        else:
+            lnodes, rnodes, sizes, members = _wnl_classes(n, tables, vert)
+        index = {x: c for c, x in enumerate(lnodes)}
+
+        def lookup(m: int) -> int:
+            return index.get(ends(m)[0], -1)
+
+        def orbits() -> list[int]:
+            if kind == VNL:  # the least class of each key
+                least: dict[tuple, int] = {}
+                return [least.setdefault(key, c) for c, key in enumerate(keys)]
+            # the images of members are vertices: their left nodes name their classes
+            return _orbit_sweep(n, len(sizes), members.__getitem__,
+                                lambda ms: [index[lhi[m >> h] & llo[m & low]] for m in ms])
+
+        return (lookup, sizes, _Nodes(lnodes.__getitem__, rnodes, _transpose(rnodes, len(grow)), grow),
+                orbits)
+
+    return OrthoGraph(kind, n, ends, grow, partition)
 
 
-def _key_weights(n: int, lists: int) -> np.ndarray:
-    """Weight in the class key of each flag (l, s), a mask holding pattern
-    s of list l, as [l, s]: per pattern s = (p, q) a field of 2 bits (WNL,
-    p != q) or 1 bit, each field above the one before, counts the lists
-    that hold it.  The three WNL patterns of a diagonal (p, p) are equal,
-    so only the first list counts there."""
-    import numpy as np
-    diagonal = np.arange(n * n) % (n + 1) == 0
-    width = np.where(diagonal | (lists == 1), 1, 2)
-    weights = np.tile(1 << np.cumsum(width) - width, (lists, 1))
-    weights[1:, diagonal] = 0
-    return weights
+def _vnl_classes(n: int) -> tuple[list[int], list[int], list[int], list[tuple]]:
+    """The VNL classes by (R, C), their all-zero rows and columns (module
+    docstring): the left nodes, the right nodes and the size of each, and
+    its orbit key ({|R|, |C|}, |R & C|)."""
+    full = (1 << n) - 1
+    ones = [x.bit_count() for x in range(full + 1)]
+    # table[R][C]: the masks with rows R and columns C zero, and maybe more;
+    # then, by Möbius inversion over the supersets, with exactly those
+    table = [[1 << (n - ones[r]) * (n - ones[c]) - (n - ones[r | c]) for c in range(full + 1)]
+             for r in range(full + 1)]
+    for _ in range(2):  # over R, then, transposed, over C
+        for bit in range(n):
+            step = 1 << bit
+            table = [row if r & step else [x - y for x, y in zip(row, table[r | step])]
+                     for r, row in enumerate(table)]
+        table = [list(col) for col in zip(*table)]
+    rep = _union_table([1 << p * n for p in range(n)])  # rep[R]: bit pn for each p in R
+    lnodes, rnodes, sizes, keys = [], [], [], []
+    for r in range(1, full):  # R = every row is only the all-zero matrix
+        row, nr = table[r], ones[r]
+        for c in range(1, full):
+            # some p in R and q in C with p != q, unless R = C = {p}
+            if row[c] and (r != c or r & r - 1):
+                lnodes.append(c * rep[r])
+                rnodes.append(r * rep[c])
+                sizes.append(row[c])
+                nc = ones[c]
+                keys.append((nr, nc, ones[r & c]) if nr <= nc else (nc, nr, ones[r & c]))
+    return lnodes, rnodes, sizes, keys
 
 
-def _half_classes(held: Sequence[int], weights: np.ndarray):
-    """Half masks grouped by their left nodes, held[x] for half mask x
-    (`_half_tables`): each one's class, the class sizes, each class's
-    least mask and its flags, column l*n^2 + s set iff its half masks hold
-    that half of pattern s of list l, left node (lists-1-l)*n^2 + s.  The
-    classes are numbered in the order of their keys, the sums of their
-    flags' weights (`_key_weights`)."""
-    import numpy as np
-    # the distinct left nodes, each half class's, keyed in the order of
-    # their least half masks
-    index = dict.fromkeys(held)
-    k, (lists, width) = len(index), weights.shape
-    size = (lists * width + 7) // 8
-    raw = b"".join(nodes.to_bytes(size, "little") for nodes in index)
-    bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(k, size), axis=1,
-                         count=lists * width, bitorder="little").view(bool)
-    flags = bits.reshape(k, lists, width)[:, ::-1].reshape(k, -1)
-    order = np.argsort(flags @ weights.ravel())
-    rank = np.empty_like(order)
-    rank[order] = np.arange(k)
-    index.update(zip(index, rank.tolist()))
-    ids = np.fromiter(map(index.__getitem__, held), np.intp, len(held))
-    _, first, counts = np.unique(ids, return_index=True, return_counts=True)
-    return ids, counts, first, flags[order]
-
-
-def _pattern_partition(kind: str, n: int, tables: list[list[int]], grow: list[int]) -> tuple:
-    """The class partition of a VNL or WNL graph (module docstring), from
-    the build's tables: the left nodes of the high and of the low half
-    masks, then their right nodes; and grow."""
-    import numpy as np
-    h, width = (n * n - n) // 2, n * n
-    lists = 1 if kind == VNL else 3
-    weights = _key_weights(n, lists)
-    (hi, hi_count, hi_first, hi_has), (lo, lo_count, lo_first, lo_has) = (
-        _half_classes(held, weights) for held in tables[:2])
-    shape = len(hi_count), len(lo_count)
-    pairs = shape[0] * shape[1]
-    assert pairs <= 1 << _PAIR_BITS, "pair indices would overflow the sort word"
-    # per list the signature of a pair of half classes is the AND of
-    # theirs, and its key sums them, above the pair's index
-    hi_sig, lo_sig = ((has.reshape(-1, lists, width) * weights).sum(axis=2).T << _PAIR_BITS
-                      for has in (hi_has, lo_has))
-    key = np.arange(pairs).reshape(shape)
-    buf = np.empty_like(key)
-    for a, b in zip(hi_sig, lo_sig):
-        key += np.bitwise_and(a[:, None], b, out=buf)
-    # the vertex pairs have some off-diagonal field set; the last pair, of
-    # the two full half masks, holds only the all-zero matrix
-    floors = weights.cumsum(axis=0)  # the last row masks each field's bits
-    offdiag = int(floors[-1][np.arange(width) % (n + 1) != 0].sum()) << _PAIR_BITS
-    key = key.ravel()[:-1]
-    packed = key[np.bitwise_and(key, offdiag, out=buf.ravel()[:-1]) != 0]
-    del key  # the words of all pairs go before the sort
-    # one sort groups the vertex pairs by class in key order, and each
-    # class's pairs in pair order
-    packed.sort()
-    pair = packed & ((1 << _PAIR_BITS) - 1)
-    packed >>= _PAIR_BITS
-    start = np.append(True, packed[1:] != packed[:-1])
-    table = np.full(pairs, -1, dtype=np.int32)
-    table[pair] = np.cumsum(start, dtype=np.int32) - 1
-    np.multiply.outer(hi_count, lo_count, out=buf)
-    sizes = np.add.reduceat(buf.ravel()[pair], np.flatnonzero(start))
-    # each class's last pair gives its key and its member, and the nodes
-    # both halves of the member hold are the class's: its right nodes are
-    # listed, its left nodes read on demand, as `stats` reads few
-    last = np.append(np.flatnonzero(start[1:]), len(start) - 1)
-    keys = packed[last]
-    hi_at, lo_at = np.divmod(pair[last], shape[1])
-    member = hi_first[hi_at] << h | lo_first[lo_at]
-    del buf, packed, pair  # the arrays over pairs go before the node sets
-    mhi, mlo = (member >> h).tolist(), (member & (1 << h) - 1).tolist()
+def _wnl_classes(n: int, tables: list[list[int]], vert: int) -> tuple[list[int], ...]:
+    """The WNL classes from the build's tables, the left nodes of the high
+    and of the low half masks, then their right nodes (module docstring):
+    the left nodes, the right nodes, the size and a member mask of each.
+    Per high half class, left nodes a, the low half masks are counted by
+    a & b, b their left nodes, each count kept with one of its masks.  A
+    high half class a' above a has a & a' = a, so the counts of a are
+    those of a' merged by & a: each high half class takes them from its
+    least mask with one slot more, the full half mask from the low half
+    masks one by one."""
+    h = (n * n - n) // 2
     lhi, llo, rhi, rlo = tables
-    right = [rhi[x] & rlo[y] for x, y in zip(mhi, mlo)]
-    # a class holds pattern s of list l iff its key's field s is at least
-    # the weights of lists 0..l there; right node t*n^2 + s is pattern s'
-    # of list t, for s' the transpose of s (one term at a time, as the
-    # masked keys are int64)
-    perm = [q * n + p for p in range(n) for q in range(n)]
-    rhas = [r for floor in floors
-            for r in _pack_rows((keys & floors[-1, perm, None]) >= floor[perm, None])]
-    return (hi, lo, table.reshape(shape), member, sizes.tolist(),
-            _Nodes(lambda c: lhi[mhi[c]] & llo[mlo[c]], right, rhas, grow))
+    top = (1 << h) - 1
+    merged: dict[int, list[tuple[int, int, int]]] = {}  # a -> (a & b, count, mask)
+    for x in reversed(range(top + 1)):
+        a = lhi[x]
+        if a in merged:
+            continue
+        counts: dict[int, list[int]] = {}
+        above = merged[lhi[x | x + 1]] if x < top else [(b, 1, y) for y, b in enumerate(llo)]
+        for b, w, y in above:
+            got = counts.get(a & b)
+            if got is None:
+                counts[a & b] = [w, y]
+            else:
+                got[0] += w
+        merged[a] = [(key, w, y) for key, (w, y) in counts.items()]
+    index: dict[int, int] = {}
+    sizes, pairs = [], []
+    weight = Counter(lhi)
+    for x in range(top + 1):  # the high half classes by their least masks
+        a = lhi[x]
+        for key, w, y in merged.pop(a, ()):
+            if key & vert:
+                c = index.get(key)
+                if c is None:
+                    index[key] = len(sizes)
+                    sizes.append(weight[a] * w)
+                    pairs.append((x, y))
+                else:
+                    sizes[c] += weight[a] * w
+    # the last pair, of the two full half masks, each alone in its half
+    # class, is the all-zero matrix alone
+    index.popitem()
+    sizes.pop()
+    pairs.pop()
+    return (list(index), [rhi[x] & rlo[y] for x, y in pairs], sizes,
+            [x << h | y for x, y in pairs])
+
+
+def _orbit_sweep(n: int, k: int, member: Callable[[int], int],
+                 classes: Callable[[array], list[int]]) -> list[int]:
+    """The least class of the orbit of each of k classes under conjugation
+    by permutation matrices and the transpose, given a member mask of each
+    class and the classes of an array of vertex masks.  The least class
+    without a label labels its orbit, the classes of its member's images
+    under every element of the group.  Those images are one OR of 64-bit
+    words: per slot, its images under every element (its column of
+    `core._slot_images`) packed 64 bits apart, ORed over the member's
+    slots."""
+    images = _slot_images(n)
+    column = [int.from_bytes(array("Q", col).tobytes(), sys.byteorder) for col in images]
+    size = 8 * len(images[0])
+    label = [-1] * k
+    for c in range(k):
+        if label[c] < 0:
+            for y in classes(array("Q", _row_union(member(c), column).to_bytes(size, sys.byteorder))):
+                label[y] = c
+    return label
 
 
 # -- metrics ----------------------------------------------------------------
+
+
+def _floor_masks(kind: str, n: int) -> list[int]:
+    """Masks of vertices that every vertex lies above: ORTHO's one-zero
+    matrices, else the off-diagonal patterns of list 0 (V or W)."""
+    if kind == ORTHO:
+        return [1 << s for s in range(n * n - n)]
+    pats = _vnl_patterns(n) if kind == VNL else _wnl_patterns(n)[0]
+    return [pat for s, pat in enumerate(pats) if s % (n + 1)]
 
 
 def _ecc(nodes: _Nodes, k: int, a: int, near: int, hubs: int):
@@ -614,17 +641,48 @@ def _ecc(nodes: _Nodes, k: int, a: int, near: int, hubs: int):
     return d
 
 
+def _eccentricity(g: OrthoGraph) -> Callable[[int], int | float]:
+    """The eccentricity of a class of g, INFINITY when some class is
+    unreachable, read off the co-atom and the minimal classes alone
+    (module docstring): `near` gives each node's rhas on them, so the
+    neighbours of class c among them are the OR of near over lnode(c).
+    From radius 0, each step adds those of a and of each co-atom class the
+    ball has reached; the ball is whole once it holds every minimal class,
+    and it stops growing once the co-atom and minimal classes do.  When
+    only a's own minimal class is missing, the vertices above a's minimal
+    members may lie beyond the ball, and `_ecc` decides."""
+    nodes, n, k = g._nodes, g.n, len(g._class_sizes)
+    full = (1 << n * n - n) - 1
+    hub_set = {g._class(full ^ 1 << s) for s in range(n * n - n)}
+    floor_set = {g._class(m) for m in _floor_masks(g.kind, n)}
+    assert min(hub_set | floor_set) >= 0, "a co-atom or a minimal mask is not a vertex"
+    hubs, floors = (sum(1 << c for c in cs) for cs in (hub_set, floor_set))
+    kept = hubs | floors
+    near = _Lazy(lambda x: nodes.rhas[x] & kept)
+    hub_near = _Lazy(lambda c: _row_union(nodes.lnode(c), near))
+
+    def ecc(a: int) -> int | float:
+        own, reached, d = floors & 1 << a, 0, 0
+        step = _row_union(nodes.lnode(a), near)
+        while (missing := floors & ~reached) not in (0, own):
+            grown = reached | step | _row_union(reached & hubs, hub_near)
+            if grown == reached:
+                return INFINITY
+            reached, d = grown, d + 1
+        return _ecc(nodes, k, a, nodes.reach(a) & ~(1 << a), hubs) if missing else d
+
+    return ecc
+
+
 def dist(g: OrthoGraph, u: NormalMatrix, v: NormalMatrix):
     (x, _), (_, target) = g._vertex_nodes(u), g._vertex_nodes(v)
     return 0 if u == v else _ball_dist(x, target, g._grow)
 
 
 def stats(g: OrthoGraph) -> dict:
-    import numpy as np
     if g._stats is not None:
         return g._stats
     nodes, sizes = g._nodes, g._class_sizes
-    k = len(sizes)
     # classes per orbit, keyed by the orbit's least class
     orbits = Counter(_class_orbits(g))
     roots = sorted(orbits)
@@ -633,14 +691,12 @@ def stats(g: OrthoGraph) -> dict:
     def others(c: int) -> int:  # the classes adjacent to c, less c
         return nodes.reach(c) & ~(1 << c)
 
-    # size_bits[p] holds the classes whose size has bit p set, so the
-    # total size of a set of classes is a sum of shifted popcounts
-    sz = np.array(sizes)
-    width = max(sizes, default=0).bit_length()
-    size_bits = [_to_bits((sz >> p) & 1) for p in range(width)]
+    # planes[p] holds the classes whose size has bit p set, so the total
+    # size of a set of classes is a sum of shifted popcounts
+    planes = _transpose(sizes, max(sizes, default=0).bit_length())
 
     def size(f: int) -> int:  # the number of vertices in the classes of f
-        return sum((f & m).bit_count() << p for p, m in enumerate(size_bits))
+        return sum((f & m).bit_count() << p for p, m in enumerate(planes))
 
     edges = loops = 0
     ends = 0  # edges between two classes, counted from both ends
@@ -651,16 +707,12 @@ def stats(g: OrthoGraph) -> dict:
         ends += weight * sizes[a] * size(others(a))
     edges += ends // 2
 
-    # the co-atoms, one -1 cell each, lie above every vertex
-    slots = g.n * g.n - g.n
-    hub_classes = g._class(((1 << slots) - 1) ^ 1 << np.arange(slots)).tolist()
-    assert min(hub_classes) >= 0, "a co-atom is not a vertex"
-    hubs = reduce(or_, [1 << c for c in hub_classes])
+    ecc = _eccentricity(g)
     diam = 0
     for a in roots:
         if sizes[a] >= 2:  # two members of a: adjacent, a common neighbour, or neither
             diam = max(diam, 1 if nodes.loop(a) else 2 if others(a) else INFINITY)
-        diam = max(diam, _ecc(nodes, k, a, others(a), hubs))
+        diam = max(diam, ecc(a))
         if diam == INFINITY:
             break
     connected = diam < INFINITY
@@ -690,25 +742,8 @@ def stats(g: OrthoGraph) -> dict:
 
 def _class_orbits(g: OrthoGraph) -> list[int]:
     """The least class of the orbit of each class under conjugation by
-    permutation matrices and the transpose.  Each generator, the
-    transposition (1 2), the n-cycle i -> i+1 (mod n) and the transpose,
-    maps one member of every class to a vertex through its column of
-    `core._slot_images` and so permutes the classes; every class takes the
-    least label of its images until the labels settle."""
-    import numpy as np
-    n, m = g.n, g._member
-    images = _slot_images(n)
-    perms = list(permutations(range(n)))
-    swap = (1, 0, *range(2, n))
-    cycle = tuple((i + 1) % n for i in range(n))
-    maps = [g._class(sum((m >> s & 1) * img[e] for s, img in enumerate(images)))
-            for e in (perms.index(swap), perms.index(cycle), len(perms))]
-    assert min(c.min() for c in maps) >= 0, "a generator maps a vertex off the graph"
-    # a label is a class of its orbit no greater than its own class
-    label = np.arange(len(m))
-    while not np.array_equal(label, new := reduce(np.minimum, [label[c] for c in maps], label)):
-        label = new[new]
-    return label.tolist()
+    permutation matrices and the transpose (module docstring)."""
+    return g._orbits()
 
 
 def _simple_girth(row: Callable[[int], int], roots) -> int | float:

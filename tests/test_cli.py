@@ -348,30 +348,26 @@ def _src_env():
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy is imported by the class partition of a graph, which `graph`
-    # makes and `dist` does not, and not by `import tropnorm.cli`
+    # no subcommand loads numpy: not `import tropnorm.cli`, not `graph`,
+    # whose class partition is plain ints, and not `dist`
     env = _src_env()
     probe = "import sys, tropnorm.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert out.stdout.strip() == "False", out.stderr
-    out = subprocess.run(
-        [sys.executable, "-m", "tropnorm.cli", "graph", "--kind", "ortho", "--n", "3"],
-        env=env, capture_output=True, text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout)["vertices"] == 62
-    out = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "tropnorm.cli", "dist", "--kind", "wnl",
-         "--n", "3", "0-0/-0-/-00", "00-/-00/--0"],
-        env=env, capture_output=True, text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout)["dist"] == 3
-    assert "tropnorm.graphs" in out.stderr and "numpy" not in out.stderr
+    for argv, key, want in (
+        (["graph", "--kind", "ortho", "--n", "3"], "vertices", 62),
+        (["graph", "--kind", "wnl", "--n", "3"], "vertices", 47),
+        (["dist", "--kind", "wnl", "--n", "3", "0-0/-0-/-00", "00-/-00/--0"], "dist", 3),
+    ):
+        out = subprocess.run([sys.executable, "-X", "importtime", "-m", "tropnorm.cli", *argv],
+                             env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)[key] == want
+        assert "tropnorm.graphs" in out.stderr and "numpy" not in out.stderr, argv
 
 
 # the package and each subcommand load only the modules they run, and none
-# of them loads dataclasses
+# of them loads numpy or dataclasses
 _LOADED_PROBE = """
 import contextlib, io, json, sys
 argv = json.loads(sys.argv[1])
@@ -416,8 +412,6 @@ def test_subcommand_import_footprint(argv, extra):
     )
     assert out.returncode == 0, out.stderr
     want = {"tropnorm", *(f"tropnorm.{m}" for m in extra)}
-    if argv and argv[0] == "graph":
-        want.add("numpy")
     assert set(json.loads(out.stdout)) == want
 
 

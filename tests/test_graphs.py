@@ -14,6 +14,7 @@ import pytest
 
 from conftest import atom_zeros, rand_normal, slot_generators
 import fixtures
+import graph_oracle
 from tropnorm import graphs
 from tropnorm.core import (
     NormalMatrix,
@@ -55,7 +56,7 @@ def _rows(g):
 
 def _class_of(g, a):
     """Class of the vertex a, through the graph's class lookup."""
-    return int(g._class(to_offdiag_mask(a)))
+    return g._class(to_offdiag_mask(a))
 
 
 def _has_loop(g, a):
@@ -67,7 +68,20 @@ def _has_loop(g, a):
 
 def _vertex_classes(g):
     """Class of every vertex, in vertex order, through the class lookup."""
-    return g._class(g.vertices.masks).tolist()
+    return [g._class(m) for m in g.vertices.masks]
+
+
+@functools.lru_cache(maxsize=None)
+def _renumber(kind, n):
+    """The class of the shared graph that each class of the numpy oracle
+    (`graph_oracle.partition`) is, through the oracle's member of it,
+    checked to be a permutation of the classes.  With the class of every
+    mask matching up to it (`test_class_lookup_matches_sweep`), the two
+    partitions agree up to numbering."""
+    g = _built(kind, n)
+    perm = [g._class(m) for m in graph_oracle.partition(kind, n).member.tolist()]
+    assert sorted(perm) == list(range(len(g._class_sizes))), (kind, n)
+    return perm
 
 ORTHO3_STATS = {"vertices": 62, "edges": 385, "loops": 17, "girth": 3, "diameter": 3}
 VNL3_STATS = {"vertices": 24, "edges": 120, "loops": 6, "girth": 3, "diameter": 2}
@@ -350,69 +364,31 @@ def test_vnl5_wnl5_diameter_two():
 
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_signatures_match_per_mask_containment(n):
-    """The half classes, grouped from the build's per-half tables of left
-    nodes: a half class has flag l*n^2 + s set iff its half
-    masks contain that half of pattern s of list l; the half classes are
-    the half masks of equal flags, numbered in the order of their keys,
-    their sizes count them, and each has its least half mask.  A mask holds
-    a pattern iff both its halves hold their halves of it.  The compact key,
-    a field of 2 bits per off-diagonal (p, q) (1 for VNL) and 1 bit per
-    diagonal one, orders the masks as the 2-bit levels of every (p, q) do."""
+    """The build's per-half tables of left and right nodes
+    (`graph_oracle.node_tables`, made as `build` makes them): a high (low)
+    half mask holds a node iff it contains the high (low) half of the
+    node's pattern, and the AND of a mask's two halves holds exactly the
+    patterns the mask contains.  WNL's pattern lists are nested, W(p;q) ⊆
+    W(p;q)&Z(q;p) ⊆ W(p;q)&Z(p;q)&Z(q;p), and equal on the diagonal,
+    where a Z atom forces no off-diagonal zero."""
     import numpy as np
     h = (n * n - n) // 2
-    vnl = graphs._vnl_patterns(n)
-    w, wzo, wzz = graphs._wnl_patterns(n)
     masks = np.arange(1 << 2 * h)
-    for kind, lists in ((VNL, [vnl]), (WNL, [w, wzo, wzz])):
-        pats = np.array(sum(lists, []))
-        weights = graphs._key_weights(n, len(lists))
-        lpats = graphs._node_patterns(kind, n)[0]
-        every = (1 << len(lpats)) - 1
-        lacks = [every ^ nodes for nodes in _cols(lpats)[: 2 * h]]
-        halves = []
-        for held, shift in zip(graphs._half_tables(lacks, h, every), (h, 0)):
-            ids, counts, first, flags = graphs._half_classes(held, weights)
-            ids = ids.tolist()
-            assert len(ids) == 1 << h
-            assert counts.tolist() == [ids.count(c) for c in range(len(counts))]
-            assert first.tolist() == [ids.index(c) for c in range(len(counts))]
-            keys = (flags @ weights.ravel()).tolist()
-            assert keys == sorted(set(keys))
-            sel = ((1 << h) - 1) << shift
-            by_flags = {}
-            for x, c in enumerate(ids):
-                m = x << shift
-                want = tuple(m & p & sel == p & sel for p in pats.tolist())
-                assert tuple(flags[c]) == want, (n, shift, x)
-                assert by_flags.setdefault(want, c) == c
-            assert len(by_flags) == len(counts)
-            halves.append(flags[ids])
-        holds = (masks[:, None] & pats) == pats
-        assert np.array_equal(holds, halves[0][masks >> h] & halves[1][masks & ((1 << h) - 1)])
-        # two masks' compact keys compare as their 2-bit level keys do
-        level = sum(holds[:, i].astype(np.int64) << 2 * (i % (n * n)) for i in range(len(pats)))
-        compact = holds @ weights.ravel()
-        assert compact.max() < 1 << (2 * n * n - n if len(lists) > 1 else n * n)
-        assert np.array_equal(np.unique(level, return_inverse=True)[1],
-                              np.unique(compact, return_inverse=True)[1])
-    # the 2-bit WNL class key needs wzz => wzo => w for every (p, q), and
-    # its 1-bit diagonal fields need them equal at (p, p)
+    for kind in (VNL, WNL):
+        lpats, rpats = graphs._node_patterns(kind, n)
+        lhi, llo, rhi, rlo = graph_oracle.node_tables(kind, n)
+        for pats, hi, lo in ((lpats, lhi, llo), (rpats, rhi, rlo)):
+            pats = np.array(pats)
+            for held, shift in ((hi, h), (lo, 0)):
+                part = pats & ((1 << h) - 1) << shift
+                halves = np.arange(1 << h)[:, None] << shift
+                assert held == graph_oracle.pack_rows((halves & part) == part), (kind, n, shift)
+            holds = graph_oracle.pack_rows((masks[:, None] & pats) == pats)
+            assert [hi[m >> h] & lo[m & ((1 << h) - 1)] for m in masks.tolist()] == holds
+    w, wzo, wzz = graphs._wnl_patterns(n)
     for lo, hi in ((w, wzo), (wzo, wzz)):
         assert all(h & l == l for l, h in zip(lo, hi))
     assert all(w[s] == wzz[s] for s in range(0, n * n, n + 1))
-
-
-def test_sort_word_fits_at_the_guard():
-    """The build sorts a class key above a pair index in one int64 word:
-    WNL n = 5 has 2*20 + 5 = 45 key bits and 472^2 pairs of half classes,
-    which take 18 bits."""
-    n = graphs.PATTERN_BUILD_GUARD
-    g = _built(WNL, n)
-    pairs = len(g._table) * len(g._table[0])
-    assert (len(g._table), pairs) == (472, 472 * 472)
-    assert pairs <= 1 << graphs._PAIR_BITS
-    assert int(graphs._key_weights(n, 3).sum()).bit_length() == 2 * n * n - n == 45
-    assert 2 * n * n - n + graphs._PAIR_BITS <= 63
 
 
 def _bool_words(flags):
@@ -434,19 +410,22 @@ def _bool_pack_rows(flags):
 
 def _bool_node_tables(g):
     """The node tables by boolean matrices of classes by nodes, from each
-    class member's signature per pattern list: lnode of every class,
-    rnode, rhas and grow."""
+    class member's signature per pattern list (the members of the numpy
+    oracle, renumbered): lnode of every class, rnode, rhas and grow."""
     import numpy as np
     n = g.n
     lists = [graphs._vnl_patterns(n)] if g.kind == VNL else graphs._wnl_patterns(n)
-    rows = [np.array([[m & p == p for p in pats] for m in g._member.tolist()]) for pats in lists]
+    members = [0] * len(g._class_sizes)
+    for m, c in zip(graph_oracle.partition(g.kind, n).member.tolist(), _renumber(g.kind, n)):
+        members[c] = m
+    rows = [np.array([[m & p == p for p in pats] for m in members]) for pats in lists]
     perm = np.array([q * n + p for p in range(n) for q in range(n)])
     left = np.hstack(rows[::-1])
     right = np.hstack([r[:, perm] for r in rows])
     has = np.ascontiguousarray(right.T)
     lsets = _bool_words(left.T)
     grow = np.array([(lsets & h).any(axis=1) for h in _bool_words(has)])
-    return (_bool_pack_rows(left), _bool_pack_rows(right), [graphs._to_bits(h) for h in has],
+    return (_bool_pack_rows(left), _bool_pack_rows(right), [graph_oracle.to_bits(h) for h in has],
             _bool_pack_rows(grow))
 
 
@@ -495,20 +474,41 @@ SWEEP_GRAPHS = [(ORTHO, n) for n in (2, 3, 4)] + [
 ]
 
 
+def _same_partition(got, want):
+    """Whether two arrays of the class of each mask, -1 off the graph, make
+    the same partition up to the numbering of the classes."""
+    import numpy as np
+    on = want >= 0
+    if not np.array_equal(got >= 0, on):
+        return False
+    to = np.full(want.max() + 1, -1)
+    to[want[on]] = got[on]
+    return np.array_equal(to[want[on]], got[on]) and len(set(to.tolist())) == len(to)
+
+
 @pytest.mark.parametrize("kind,n", SWEEP_GRAPHS)
 def test_class_lookup_matches_sweep(kind, n):
-    """The class of every mask by the table lookup, the class sizes, the
-    vertex sequence and the member kept for each class against the sweep;
-    each matrix at n <= 4, and 20,000 seeded ones at n = 5, through
-    `_vertex_class`, which refuses exactly the sweep's non-vertices."""
+    """The class of every mask by the int lookup against the sweep and the
+    numpy oracle, up to numbering (the sweep numbers the classes by their
+    keys, the oracle by its compact keys, `graphs` in the order it lists
+    them), and against the oracle renumbered by `_renumber`; the class
+    sizes, by the lookup and the oracle's, the vertex sequence and the
+    vertex count; each matrix at n <= 4,
+    and 20,000 seeded ones at n = 5, through `_vertex_class`, which
+    refuses exactly the sweep's non-vertices."""
     import numpy as np
-    g = _built(kind, n)
+    g, oracle = _built(kind, n), graph_oracle.partition(kind, n)
     want = _sweep(kind, n)
-    assert np.array_equal(g._class(np.arange(len(want))), want)
-    assert g._class_sizes == np.bincount(want[want >= 0]).tolist()
-    assert np.array_equal(g.vertices.masks, np.flatnonzero(want >= 0))
+    masks = np.arange(len(want))
+    got = np.array([g._class(m) for m in range(len(want))])
+    assert _same_partition(got, want) and _same_partition(got, oracle.classes(masks))
+    assert not _same_partition(got, np.where(want == 0, 1, want))  # classes 0 and 1 merged
+    perm = np.append(_renumber(kind, n), -1)  # oracle class -1 is -1
+    assert np.array_equal(got, perm[oracle.classes(masks)])
+    assert g._class_sizes == np.bincount(got[got >= 0]).tolist()
+    assert [g._class_sizes[c] for c in perm[:-1]] == oracle.sizes
+    assert g.vertices.masks == np.flatnonzero(want >= 0).tolist()
     assert g.num_vertices == len(g.vertices)
-    assert np.array_equal(want[g._member], np.arange(len(g._class_sizes)))
     picks = range(len(want)) if n <= 4 else random.Random(53).sample(range(len(want)), 20000)
     for m in picks:
         a = from_offdiag_mask(n, m)
@@ -518,7 +518,16 @@ def test_class_lookup_matches_sweep(kind, n):
             with pytest.raises(ValueError, match="not a vertex"):
                 _has_loop(g, a)
         else:
-            assert g._vertex_class(a) == _class_of(g, a) == want[m]
+            assert g._vertex_class(a) == _class_of(g, a) == got[m]
+
+
+def _orbit_sets(labels, rename=lambda c: c):
+    """The orbits that a labelling of the classes makes, as sets of
+    classes renamed by `rename`."""
+    orbits = {}
+    for c, label in enumerate(labels):
+        orbits.setdefault(label, set()).add(rename(c))
+    return {frozenset(orbit) for orbit in orbits.values()}
 
 
 @pytest.mark.parametrize("kind,n", SWEEP_GRAPHS)
@@ -527,12 +536,19 @@ def test_node_sets_match_partition(kind, n):
     build's tables (`_ends`) are its class's lnode and rnode in the
     partition, and they are (0, 0), which `_vertex_nodes` refuses, exactly
     where `_class` gives -1; every mask at n <= 4, 2,000 seeded ones at
-    n = 5."""
-    import numpy as np
-    g = _built(kind, n)
+    n = 5.  The partition's lnode, rnode and rhas, its class bits
+    renumbered, equal the numpy oracle's, whose class c is class perm[c]
+    here (`_renumber`).  (ORTHO's rnode and rhas are its rows, checked
+    against `naive_odot` and numpy meet sets elsewhere.)"""
+    g, oracle, perm = _built(kind, n), graph_oracle.partition(kind, n), _renumber(kind, n)
     nodes, size = g._nodes, 1 << (n * n - n)
+    assert [nodes.lnode(c) for c in perm] == oracle.lnode
+    if kind != ORTHO:
+        assert [nodes.rnode[c] for c in perm] == oracle.rnode
+        assert nodes.rhas == [sum(1 << perm[c] for c in _set_bits(x)) for x in oracle.rhas]
     picks = range(size) if n <= 4 else random.Random(58).sample(range(size), 2000)
-    for m, c in zip(picks, g._class(np.array(picks)).tolist()):
+    for m in picks:
+        c = g._class(m)
         if c >= 0:
             assert g._ends(m) == (nodes.lnode(c), nodes.rnode[c]), (kind, n, m)
         else:
@@ -564,11 +580,13 @@ def test_dist_leaves_partition_unmade(kind, n):
 @pytest.mark.parametrize("kind,n", SWEEP_GRAPHS)
 def test_all_zero_matrix_refused(kind, n):
     """The all-zero matrix is no vertex, at either end of `dist`; another
-    mask of its pair of half classes is a vertex whenever the sweep says
-    so.  (Every off-diagonal slot lies in some pattern, so at these
-    orders the all-zero matrix is alone in its pair.)"""
+    mask of its pair of half classes (the numpy oracle's) is a vertex
+    whenever the sweep says so.  Every off-diagonal slot lies in some
+    pattern, so at these orders each full half mask is alone in its half
+    class and the all-zero matrix alone in its pair, the pair that
+    `graphs._wnl_classes` leaves out."""
     import numpy as np
-    g = _built(kind, n)
+    g, oracle = _built(kind, n), graph_oracle.partition(kind, n)
     z, v = all_zero(n), g.vertices[0]
     for call in (g._vertex_class, lambda a: _has_loop(g, a),
                  lambda a: dist(g, a, v), lambda a: dist(g, v, a)):
@@ -576,9 +594,59 @@ def test_all_zero_matrix_refused(kind, n):
             call(z)
     h = (n * n - n) // 2
     full, low = to_offdiag_mask(z), (1 << h) - 1
+    assert (oracle.hi == oracle.hi[-1]).sum() == (oracle.lo == oracle.lo[-1]).sum() == 1
     masks = np.arange(full)
-    pair = masks[(g._hi[masks >> h] == g._hi[full >> h]) & (g._lo[masks & low] == g._lo[full & low])]
-    assert np.array_equal(g._class(pair) >= 0, _sweep(kind, n)[pair] >= 0)
+    pair = masks[(oracle.hi[masks >> h] == oracle.hi[full >> h])
+                 & (oracle.lo[masks & low] == oracle.lo[full & low])]
+    assert [g._class(m) >= 0 for m in pair.tolist()] == (_sweep(kind, n)[pair] >= 0).tolist()
+
+
+def _filling_count(n, rows, cols):
+    """The masks whose all-zero rows are exactly `rows` and all-zero
+    columns exactly `cols` (bitsets over 0..n-1), counted over every
+    filling of the other off-diagonal cells."""
+    free = [(p, q) for p in range(n) for q in range(n)
+            if p != q and not rows >> p & 1 and not cols >> q & 1]
+    lines = [sum(1 << i for i, (p, q) in enumerate(free) if (p, q)[axis] == x)
+             for axis, line_set in ((0, rows), (1, cols)) for x in range(n) if not line_set >> x & 1]
+    # a filling's set bits are its zeros: no free line may be all zero
+    return sum(all(z & line != line for line in lines) for z in range(1 << len(free)))
+
+
+@pytest.mark.parametrize("n,classes", [(2, 2), (3, 18), (4, 140), (5, 750),
+                                       (6, 3472), (7, 14994), (8, 62484)])
+def test_vnl_classes_by_zero_rows_and_columns(n, classes):
+    """The VNL classes listed by (R, C), their all-zero rows and columns
+    (`graphs._vnl_classes`): 2, 18, 140 and 750 at n = 2..5, the classes of
+    the built graphs, whose sizes equal the numpy oracle's
+    (`test_partition_matches_numpy_oracle`); 3,472, 14,994 and 62,484 at
+    n = 6..8, past the build guard, which stays at 5.  Each class's left
+    nodes are R x C and its right nodes C x R, with some p in R and q in
+    C where p != q, R not every row; its orbit key is ({|R|, |C|},
+    |R & C|); and its size, by Möbius inversion, equals a count over the
+    fillings of its free cells where there are at most 8 of them."""
+    assert graphs.PATTERN_BUILD_GUARD == 5
+    lnodes, rnodes, sizes, keys = graphs._vnl_classes(n)
+    assert len(lnodes) == len(set(lnodes)) == len(rnodes) == len(sizes) == len(keys) == classes
+    full, small = (1 << n) - 1, []
+    for left, right, size, key in zip(lnodes, rnodes, sizes, keys):
+        fields = [left >> p * n & full for p in range(n)]
+        rows = sum(1 << p for p, f in enumerate(fields) if f)
+        cols = max(fields)
+        assert all(f in (0, cols) for f in fields) and rows != full
+        assert right == sum(rows << q * n for q in range(n) if cols >> q & 1)
+        assert any(p != q for p in _set_bits(rows) for q in _set_bits(cols))
+        ones = sorted((rows.bit_count(), cols.bit_count()))
+        assert key == (*ones, (rows & cols).bit_count())
+        assert size > 0
+        free = (n - rows.bit_count()) * (n - cols.bit_count()) - (n - (rows | cols).bit_count())
+        if free <= 8:
+            small.append((rows, cols, size))
+    # every such class at n <= 6, 300 seeded ones at n = 7, 8
+    picked = small if len(small) <= 300 else random.Random(61).sample(small, 300)
+    assert len(picked) >= min(classes, 100), len(picked)
+    for rows, cols, size in picked:
+        assert size == _filling_count(n, rows, cols), (n, rows, cols)
 
 
 def test_vnl5_build_memory():
@@ -680,7 +748,7 @@ def _coatom_masks(n):
 
 def _hubs(g):
     """Bitset of the classes of the co-atoms, one mask at a time."""
-    return sum({1 << int(g._class(m)) for m in _coatom_masks(g.n)})
+    return sum({1 << g._class(m) for m in _coatom_masks(g.n)})
 
 
 # the eccentricities the classes of each graph reach
@@ -691,20 +759,38 @@ ECC_REACHED = {
 }
 
 
+# the classes whose eccentricity `_eccentricity` leaves to `_ecc`, of every
+# class at n <= 4 and of the seeded ones at n = 5
+ECC_FALLBACKS = {(ORTHO, 2): 2, (VNL, 2): 2, (WNL, 2): 1}
+
+
 @pytest.mark.parametrize("kind,n", ECC_REACHED)
-def test_ecc_matches_class_dists(kind, n):
-    """The co-atom ball's eccentricity against the plain BFS: every class
-    at n <= 4, seeded classes at n = 5; the classes reach every
-    eccentricity in ECC_REACHED."""
+def test_ecc_matches_class_dists(kind, n, monkeypatch):
+    """The eccentricity read off the co-atom and minimal classes
+    (`_eccentricity`) and the co-atom ball's (`_ecc`, which grows the
+    whole ball) against the plain BFS: every class at n <= 4, seeded
+    classes at n = 5; the classes reach every eccentricity in
+    ECC_REACHED.  Only at n = 2 is a class's own minimal class the one
+    missing from the ball, so that `_eccentricity` falls back to `_ecc`;
+    ORTHO and VNL n = 2 are two adjacent classes, each minimal, of
+    diameter 1, which the ball less the root would read as 2."""
     g = _built(kind, n)
     adj, hubs = _rows(g), _hubs(g)
     k = len(adj)
+    ecc, fell, plain = graphs._eccentricity(g), [], graphs._ecc
+    monkeypatch.setattr(graphs, "_ecc", lambda nodes, k, a, *rest: fell.append(a) or plain(nodes, k, a, *rest))
     got = set()
     for a in range(k) if n <= 4 else random.Random(53).sample(range(k), 12):
         want = _class_eccentricities(kind, n)[a] if n <= 4 else max(_class_dists(adj, a))
-        assert graphs._ecc(g._nodes, k, a, adj[a] & ~(1 << a), hubs) == want, (kind, n, a)
+        assert ecc(a) == plain(g._nodes, k, a, adj[a] & ~(1 << a), hubs) == want, (kind, n, a)
         got.add(want)
     assert got == ECC_REACHED[kind, n]
+    assert len(fell) == ECC_FALLBACKS.get((kind, n), 0), (kind, n, fell)
+    if (kind, n) in ((ORTHO, 2), (VNL, 2)):
+        monkeypatch.setattr(graphs, "_ecc", lambda *args: "fallback")
+        assert [ecc(a) for a in range(k)] == ["fallback"] * k
+        monkeypatch.setattr(graphs, "_ecc", plain)
+        assert stats(build(kind, n))["diameter"] == 1
 
 
 @pytest.mark.parametrize("kind,n", [(VNL, 3), (VNL, 4), (WNL, 4)])
@@ -718,7 +804,7 @@ def test_stats_diameter_takes_self_distance(kind, n, monkeypatch):
     nodes, sizes = g._nodes, g._class_sizes
     want = max(graphs._ball_dist(nodes.lnode(a), nodes.rnode[a], nodes.grow)
                for a in range(len(sizes)) if sizes[a] >= 2)
-    monkeypatch.setattr(graphs, "_ecc", lambda *args: 0)
+    monkeypatch.setattr(graphs, "_eccentricity", lambda g: lambda a: 0)
     assert stats(g)["diameter"] == want == 2
     # the other two values of the same-class term, on fresh graphs: every
     # class self-adjacent gives 1, no class adjacent to any gives INFINITY
@@ -743,7 +829,7 @@ def test_rows_below_coatom_rows(kind, n):
     at n <= 4 and seeded classes at n = 5, 40 members each."""
     g = _built(kind, n)
     adj, coatoms = _rows(g), _coatom_masks(n)
-    masks, classes = g.vertices.masks.tolist(), _vertex_classes(g)
+    masks, classes = g.vertices.masks, _vertex_classes(g)
     members = {}
     for m, c in zip(masks, classes):
         members.setdefault(c, []).append(m)
@@ -1072,7 +1158,6 @@ def test_stats_girth_matches_blown_up_graph(name, monkeypatch):
     """`stats`' girth of a class graph built by hand, a `_Nodes` over
     explicit rows as ORTHO's is, against the BFS girth of the vertex graph
     it blows up to.  Every class is its own orbit and a co-atom class."""
-    import numpy as np
     edges, loops, sizes, want = HAND_CLASS_GRAPHS[name]
     k = len(sizes)
     rows = _graph_rows(k, edges)
@@ -1084,7 +1169,8 @@ def test_stats_girth_matches_blown_up_graph(name, monkeypatch):
     g = types.SimpleNamespace(
         kind="hand", n=4, num_vertices=sum(sizes), _class_sizes=sizes, _stats=None,
         _nodes=graphs._Nodes((1).__lshift__, rows, rows, rows),
-        _class=lambda masks: np.arange(len(masks)) % k,  # 12 co-atoms, k <= 12
+        # the co-atoms of n = 4, one per slot s, onto class (s + 1) % k, so every class at k <= 12
+        _class=lambda m: (m ^ 4095).bit_length() % k,
     )
     assert stats(g)["girth"] == want
 
@@ -1121,7 +1207,20 @@ def _slot_orbits(kind, n):
     (kind, n) for kind in (VNL, WNL) for n in (2, 3, 4, 5)
 ])
 def test_class_orbits_match_slot_permutations(kind, n):
-    assert graphs._class_orbits(_built(kind, n)) == _slot_orbits(kind, n)
+    """The orbits of `graphs._class_orbits`, as sets of classes, against
+    the union-find's over the sweep's classes, each sweep class renamed as
+    the class of its least member, and against the numpy oracle's
+    (`_renumber`); each orbit is labelled by its least class."""
+    import numpy as np
+    g, classes = _built(kind, n), _sweep(kind, n)
+    masks = np.flatnonzero(classes >= 0)
+    _, first = np.unique(classes[masks], return_index=True)
+    rename = [g._class(m) for m in masks[first].tolist()]
+    label = graphs._class_orbits(g)
+    orbits = _orbit_sets(label)
+    assert orbits == _orbit_sets(_slot_orbits(kind, n), rename.__getitem__)
+    assert orbits == _orbit_sets(graph_oracle.partition(kind, n).orbits, _renumber(kind, n).__getitem__)
+    assert all(label[c] == min(orbit) for orbit in orbits for c in orbit)
 
 
 # -- vertices decoded on demand ------------------------------------------------
@@ -1204,8 +1303,8 @@ def test_ortho_rows_match_numpy_meet_sets(n):
     import numpy as np
     vrows = np.array([offdiag_rows(n, m) for m in range(1, 2 ** (n * n - n) - 1)])
     vcols = np.array([_cols(r) for r in vrows.tolist()])
-    cols_meet = [graphs._to_bits(((vcols & r) != 0).all(axis=1)) for r in range(1 << n)]
-    rows_meet = [graphs._to_bits(((vrows & r) != 0).all(axis=1)) for r in range(1 << n)]
+    cols_meet = [graph_oracle.to_bits(((vcols & r) != 0).all(axis=1)) for r in range(1 << n)]
+    rows_meet = [graph_oracle.to_bits(((vrows & r) != 0).all(axis=1)) for r in range(1 << n)]
     rows = build(ORTHO, n)._nodes.rhas
     want = [functools.reduce(operator.and_, [cols_meet[r] for r in vr] + [rows_meet[c] for c in vc])
             for vr, vc in zip(vrows.tolist(), vcols.tolist())]
@@ -1213,10 +1312,13 @@ def test_ortho_rows_match_numpy_meet_sets(n):
 
 
 def test_graphs_import_leaves_numpy_unloaded():
-    # every benchmark workload process imports tropnorm.graphs; the graph
-    # builders and metrics import numpy when they run
+    # no graph loads numpy: not the import, the builds, the stats with
+    # their class partitions, nor a dist
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, tropnorm.graphs; print('numpy' in sys.modules)"
+    probe = ("import sys; from tropnorm.graphs import build, dist, stats\n"
+             "for kind, n in (('ortho', 3), ('vnl', 4), ('wnl', 4)):\n"
+             "    g = build(kind, n); stats(g); dist(g, g.vertices[0], g.vertices[-1])\n"
+             "print('numpy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert out.stdout.strip() == "False", out.stderr
